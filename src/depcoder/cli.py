@@ -191,36 +191,26 @@ def _read_jsonl(path) -> list:
     return rows
 
 
-def _load_vocab(args):
+def _load(args, cfg):
+    """The checkpoint, and the listing's corpus under its vocabulary and its
+    ``max_len``.  The vocabulary is ``--vocab`` or ``vocab.tsv`` next to the
+    checkpoint."""
+    from dataclasses import replace
+
+    from .corpus import Corpus
+    from .encoder import EncoderState
     from .frontend import Vocabulary
-    path = args.vocab
-    if path is None:
-        sibling = os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)), "vocab.tsv")
-        if not os.path.exists(sibling):
+
+    state = EncoderState.load(args.checkpoint)
+    vocab_path = args.vocab
+    if vocab_path is None:
+        vocab_path = os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)), "vocab.tsv")
+        if not os.path.exists(vocab_path):
             raise FileNotFoundError(
                 "no --vocab given and no vocab.tsv next to the checkpoint")
-        path = sibling
-    return Vocabulary.load(path)
-
-
-def _load_model(args, cfg):
-    from .encoder import EncoderState
-    state = EncoderState.load(args.checkpoint)
-    cfg.max_len = state.config.max_len
-    cfg.r_max = state.config.r_max
-    return state
-
-
-def _corpus_for(args, cfg, vocab):
-    from .corpus import Corpus
-    return Corpus.from_file(args.listing, cfg, vocab)
-
-
-def _encoder_config(cfg, vocab_size):
-    from .encoder import EncoderConfig
-    return EncoderConfig(layers=cfg.layers, heads=cfg.heads, hidden=cfg.hidden,
-                         ffn=cfg.ffn, vocab_size=vocab_size, max_len=cfg.max_len,
-                         r_max=cfg.r_max, dropout=cfg.dropout, dtype=cfg.dtype)
+    corpus = Corpus.from_file(args.listing, replace(cfg, max_len=state.config.max_len),
+                              Vocabulary.load(vocab_path))
+    return state, corpus
 
 
 def _embedding(state, art):
@@ -233,37 +223,26 @@ def _embedding(state, art):
 # commands
 
 def cmd_pipeline(args, cfg) -> int:
-    from .connectivity import ConnectivityGraph
     from .corpus import cached_artifact_dict
-    from .frontend import TokenSequence, build_vocab, parse_listing
-    from .masks import sparse_masks
+    from .frontend import build_vocab, parse_listing
 
     with open(args.listing, encoding="utf-8") as fh:
-        text = fh.read()
-    functions = parse_listing(text)
+        functions = parse_listing(fh.read())
     os.makedirs(args.out, exist_ok=True)
     if not functions:
         print("warning: empty corpus, nothing to do", file=sys.stderr)
         return 0
-    vocab = build_vocab([text], min_freq=cfg.vocab_min_freq)
+    vocab = build_vocab(functions, min_freq=cfg.vocab_min_freq)
     vocab.save(os.path.join(args.out, "vocab.tsv"))
     stages = ("tokenize", "deps", "connectivity", "mask")
+    # (artifact key, file suffix) written by each stage
+    outputs = (("tokens", "tokens"), ("deps", "deps"), ("connectivity", "conn"),
+               ("mask", "mask"))
     upto = stages.index(args.stage)
     for fn in functions:
         art = cached_artifact_dict(fn, vocab, cfg, args.cache_dir)
-        base = os.path.join(args.out, fn.name)
-        _write_json(f"{base}.tokens.json", art["tokens"])
-        if upto >= 1:
-            _write_json(f"{base}.deps.json", art["deps"])
-        if upto >= 2:
-            _write_json(f"{base}.conn.json", art["connectivity"])
-        if upto >= 3:
-            seq = TokenSequence(
-                tokens=art["tokens"]["ids"], surface=art["tokens"]["surface"],
-                inst_of=art["tokens"]["inst_of"],
-                inst_positions={int(k): v for k, v in art["tokens"]["inst_positions"].items()})
-            con = ConnectivityGraph.from_dict(art["connectivity"])
-            _write_json(f"{base}.mask.json", sparse_masks(seq, con))
+        for key, suffix in outputs[:upto + 1]:
+            _write_json(os.path.join(args.out, f"{fn.name}.{suffix}.json"), art[key])
     return 0
 
 
@@ -307,9 +286,7 @@ def cmd_pretrain(args, cfg) -> int:
                                 "(--corpus/--out or config keys)")
     corpus = Corpus.from_file(corpus_path, cfg)
     items = [BatchItem(f.seq, f.con, f.bundle) for f in corpus.functions]
-    if not items:
-        raise FileNotFoundError(f"no functions in {corpus_path}")
-    state = EncoderState.init(_encoder_config(cfg, len(corpus.vocab)), cfg.seed)
+    state = EncoderState.init(cfg.encoder_config(len(corpus.vocab)), cfg.seed)
     opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm,
                 warmup_steps=cfg.warmup, total_steps=cfg.steps)
     rng = np.random.default_rng(cfg.seed)
@@ -323,7 +300,7 @@ def cmd_pretrain(args, cfg) -> int:
             queue.extend(int(i) for i in rng.permutation(len(items)))
         batch = [items[queue.pop(0)] for _ in range(cfg.batch_size)]
         m = train_step(batch, state, opt, rng, mlm_rate=cfg.mlm_rate,
-                       node_frac=cfg.mdm_node_frac, mask_neg=cfg.mask_neg)
+                       node_frac=cfg.mdm_node_frac)
         lines.append(f"{m.step},{m.mlm_loss:.6f},{m.mdm_loss:.6f},{m.total:.6f},{m.lr:.8f}")
         if m.step % 50 == 0 or m.step == cfg.steps:
             print(f"step {m.step}: mlm {m.mlm_loss:.4f} mdm {m.mdm_loss:.4f} "
@@ -339,9 +316,7 @@ def cmd_pretrain(args, cfg) -> int:
 
 
 def cmd_embed(args, cfg) -> int:
-    state = _load_model(args, cfg)
-    vocab = _load_vocab(args)
-    corpus = _corpus_for(args, cfg, vocab)
+    state, corpus = _load(args, cfg)
     rows = [{"function": art.name,
              "embedding": [float(x) for x in _embedding(state, art)]}
             for art in corpus.functions]
@@ -376,9 +351,7 @@ def cmd_finetune_sim(args, cfg) -> int:
     from .encoder import backward, encode
     from .pretrain import AdamW
 
-    state = _load_model(args, cfg)
-    vocab = _load_vocab(args)
-    corpus = _corpus_for(args, cfg, vocab)
+    state, corpus = _load(args, cfg)
     triplets = _read_jsonl(args.triplets)
     if not triplets:
         raise FileNotFoundError(f"no triplets in {args.triplets}")
@@ -440,9 +413,7 @@ def cmd_train_type(args, cfg) -> int:
     from .encoder import backward, encode
     from .pretrain import AdamW
 
-    state = _load_model(args, cfg)
-    vocab = _load_vocab(args)
-    corpus = _corpus_for(args, cfg, vocab)
+    state, corpus = _load(args, cfg)
     label_of = _label_ids(cfg)
     labelled = _labelled_positions(_read_jsonl(args.labels), corpus, label_of)
     names = [n for n in labelled if labelled[n]]
@@ -478,9 +449,7 @@ def cmd_eval_type(args, cfg) -> int:
     from .downstream import type_logits, type_prf
     from .encoder import encode
 
-    state = _load_model(args, cfg)
-    vocab = _load_vocab(args)
-    corpus = _corpus_for(args, cfg, vocab)
+    state, corpus = _load(args, cfg)
     label_of = _label_ids(cfg)
     no_access = label_of["no-access"]
     labelled = _labelled_positions(_read_jsonl(args.labels), corpus, label_of)
@@ -529,9 +498,7 @@ def cmd_train_mlc(args, cfg) -> int:
     from .downstream import attention_pool, attention_pool_grads
     from .pretrain import AdamW
 
-    state = _load_model(args, cfg)
-    vocab = _load_vocab(args)
-    corpus = _corpus_for(args, cfg, vocab)
+    state, corpus = _load(args, cfg)
     samples = _read_jsonl(args.samples)
     if not samples:
         raise FileNotFoundError(f"no samples in {args.samples}")
@@ -578,9 +545,7 @@ def cmd_eval_mlc(args, cfg) -> int:
 
     from .downstream import lrap, lrl, macro_roc_auc
 
-    state = _load_model(args, cfg)
-    vocab = _load_vocab(args)
-    corpus = _corpus_for(args, cfg, vocab)
+    state, corpus = _load(args, cfg)
     samples = _read_jsonl(args.samples)
     with open(args.head, encoding="utf-8") as fh:
         raw = json.load(fh)

@@ -1,14 +1,16 @@
 """Run configuration: every tunable of the pipeline with validated defaults.
 
-The defaults are desk-scale (a small model that trains in minutes on a CPU);
-``RunConfig.reference()`` carries the large-scale reference values for
-documentation and comparison.
+The defaults are desk-scale: a small model that trains in minutes on a CPU.
+The encoder's shape (``ModelShape``) is declared once and shared by the run
+configuration and the encoder's own ``EncoderConfig``, which a checkpoint
+carries.  The attention mask's disabled value is a constant
+(``masks.MASK_NEG``), not a configuration key.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 
 class ConfigError(Exception):
@@ -16,22 +18,36 @@ class ConfigError(Exception):
 
 
 @dataclass
-class RunConfig:
-    # tokenizer / analysis
-    max_len: int = 512
-    vocab_min_freq: int = 1
-    flags_dep: bool = False
-    on_unknown: str = "error"  # or "conservative"
-    node_cap: int = 512
-    mask_neg: float = -1.0e9
-    # model
+class ModelShape:
     layers: int = 2
     heads: int = 4
     hidden: int = 64
     ffn: int = 256
+    max_len: int = 512
     r_max: int = 8
     dropout: float = 0.1
     dtype: str = "float32"
+
+    def validate(self) -> None:
+        if self.max_len < 2:
+            raise ConfigError("max_len must be >= 2")
+        if self.hidden % self.heads:
+            raise ConfigError("hidden must be divisible by heads")
+        if self.r_max < 1:
+            raise ConfigError("r_max must be >= 1")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError("dtype must be 'float32' or 'float64'")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError("dropout must be in [0, 1)")
+
+
+@dataclass
+class RunConfig(ModelShape):
+    # tokenizer / analysis
+    vocab_min_freq: int = 1
+    flags_dep: bool = False
+    on_unknown: str = "error"  # or "conservative"
+    node_cap: int = 512
     # pre-training
     lr: float = 3e-4
     warmup: int = 100
@@ -51,24 +67,21 @@ class RunConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
-        if self.max_len < 2:
-            raise ConfigError("max_len must be >= 2")
-        if self.hidden % self.heads:
-            raise ConfigError("hidden must be divisible by heads")
-        if self.r_max < 1:
-            raise ConfigError("r_max must be >= 1")
+        super().validate()
         if self.on_unknown not in ("error", "conservative"):
             raise ConfigError("on_unknown must be 'error' or 'conservative'")
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigError("dtype must be 'float32' or 'float64'")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
         if not 0.0 < self.mlm_rate < 1.0:
             raise ConfigError("mlm_rate must be in (0, 1)")
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch_size must be positive")
         if self.warmup < 0:
             raise ConfigError("warmup must be >= 0")
+
+    def encoder_config(self, vocab_size: int):
+        """The ``EncoderConfig`` of a fresh model of this shape."""
+        from .encoder import EncoderConfig
+        shape = {f.name: getattr(self, f.name) for f in fields(ModelShape)}
+        return EncoderConfig(vocab_size=vocab_size, **shape)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -90,13 +103,3 @@ class RunConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         return cls.from_dict(data)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def reference(cls) -> "RunConfig":
-        """Large-scale reference configuration (not runnable at desk scale)."""
-        return cls(layers=12, heads=12, hidden=768, ffn=3072, r_max=8,
-                   max_len=512, lr=5e-4, warmup=10_000, steps=25_000,
-                   batch_size=1024)

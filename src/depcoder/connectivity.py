@@ -31,25 +31,12 @@ class ConnectivityGraph:
         return int(self.dist[u, v])
 
     def edges(self) -> list[tuple[int, int, int]]:
-        out = []
-        for u in range(self.n_nodes):
-            for v in range(u + 1, self.n_nodes):
-                if self.dist[u, v] > 0:
-                    out.append((u, v, int(self.dist[u, v])))
-        return out
-
-    def neighbors(self, u: int) -> list[int]:
-        return [v for v in range(self.n_nodes) if self.connected(u, v)]
+        """(u, v, distance) for every connected pair u < v, in row-major order."""
+        u, v = np.nonzero(np.triu(self.dist, 1))
+        return list(zip(u.tolist(), v.tolist(), self.dist[u, v].tolist()))
 
     def to_dict(self) -> dict:
         return {"nodes": self.n_nodes, "edges": [[u, v, d] for u, v, d in self.edges()]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConnectivityGraph":
-        dist = np.zeros((d["nodes"], d["nodes"]), dtype=np.int32)
-        for u, v, w in d["edges"]:
-            dist[u, v] = dist[v, u] = w
-        return cls(n_nodes=d["nodes"], dist=dist)
 
 
 def connectivity(dep: DependenceGraph, node_cap: int = 512) -> ConnectivityGraph:

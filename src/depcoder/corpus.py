@@ -1,9 +1,15 @@
-"""Corpus management: per-function pipeline artifacts with content hashing.
+"""Corpus management: per-function pipeline artifacts and their on-disk cache.
 
 A corpus binds every function of a listing to its tokenization, dependence
-graph, connectivity graph and mask bundle.  Artifacts are derived once per
-function; an optional on-disk cache is keyed by the hash of the function's
-text so a stale entry is recomputed, never silently reused.
+graph, connectivity graph and mask bundle, each derived once per function.
+
+The ``pipeline`` command goes through an optional on-disk cache of one JSON
+entry per function.  An entry holds everything the vocabulary does not
+decide: the surface tokens, the dependence and connectivity graphs and the
+sparse mask view.  It is keyed (``sha``) by the hash of the function's text,
+the analysis settings that shape those artifacts (``max_len``, ``flags_dep``,
+``on_unknown``) and the entry format, so a stale entry is recomputed, never
+silently reused.  Token ids are looked up from the surface on every call.
 """
 
 from __future__ import annotations
@@ -17,7 +23,10 @@ from .config import RunConfig
 from .connectivity import ConnectivityGraph, connectivity
 from .dependence import DependenceGraph, dependence_graph
 from .frontend import ParsedFunction, TokenSequence, Vocabulary, build_vocab, parse_listing, tokenize
-from .masks import MaskBundle, build_bundle
+from .masks import MaskBundle, build_bundle, sparse_masks
+
+#: layout version of a cache entry; part of every entry's key
+CACHE_FORMAT = 2
 
 
 def function_text(fn: ParsedFunction) -> str:
@@ -34,15 +43,9 @@ def function_text(fn: ParsedFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def content_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 @dataclass
 class FunctionArtifacts:
     fn: ParsedFunction
-    text: str
-    sha: str
     seq: TokenSequence
     deps: DependenceGraph
     con: ConnectivityGraph
@@ -55,13 +58,11 @@ class FunctionArtifacts:
 
 def compute_artifacts(fn: ParsedFunction, vocab: Vocabulary,
                       cfg: RunConfig) -> FunctionArtifacts:
-    text = function_text(fn)
     seq = tokenize(fn.instructions, vocab, cfg.max_len)
     deps = dependence_graph(fn, flags_channel=cfg.flags_dep, on_unknown=cfg.on_unknown)
     con = connectivity(deps, node_cap=cfg.node_cap)
-    bundle = build_bundle(seq, con, neg=cfg.mask_neg)
-    return FunctionArtifacts(fn=fn, text=text, sha=content_hash(text), seq=seq,
-                             deps=deps, con=con, bundle=bundle)
+    return FunctionArtifacts(fn=fn, seq=seq, deps=deps, con=con,
+                             bundle=build_bundle(seq, con))
 
 
 @dataclass
@@ -82,7 +83,7 @@ class Corpus:
                   vocab: Vocabulary | None = None) -> "Corpus":
         parsed = parse_listing(listing)
         if vocab is None:
-            vocab = build_vocab([listing], min_freq=cfg.vocab_min_freq)
+            vocab = build_vocab(parsed, min_freq=cfg.vocab_min_freq)
         arts = [compute_artifacts(fn, vocab, cfg) for fn in parsed]
         return cls(functions=arts, vocab=vocab, config=cfg)
 
@@ -98,33 +99,36 @@ class Corpus:
 def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
                          cache_dir: str | None = None) -> dict:
     """Artifacts of one function as a JSON-ready dict, going through the cache
-    when one is configured.  A hash mismatch triggers recomputation."""
-    text = function_text(fn)
-    sha = content_hash(text)
-    cache_path = None
+    when one is configured; a key mismatch triggers recomputation.  The token
+    ids are looked up in ``vocab`` on every call, cached or not."""
+    out = cache_path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         cache_path = os.path.join(cache_dir, f"{fn.name}.json")
+        key = [CACHE_FORMAT, function_text(fn), cfg.max_len, cfg.flags_dep, cfg.on_unknown]
+        sha = hashlib.sha256(json.dumps(key).encode("utf-8")).hexdigest()
         if os.path.exists(cache_path):
             with open(cache_path, encoding="utf-8") as fh:
                 entry = json.load(fh)
             if entry.get("sha") == sha:
-                return entry["artifacts"]
-    arts = compute_artifacts(fn, vocab, cfg)
-    out = {
-        "function": fn.name,
-        "tokens": {
-            "ids": arts.seq.tokens,
-            "surface": arts.seq.surface,
-            "inst_of": arts.seq.inst_of,
-            "inst_positions": {str(k): v for k, v in arts.seq.inst_positions.items()},
-        },
-        "deps": arts.deps.to_dict(),
-        "connectivity": arts.con.to_dict(),
-    }
-    if cache_path:
-        tmp = cache_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"sha": sha, "artifacts": out}, fh, sort_keys=True)
-        os.replace(tmp, cache_path)
+                out = entry["artifacts"]
+    if out is None:
+        arts = compute_artifacts(fn, vocab, cfg)
+        out = {
+            "function": fn.name,
+            "tokens": {
+                "surface": arts.seq.surface,
+                "inst_of": arts.seq.inst_of,
+                "inst_positions": {str(k): v for k, v in arts.seq.inst_positions.items()},
+            },
+            "deps": arts.deps.to_dict(),
+            "connectivity": arts.con.to_dict(),
+            "mask": sparse_masks(arts.seq, arts.bundle),
+        }
+        if cache_path:
+            tmp = cache_path + ".tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump({"sha": sha, "artifacts": out}, fh, sort_keys=True)
+            os.replace(tmp, cache_path)
+    out["tokens"]["ids"] = [vocab.id(t) for t in out["tokens"]["surface"]]
     return out

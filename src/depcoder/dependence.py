@@ -407,11 +407,6 @@ class DependenceGraph:
         return {"nodes": self.n_nodes,
                 "edges": [[u, v, k] for (u, v, k) in self.sorted_edges()]}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DependenceGraph":
-        return cls(n_nodes=d["nodes"],
-                   edges={(u, v, k) for u, v, k in d["edges"]})
-
 
 def dependence_graph(fn: ParsedFunction, flags_channel: bool = False,
                      on_unknown: str = "error") -> DependenceGraph:

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import ModelShape
 from .masks import MaskBundle
 
 CHECKPOINT_VERSION = 1
@@ -33,23 +34,12 @@ class NumericsError(Exception):
 
 
 @dataclass
-class EncoderConfig:
-    layers: int = 2
-    heads: int = 4
-    hidden: int = 64
-    ffn: int = 256
+class EncoderConfig(ModelShape):
     vocab_size: int = 64
-    max_len: int = 512
-    r_max: int = 8
     n_type_labels: int = 36
-    dropout: float = 0.1
-    dtype: str = "float32"
 
     def __post_init__(self):
-        if self.hidden % self.heads:
-            raise ValueError("hidden size must be divisible by the head count")
-        if self.r_max < 1:
-            raise ValueError("r_max must be >= 1")
+        self.validate()
 
     @property
     def head_dim(self) -> int:
@@ -118,10 +108,6 @@ class EncoderState:
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def astype(self, dtype: str) -> "EncoderState":
-        cfg = EncoderConfig(**{**asdict(self.config), "dtype": dtype})
-        return EncoderState(cfg, {k: v.astype(cfg.np_dtype) for k, v in self.params.items()})
-
     # -- checkpoint container: JSON header, then raw row-major float32 data --
 
     def save(self, path) -> None:
@@ -181,15 +167,11 @@ class _LayerCache:
 class ForwardTrace:
     token_ids: np.ndarray
     bundle: MaskBundle
-    #: hidden[l] is H^(l); hidden[0] is the embedding sum
-    hidden: list[np.ndarray]
-    #: per-layer post-softmax attention weights (heads, N, N)
-    attention: list[np.ndarray]
-    caches: list[_LayerCache] = field(repr=False, default_factory=list)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.hidden[-1]
+    #: hidden states after the last layer
+    final: np.ndarray
+    #: per-layer reverse-pass cache; ``caches[l].h_in`` is H^(l) and
+    #: ``caches[l].probs`` the layer's attention weights
+    caches: list[_LayerCache] = field(repr=False)
 
     @property
     def cls_embedding(self) -> np.ndarray:
@@ -284,7 +266,7 @@ def transformer_block(h: np.ndarray, bundle: MaskBundle, layer: int, state: Enco
                         z_cat=z_cat, xhat1=xhat1, inv_std1=inv_std1, z1=z1,
                         ffn_pre=ffn_pre, ffn_act=ffn_act, ffn_drop=ffn_drop,
                         xhat2=xhat2, inv_std2=inv_std2)
-    return h_out, probs, cache
+    return h_out, cache
 
 
 def encode(token_ids, bundle: MaskBundle, state: EncoderState,
@@ -292,15 +274,13 @@ def encode(token_ids, bundle: MaskBundle, state: EncoderState,
     """Run the full encoder; the trace keeps what the reverse pass needs."""
     ids = np.asarray(token_ids, dtype=np.int64)
     h = embed_inputs(ids, state).astype(state.config.np_dtype)
-    trace = ForwardTrace(token_ids=ids, bundle=bundle, hidden=[h], attention=[])
+    caches = []
     for layer in range(state.config.layers):
-        h, probs, cache = transformer_block(h, bundle, layer, state, rng, training)
+        h, cache = transformer_block(h, bundle, layer, state, rng, training)
         if not np.all(np.isfinite(h)):
             raise NumericsError(f"non-finite activations after layer {layer}")
-        trace.hidden.append(h)
-        trace.attention.append(probs)
-        trace.caches.append(cache)
-    return trace
+        caches.append(cache)
+    return ForwardTrace(token_ids=ids, bundle=bundle, final=h, caches=caches)
 
 
 def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,

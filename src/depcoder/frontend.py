@@ -356,25 +356,20 @@ class Vocabulary:
         return cls(tokens[FIRST_REGULAR_ID:])
 
 
-def build_vocab(corpus: list[str], min_freq: int = 1) -> Vocabulary:
-    """Build a vocabulary from disassembly listings.
+def build_vocab(functions: list[ParsedFunction], min_freq: int = 1) -> Vocabulary:
+    """Build a vocabulary from parsed functions.
 
     Tokens appearing at least ``min_freq`` times get ids, assigned in order
-    of first appearance (deterministic given corpus order).
+    of first appearance (deterministic given function order).
     """
-    if not corpus:
+    if not functions:
         raise ValueError("empty corpus")
-    freq: dict[str, int] = {}
-    order: list[str] = []
-    for listing in corpus:
-        for fn in parse_listing(listing):
-            for instr in fn.instructions:
-                for tok in instruction_tokens(instr):
-                    if tok not in freq:
-                        order.append(tok)
-                        freq[tok] = 0
-                    freq[tok] += 1
-    regular = [t for t in order if freq[t] >= min_freq and t not in RESERVED_TOKENS]
+    freq: dict[str, int] = {}  # insertion order is first-appearance order
+    for fn in functions:
+        for instr in fn.instructions:
+            for tok in instruction_tokens(instr):
+                freq[tok] = freq.get(tok, 0) + 1
+    regular = [t for t, c in freq.items() if c >= min_freq and t not in RESERVED_TOKENS]
     return Vocabulary(regular)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .config import RunConfig
 from .corpus import Corpus
 from .downstream import type_inference_loss
-from .encoder import EncoderConfig, EncoderState, backward, encode
+from .encoder import EncoderState, backward, encode
 from .pretrain import mdm_loss, mdm_sample, mlm_loss, mlm_perturb, perturb_bundle
 
 _LISTING = """\
@@ -52,19 +52,16 @@ def build_setup(seed: int = 0, layers: int = 2, hidden: int = 16,
     cfg = RunConfig(layers=layers, hidden=hidden, heads=heads, ffn=2 * hidden,
                     dropout=0.0, dtype="float64", max_len=128)
     corpus = Corpus.from_text(_LISTING, cfg)
-    enc_cfg = EncoderConfig(layers=layers, heads=heads, hidden=hidden, ffn=2 * hidden,
-                            vocab_size=len(corpus.vocab), max_len=cfg.max_len,
-                            r_max=cfg.r_max, dropout=0.0, dtype="float64")
-    state = EncoderState.init(enc_cfg, seed)
+    state = EncoderState.init(cfg.encoder_config(len(corpus.vocab)), seed)
     rng = np.random.default_rng(seed + 1)
     cases = []
     for art in corpus.functions:
         ids, pert = mlm_perturb(art.seq, len(corpus.vocab), rng, rate=0.3)
         sample = mdm_sample(art.con, art.seq.n_instructions, rng)
-        bundle = perturb_bundle(art.bundle, sample, art.seq, cfg.mask_neg)
+        bundle = perturb_bundle(art.bundle, sample, art.seq)
         # a couple of labelled token positions for the type head
         positions = [p for p in range(1, len(art.seq)) if p % 3 == 0]
-        labels = [(p, p % enc_cfg.n_type_labels) for p in positions]
+        labels = [(p, p % state.config.n_type_labels) for p in positions]
         cases.append((ids, bundle, pert, sample, art.seq, labels))
     return GradcheckSetup(state=state, cases=cases)
 

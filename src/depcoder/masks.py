@@ -1,10 +1,12 @@
-"""Attention masks and the relative distance matrix for one token sequence.
+"""Attention mask and relative distance matrix for one token sequence.
 
-Three masks are combined: a global mask routing everything through ``[CLS]``,
-a local mask confining attention to tokens of the same instruction, and a
-dependence mask enabling bidirectional attention between the ``<INST>``
-delimiters of connected instructions.  "Disabled" entries hold a large
-negative constant added to the attention logits before softmax.
+The mask is the union of three parts: a global part routing everything
+through ``[CLS]``, a local part confining attention to tokens of the same
+instruction, and a dependence part enabling bidirectional attention between
+the ``<INST>`` delimiters of connected instructions.  The dependence part is
+exactly ``R > 0``, so the distance matrix ``R`` is its only source.
+"Disabled" entries of the additive mask ``M`` hold ``MASK_NEG``, added to the
+attention logits before softmax.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ from .frontend import TokenSequence
 MASK_NEG = -1.0e9
 
 
-def _inst_array(seq: TokenSequence) -> np.ndarray:
-    return np.asarray(seq.inst_of, dtype=np.int64)
-
-
 def global_enabled(seq: TokenSequence) -> np.ndarray:
     n = len(seq)
     en = np.zeros((n, n), dtype=bool)
@@ -33,40 +31,13 @@ def global_enabled(seq: TokenSequence) -> np.ndarray:
 
 
 def local_enabled(seq: TokenSequence) -> np.ndarray:
-    inst = _inst_array(seq)
+    inst = np.asarray(seq.inst_of, dtype=np.int64)
     return (inst[:, None] == inst[None, :]) & (inst[:, None] != -1)
-
-
-def dependence_enabled(seq: TokenSequence, con: ConnectivityGraph) -> np.ndarray:
-    n = len(seq)
-    en = np.zeros((n, n), dtype=bool)
-    for t, pt in seq.inst_positions.items():
-        for s, ps in seq.inst_positions.items():
-            if t != s and con.connected(t, s):
-                en[pt, ps] = True
-    return en
-
-
-def _additive(enabled: np.ndarray, neg: float) -> np.ndarray:
-    return np.where(enabled, 0.0, neg)
-
-
-def global_mask(seq: TokenSequence, neg: float = MASK_NEG) -> np.ndarray:
-    return _additive(global_enabled(seq), neg)
-
-
-def local_mask(seq: TokenSequence, neg: float = MASK_NEG) -> np.ndarray:
-    return _additive(local_enabled(seq), neg)
-
-
-def dependence_mask(seq: TokenSequence, con: ConnectivityGraph,
-                    neg: float = MASK_NEG) -> np.ndarray:
-    return _additive(dependence_enabled(seq, con), neg)
 
 
 @dataclass
 class MaskBundle:
-    #: additive attention mask, entries in {0, neg}
+    #: additive attention mask, entries in {0, MASK_NEG}
     M: np.ndarray
     #: relative distance matrix; > 0 only between <INST> tokens of distinct
     #: connected instructions
@@ -80,49 +51,31 @@ class MaskBundle:
         return MaskBundle(M=self.M.copy(), R=self.R.copy())
 
 
-def build_bundle(seq: TokenSequence, con: ConnectivityGraph,
-                 neg: float = MASK_NEG) -> MaskBundle:
-    """Union of the three masks plus the distance matrix."""
-    M = np.maximum(global_mask(seq, neg),
-                   np.maximum(local_mask(seq, neg), dependence_mask(seq, con, neg)))
-    R = np.zeros((len(seq), len(seq)), dtype=np.int32)
-    for t, pt in seq.inst_positions.items():
-        for s, ps in seq.inst_positions.items():
-            if t != s and con.connected(t, s):
-                R[pt, ps] = con.distance(t, s)
+def build_bundle(seq: TokenSequence, con: ConnectivityGraph) -> MaskBundle:
+    """Distance matrix gathered from the kept instructions' distances, and the
+    union of the three mask parts."""
+    n = len(seq)
+    insts = np.fromiter(seq.inst_positions, dtype=np.int64, count=seq.n_instructions)
+    pos = np.fromiter(seq.inst_positions.values(), dtype=np.int64,
+                      count=seq.n_instructions)
+    R = np.zeros((n, n), dtype=np.int32)
+    R[np.ix_(pos, pos)] = con.dist[np.ix_(insts, insts)]
+    M = np.where(global_enabled(seq) | local_enabled(seq) | (R > 0), 0.0, MASK_NEG)
     return MaskBundle(M=M, R=R)
 
 
-def pad_bundle(bundle: MaskBundle, total_len: int, neg: float = MASK_NEG) -> MaskBundle:
-    """Extend a bundle with [PAD] rows/columns: fully masked except self."""
-    n = bundle.n
-    if total_len < n:
-        raise ValueError("total_len smaller than the sequence")
-    M = np.full((total_len, total_len), neg)
-    M[:n, :n] = bundle.M
-    for i in range(n, total_len):
-        M[i, i] = 0.0
-    R = np.zeros((total_len, total_len), dtype=np.int32)
-    R[:n, :n] = bundle.R
-    return MaskBundle(M=M, R=R)
-
-
-def sparse_masks(seq: TokenSequence, con: ConnectivityGraph) -> dict:
-    """Serializable view: enabled (i, j) pairs (i <= j) per mask kind plus
-    distance triples for the <INST> pairs."""
+def sparse_masks(seq: TokenSequence, bundle: MaskBundle) -> dict:
+    """Serializable view of a bundle: enabled (i, j) pairs (i <= j) per mask
+    part plus distance triples for the <INST> pairs, all in row-major order."""
 
     def pairs(en: np.ndarray) -> list[list[int]]:
-        ii, jj = np.nonzero(en)
-        return sorted([int(i), int(j)] for i, j in zip(ii, jj) if i <= j)
+        return np.argwhere(np.triu(en)).tolist()
 
-    bundle = build_bundle(seq, con)
-    ru, rv = np.nonzero(bundle.R)
-    r_triples = sorted([int(u), int(v), int(bundle.R[u, v])]
-                       for u, v in zip(ru, rv) if u < v)
+    ru, rv = np.nonzero(np.triu(bundle.R, 1))
     return {
         "n": len(seq),
         "global": pairs(global_enabled(seq)),
         "local": pairs(local_enabled(seq)),
-        "dependence": pairs(dependence_enabled(seq, con)),
-        "r": r_triples,
+        "dependence": pairs(bundle.R > 0),
+        "r": np.stack([ru, rv, bundle.R[ru, rv]], axis=1).tolist(),
     }

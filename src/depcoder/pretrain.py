@@ -18,7 +18,7 @@ import numpy as np
 from .connectivity import ConnectivityGraph
 from .encoder import EncoderState, ForwardTrace, NumericsError, backward, encode
 from .frontend import CLS_ID, FIRST_REGULAR_ID, INST_ID, MASK_ID, PAD_ID, TokenSequence
-from .masks import MaskBundle
+from .masks import MASK_NEG, MaskBundle
 
 
 @dataclass
@@ -95,8 +95,8 @@ def mdm_sample(con: ConnectivityGraph, n_nodes: int, rng: np.random.Generator,
     return EdgeSample(nodes=sampled, positives=positives, negatives=negatives)
 
 
-def perturb_bundle(bundle: MaskBundle, sample: EdgeSample, seq: TokenSequence,
-                   neg: float = -1.0e9) -> MaskBundle:
+def perturb_bundle(bundle: MaskBundle, sample: EdgeSample,
+                   seq: TokenSequence) -> MaskBundle:
     """Delete sampled positive edges from the mask (entries -> -inf, R -> 0)
     and inject the negatives (entries -> 0, R -> 1).  Touches only the
     <INST>-pair entries; the stored connectivity graph is never modified."""
@@ -104,7 +104,7 @@ def perturb_bundle(bundle: MaskBundle, sample: EdgeSample, seq: TokenSequence,
     pos_of = seq.inst_positions
     for t, s in sample.positives:
         pt, ps = pos_of[t], pos_of[s]
-        out.M[pt, ps] = out.M[ps, pt] = neg
+        out.M[pt, ps] = out.M[ps, pt] = MASK_NEG
         out.R[pt, ps] = out.R[ps, pt] = 0
     for t, s in sample.negatives:
         pt, ps = pos_of[t], pos_of[s]
@@ -251,8 +251,7 @@ class StepMetrics:
 
 def train_step(items: list[BatchItem], state: EncoderState, opt: AdamW,
                rng: np.random.Generator, mlm_rate: float = 0.15,
-               node_frac: float = 0.4, mask_neg: float = -1.0e9,
-               training: bool = True) -> StepMetrics:
+               node_frac: float = 0.4, training: bool = True) -> StepMetrics:
     """One optimization step over a batch of functions.
 
     Reported losses are means (per masked token / per sampled edge); the total
@@ -262,7 +261,7 @@ def train_step(items: list[BatchItem], state: EncoderState, opt: AdamW,
     for item in items:
         ids, pert = mlm_perturb(item.seq, state.config.vocab_size, rng, mlm_rate)
         sample = mdm_sample(item.con, item.seq.n_instructions, rng, node_frac)
-        bundle = perturb_bundle(item.bundle, sample, item.seq, mask_neg)
+        bundle = perturb_bundle(item.bundle, sample, item.seq)
         trace = encode(ids, bundle, state, rng=rng, training=training)
         prepared.append((item, pert, sample, trace))
 

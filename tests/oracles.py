@@ -222,3 +222,18 @@ def trapezoid_auc(scores, labels) -> float:
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
     return area
+
+
+def naive_sparse_masks(seq: TokenSequence, con) -> dict:
+    """Per-pair evaluation of the serialized mask view (pairs i <= j)."""
+    _, r = naive_mask_bundle(seq, con)
+    n = len(seq)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    inst = seq.inst_of
+    return {
+        "n": n,
+        "global": [[i, j] for i, j in upper if i == 0 or j == 0],
+        "local": [[i, j] for i, j in upper if inst[i] == inst[j] != -1],
+        "dependence": [[i, j] for i, j in upper if r[i, j] > 0],
+        "r": [[i, j, int(r[i, j])] for i, j in upper if r[i, j] > 0],
+    }

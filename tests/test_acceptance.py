@@ -119,7 +119,7 @@ def test_criterion_03_mask_oracle():
     dep = DependenceGraph(6, {(4, 0, "data"), (4, 3, "data"),
                               (3, 2, "data"), (5, 4, "data")})
     con = connectivity(dep)
-    neigh = sorted(con.neighbors(4))
+    neigh = np.flatnonzero(con.dist[4]).tolist()
     dists = [con.distance(4, v) for v in neigh]
     ok_fig = (neigh == [0, 2, 3, 5] and dists == [1, 2, 1, 1]
               and not con.connected(4, 1))
@@ -149,11 +149,11 @@ def test_criterion_04_masking_invariant():
         state.params["beta"][:] = rng.standard_normal(state.params["beta"].shape)
         trace = encode(art.seq.tokens, art.bundle, state)
         masked = art.bundle.M < -1e8
-        for probs in trace.attention:
+        for c in trace.caches:
             if masked.any():
-                worst_weight = max(worst_weight, float(probs[:, masked].max()))
+                worst_weight = max(worst_weight, float(c.probs[:, masked].max()))
             worst_rowsum = max(worst_rowsum,
-                               float(np.abs(probs.sum(axis=-1) - 1.0).max()))
+                               float(np.abs(c.probs.sum(axis=-1) - 1.0).max()))
         big = art.bundle.copy()
         big.R[big.R > 0] += ec.r_max + 3
         sat = art.bundle.copy()

@@ -13,6 +13,18 @@ mov rcx, [rsp + 0x10]
 mov rdx, [rcx]
 """
 
+# cmp (3) feeds jne (4) only through FLAGS
+FLAGS_FN = """.func f
+mov rax, 1
+mov rbx, 2
+add rax, rbx
+cmp rax, rbx
+jne .done
+add rax, 1
+.done:
+ret
+"""
+
 
 def sha(path):
     with open(path, "rb") as fh:
@@ -87,6 +99,41 @@ class TestPipeline:
         main(["pipeline", chain_listing, "--out", str(out), "--cache-dir", str(cache)])
         with open(out / "chain.deps.json") as fh:
             assert json.load(fh)["edges"] == [[3, 0, "data"]]
+
+    def read(self, path):
+        with open(path) as fh:
+            return json.load(fh)
+
+    def test_cache_keyed_on_flags_dep(self, tmp_path):
+        listing = write(tmp_path / "f.asm", FLAGS_FN)
+        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+        assert main(["pipeline", listing, "--out", out, "--cache-dir", cache]) == 0
+        assert [4, 3, "data"] not in self.read(tmp_path / "out" / "f.deps.json")["edges"]
+        assert main(["pipeline", listing, "--out", out, "--cache-dir", cache,
+                     "--flags-dep"]) == 0
+        assert [4, 3, "data"] in self.read(tmp_path / "out" / "f.deps.json")["edges"]
+
+    def test_cached_ids_follow_the_current_vocab(self, tmp_path):
+        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+        main(["pipeline", write(tmp_path / "a.asm", FLAGS_FN), "--out", out,
+              "--cache-dir", cache])
+        ahead = ".func g\npush rbp\npop rbp\nret\n" + FLAGS_FN
+        assert main(["pipeline", write(tmp_path / "b.asm", ahead), "--out", out,
+                     "--cache-dir", cache]) == 0
+        with open(tmp_path / "out" / "vocab.tsv") as fh:
+            vocab = {tok: int(i) for tok, i in (ln.rstrip("\n").rsplit("\t", 1) for ln in fh)}
+        tokens = self.read(tmp_path / "out" / "f.tokens.json")
+        assert tokens["ids"] == [vocab[t] for t in tokens["surface"]]
+
+    def test_cache_keyed_on_max_len(self, tmp_path):
+        listing = write(tmp_path / "f.asm", FLAGS_FN)
+        cfg = write(tmp_path / "cfg.json", '{"max_len": 12}')
+        out, cache = str(tmp_path / "out"), str(tmp_path / "cache")
+        main(["pipeline", listing, "--out", out, "--cache-dir", cache])
+        assert len(self.read(tmp_path / "out" / "f.tokens.json")["ids"]) == 31
+        assert main(["pipeline", listing, "--out", out, "--cache-dir", cache,
+                     "--config", cfg]) == 0
+        assert len(self.read(tmp_path / "out" / "f.tokens.json")["ids"]) == 11
 
     def test_parse_error_exit_code(self, tmp_path):
         listing = write(tmp_path / "bad.asm", ".func f\nmov rax, ???\n")

@@ -14,17 +14,6 @@ def test_desk_defaults():
     assert cfg.flags_dep is False
 
 
-def test_reference_config_values():
-    ref = RunConfig.reference()
-    assert (ref.layers, ref.hidden, ref.heads) == (12, 768, 12)
-    assert ref.r_max == 8
-    assert ref.max_len == 512
-    assert ref.lr == 5e-4
-    assert ref.warmup == 10_000
-    assert ref.batch_size == 1024
-    ref.validate()
-
-
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config keys: bogus"):
         RunConfig.from_dict({"bogus": 1})

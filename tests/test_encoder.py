@@ -5,7 +5,7 @@ from depcoder.config import RunConfig
 from depcoder.corpus import Corpus
 from depcoder.encoder import (EncoderConfig, EncoderState, NumericsError,
                               backward, embed_inputs, encode, rma_attention)
-from depcoder.masks import MaskBundle, pad_bundle
+from depcoder.masks import MaskBundle
 from depcoder.synth import generate_function, reorder_variant
 
 LISTING = """\
@@ -107,9 +107,9 @@ class TestAttention:
             state.params["beta"][:] = 0.1 * seed
             trace = encode(art.seq.tokens, art.bundle, state)
             masked = art.bundle.M < -1e8
-            for probs in trace.attention:
-                assert probs[:, masked].max() < 1e-12
-                assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
+            for c in trace.caches:
+                assert c.probs[:, masked].max() < 1e-12
+                assert np.allclose(c.probs.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_bias_locality(self, corpus, art):
         state = make_state(corpus)
@@ -142,17 +142,10 @@ class TestBlockAndEncode:
     def test_hidden_states_per_layer(self, corpus, art):
         state = make_state(corpus, layers=3)
         trace = encode(art.seq.tokens, art.bundle, state)
-        assert len(trace.hidden) == 4
-        assert len(trace.attention) == 3
-
-    def test_padding_is_inert_for_real_rows(self, corpus, art):
-        state = make_state(corpus)
-        padded = pad_bundle(art.bundle, len(art.seq) + 4)
-        ids = list(art.seq.tokens) + [0] * 4  # [PAD] id = 0
-        trace = encode(ids, padded, state)
-        n = len(art.seq)
-        for probs in trace.attention:
-            assert probs[:, :n, n:].max() < 1e-12
+        assert len(trace.caches) == 3
+        assert np.array_equal(trace.caches[0].h_in,
+                              embed_inputs(np.array(art.seq.tokens), state))
+        assert all(c.probs.shape == (2, len(art.seq), len(art.seq)) for c in trace.caches)
 
     def test_reordered_program_same_cls_without_positions(self):
         rng = np.random.default_rng(8)

@@ -94,7 +94,7 @@ class TestImmediateNormalization:
 
 
 def _vocab_for(body: str) -> Vocabulary:
-    return build_vocab([f".func f\n{body}\n"])
+    return build_vocab(parse_listing(f".func f\n{body}\n"))
 
 
 class TestTokenize:
@@ -158,19 +158,19 @@ class TestTokenize:
 
 class TestVocabulary:
     def test_single_instruction_corpus(self):
-        vocab = build_vocab([".func f\nret\n"], min_freq=1)
+        vocab = build_vocab(parse_listing(".func f\nret\n"), min_freq=1)
         assert "ret" in vocab
         assert vocab.id("ret") >= 9  # after the reserved block
 
     def test_bucketing_applied_during_build(self):
-        vocab = build_vocab([".func f\nmov rax, 7\nmov rbx, 0x401000\n"])
+        vocab = build_vocab(parse_listing(".func f\nmov rax, 7\nmov rbx, 0x401000\n"))
         assert "7" in vocab
         assert "<imm32>" in vocab
         assert "0x401000" not in vocab and "4198400" not in vocab
 
     def test_min_freq_drops_rare_tokens(self):
         listing = ".func f\nmov rax, 1\nmov rax, 1\npush rbx\n"
-        vocab = build_vocab([listing], min_freq=2)
+        vocab = build_vocab(parse_listing(listing), min_freq=2)
         assert "mov" in vocab and "rax" in vocab
         assert "push" not in vocab
         fn = parse_listing(listing)[0]
@@ -182,14 +182,14 @@ class TestVocabulary:
             build_vocab([])
 
     def test_deterministic_given_corpus_order(self):
-        listings = [".func a\nmov rax, rbx\n", ".func b\nadd rcx, rdx\n"]
-        v1 = build_vocab(listings)
-        v2 = build_vocab(listings)
+        functions = parse_listing(".func a\nmov rax, rbx\n.func b\nadd rcx, rdx\n")
+        v1 = build_vocab(functions)
+        v2 = build_vocab(functions)
         assert [v1.token(i) for i in range(len(v1))] == \
                [v2.token(i) for i in range(len(v2))]
 
     def test_save_load_roundtrip(self, tmp_path):
-        vocab = build_vocab([".func f\nmov rax, [rbx+4*rax]\nret\n"])
+        vocab = build_vocab(parse_listing(".func f\nmov rax, [rbx+4*rax]\nret\n"))
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
         loaded = Vocabulary.load(path)
@@ -197,5 +197,5 @@ class TestVocabulary:
         assert all(loaded.token(i) == vocab.token(i) for i in range(len(vocab)))
 
     def test_unknown_lookup_is_unk(self):
-        vocab = build_vocab([".func f\nret\n"])
+        vocab = build_vocab(parse_listing(".func f\nret\n"))
         assert vocab.id("never-seen") == UNK_ID

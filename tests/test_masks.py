@@ -5,8 +5,8 @@ from depcoder.connectivity import ConnectivityGraph, connectivity
 from depcoder.corpus import Corpus
 from depcoder.dependence import DependenceGraph
 from depcoder.frontend import build_vocab, parse_listing, tokenize
-from depcoder.masks import (MASK_NEG, build_bundle, dependence_mask,
-                            global_mask, local_mask, pad_bundle, sparse_masks)
+from depcoder.masks import (MASK_NEG, build_bundle, global_enabled, local_enabled,
+                            sparse_masks)
 from depcoder.synth import generate_function
 
 from oracles import naive_mask_bundle
@@ -17,7 +17,7 @@ NEG = MASK_NEG
 def seq_of(body: str):
     listing = f".func f\n{body}\n"
     fn = parse_listing(listing)[0]
-    return fn, tokenize(fn.instructions, build_vocab([listing]))
+    return fn, tokenize(fn.instructions, build_vocab(parse_listing(listing)))
 
 
 def con_of(body: str):
@@ -26,33 +26,37 @@ def con_of(body: str):
     return seq, connectivity(dependence_graph(fn))
 
 
+def dependence_enabled(seq, con):
+    return build_bundle(seq, con).R > 0
+
+
 class TestGlobalMask:
     def test_cls_only(self):
         _, seq = seq_of("")
-        assert np.array_equal(global_mask(seq), np.zeros((1, 1)))
+        assert global_enabled(seq).tolist() == [[True]]
 
     def test_row_and_column_zero_enabled(self):
         _, seq = seq_of("ret")  # N = 3
-        m = global_mask(seq)
-        assert np.all(m[0, :] == 0) and np.all(m[:, 0] == 0)
-        assert np.all(m[1:, 1:] == NEG)
+        m = global_enabled(seq)
+        assert m[0, :].all() and m[:, 0].all()
+        assert not m[1:, 1:].any()
 
 
 class TestLocalMask:
     def test_two_diagonal_blocks(self):
         # instruction token blocks of sizes 3 (<INST> push rax) and 2 (<INST> ret)
         _, seq = seq_of("push rax\nret")
-        m = local_mask(seq)
-        assert np.all(m[1:4, 1:4] == 0)
-        assert np.all(m[4:6, 4:6] == 0)
-        assert np.all(m[1:4, 4:6] == NEG)
-        assert m[0, 0] == NEG  # [CLS] self-attention comes from the global mask
+        m = local_enabled(seq)
+        assert m[1:4, 1:4].all()
+        assert m[4:6, 4:6].all()
+        assert not m[1:4, 4:6].any()
+        assert not m[0, 0]  # [CLS] self-attention comes from the global mask
 
     def test_cross_instruction_blocked(self):
         _, seq = seq_of("mov rax, 1\nmov rbx, rax")
-        m = local_mask(seq)
+        m = local_enabled(seq)
         p0, p1 = seq.inst_positions[0], seq.inst_positions[1]
-        assert m[p0 + 1, p1 + 1] == NEG
+        assert not m[p0 + 1, p1 + 1]
 
 
 class TestDependenceMask:
@@ -63,30 +67,30 @@ class TestDependenceMask:
         con = connectivity(dep)
         body = "\n".join(f"mov rax, {i}" for i in range(6))
         _, seq = seq_of(body)
-        m = dependence_mask(seq, con)
+        m = dependence_enabled(seq, con)
         p = seq.inst_positions
         for other in (0, 2, 3, 5):
-            assert m[p[4], p[other]] == 0
-            assert m[p[other], p[4]] == 0
-        assert m[p[4], p[1]] == NEG
+            assert m[p[4], p[other]]
+            assert m[p[other], p[4]]
+        assert not m[p[4], p[1]]
         # non-<INST> entries stay blocked
-        assert m[p[4] + 1, p[0]] == NEG
+        assert not m[p[4] + 1, p[0]]
 
     def test_no_edges_all_blocked(self):
         seq, con = con_of("mov rax, 1\nmov rbx, 2")
-        assert np.all(dependence_mask(seq, con) == NEG)
+        assert not dependence_enabled(seq, con).any()
 
     def test_truncated_instructions_contribute_nothing(self):
         listing = ".func f\nmov rax, 1\nmov rbx, rax\nmov rcx, rbx\n"
         fn = parse_listing(listing)[0]
         from depcoder.dependence import dependence_graph
         con = connectivity(dependence_graph(fn))
-        seq = tokenize(fn.instructions, build_vocab([listing]), max_len=11)
+        seq = tokenize(fn.instructions, build_vocab([fn]), max_len=11)
         assert seq.n_instructions == 2
-        m = dependence_mask(seq, con)
+        m = dependence_enabled(seq, con)
         assert m.shape == (len(seq), len(seq))
         p = seq.inst_positions
-        assert m[p[1], p[0]] == 0  # retained pair keeps its edge
+        assert m[p[1], p[0]]  # retained pair keeps its edge
 
 
 class TestBundle:
@@ -139,7 +143,7 @@ class TestBundle:
     def test_union_monotone_in_connectivity(self):
         seq, con = con_of("mov rax, 1\nmov rbx, 2\nmov rcx, 3")
         base = build_bundle(seq, con)
-        richer = ConnectivityGraph.from_dict(con.to_dict())
+        richer = ConnectivityGraph(con.n_nodes, con.dist.copy())
         richer.dist[0, 1] = richer.dist[1, 0] = 1
         extended = build_bundle(seq, richer)
         assert np.all(extended.M >= base.M)
@@ -155,22 +159,10 @@ class TestBundle:
         assert bundle.M[p1, j] == 0
 
 
-class TestPadding:
-    def test_pad_rows_masked_except_diagonal(self):
-        seq, con = con_of("ret")
-        padded = pad_bundle(build_bundle(seq, con), 6)
-        n = len(seq)
-        for i in range(n, 6):
-            assert padded.M[i, i] == 0
-            assert np.all(padded.M[i, :i] == NEG)
-            assert np.all(padded.M[:i, i] == NEG)
-        assert np.all(padded.R[n:, :] == 0)
-
-
 class TestSparseSerialization:
     def test_pairs_sorted_and_consistent(self):
         seq, con = con_of("mov rax, 1\nmov rbx, rax")
-        sp = sparse_masks(seq, con)
+        sp = sparse_masks(seq, build_bundle(seq, con))
         assert sp["n"] == len(seq)
         for kind in ("global", "local", "dependence"):
             assert sp[kind] == sorted(sp[kind])

@@ -180,7 +180,7 @@ class TestPerturbBundle:
 
 def fake_trace(final):
     return ForwardTrace(token_ids=np.zeros(len(final), dtype=int), bundle=None,
-                        hidden=[np.asarray(final)], attention=[])
+                        final=np.asarray(final), caches=[])
 
 
 class TestLosses:
@@ -289,9 +289,9 @@ class TestTrainStep:
         perturbed = perturb_bundle(art.bundle, sample, art.seq)
         trace = encode(art.seq.tokens, perturbed, state)
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
-        for probs in trace.attention:
-            assert probs[:, pt, ps].max() < 1e-12
-            assert probs[:, ps, pt].max() < 1e-12
+        for c in trace.caches:
+            assert c.probs[:, pt, ps].max() < 1e-12
+            assert c.probs[:, ps, pt].max() < 1e-12
 
 
 class TestSchedule:
