@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 input error, 3 numeric divergence, 4 config error.
 
-Heavy imports happen inside ``main`` so that ``--threads`` can pin the BLAS
-thread pools before numpy is loaded.
+Heavy imports happen inside ``main`` so that the ``threads`` config key or
+``--threads`` can pin the BLAS thread pools before numpy is loaded.
 """
 
 from __future__ import annotations
@@ -110,17 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None):
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
-
-    from .cfg import CfgError
     from .config import ConfigError, RunConfig
-    from .connectivity import ClosureError
-    from .dependence import DependenceError
-    from .downstream import MetricsError
-    from .encoder import NumericsError
-    from .frontend import ParseError
 
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
@@ -131,6 +121,22 @@ def main(argv=None) -> int:
         if args.flags_dep:
             cfg.flags_dep = True
         cfg.validate()
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 4
+    # BLAS sizes its thread pools from these when numpy loads
+    if cfg.threads is not None:
+        for var in _THREAD_VARS:
+            os.environ[var] = str(cfg.threads)
+
+    from .cfg import CfgError
+    from .connectivity import ClosureError
+    from .dependence import DependenceError
+    from .downstream import MetricsError
+    from .encoder import NumericsError
+    from .frontend import ParseError
+
+    try:
         return _dispatch(args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -165,20 +171,20 @@ def _dispatch(args, cfg) -> int:
 # ---------------------------------------------------------------------------
 # helpers
 
-def _write_json(path, payload) -> None:
+def _write_text(path, text: str) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def _write_json(path, payload) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _write_jsonl(path, rows) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
-    os.replace(tmp, path)
+    _write_text(path, "".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+                              for row in rows))
 
 
 def _read_jsonl(path) -> list:
@@ -215,8 +221,7 @@ def _load(args, cfg):
 
 def _embedding(state, art):
     from .encoder import encode
-    trace = encode(art.seq.tokens, art.bundle, state, training=False)
-    return trace.cls_embedding
+    return encode(art.seq.tokens, art.bundle, state, training=False).cls_embedding
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +263,7 @@ def cmd_synth(args, cfg) -> int:
     corpus = build_corpus(args.functions, cfg.seed, pool_size=args.pool_size,
                           with_variants=not args.no_variants)
     os.makedirs(args.out, exist_ok=True)
-    tmp = os.path.join(args.out, "corpus.asm.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(corpus.listing)
-    os.replace(tmp, os.path.join(args.out, "corpus.asm"))
+    _write_text(os.path.join(args.out, "corpus.asm"), corpus.listing)
     _write_json(os.path.join(args.out, "eval.json"), corpus.eval_spec)
     _write_json(os.path.join(args.out, "pairs.json"),
                 [list(p) for p in corpus.pairs])
@@ -277,7 +279,7 @@ def cmd_pretrain(args, cfg) -> int:
 
     from .corpus import Corpus
     from .encoder import EncoderState
-    from .pretrain import AdamW, BatchItem, train_step
+    from .pretrain import AdamW, train_step
 
     corpus_path = args.corpus or cfg.corpus
     out_dir = args.out or cfg.out_dir
@@ -285,7 +287,6 @@ def cmd_pretrain(args, cfg) -> int:
         raise FileNotFoundError("pretrain needs a corpus and an output directory "
                                 "(--corpus/--out or config keys)")
     corpus = Corpus.from_file(corpus_path, cfg)
-    items = [BatchItem(f.seq, f.con, f.bundle) for f in corpus.functions]
     state = EncoderState.init(cfg.encoder_config(len(corpus.vocab)), cfg.seed)
     opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm,
                 warmup_steps=cfg.warmup, total_steps=cfg.steps)
@@ -297,19 +298,15 @@ def cmd_pretrain(args, cfg) -> int:
     lines = ["step,mlm_loss,mdm_loss,total,lr"]
     for _ in range(cfg.steps):
         while len(queue) < cfg.batch_size:
-            queue.extend(int(i) for i in rng.permutation(len(items)))
-        batch = [items[queue.pop(0)] for _ in range(cfg.batch_size)]
+            queue.extend(int(i) for i in rng.permutation(len(corpus)))
+        batch = [corpus.functions[queue.pop(0)] for _ in range(cfg.batch_size)]
         m = train_step(batch, state, opt, rng, mlm_rate=cfg.mlm_rate,
                        node_frac=cfg.mdm_node_frac)
         lines.append(f"{m.step},{m.mlm_loss:.6f},{m.mdm_loss:.6f},{m.total:.6f},{m.lr:.8f}")
         if m.step % 50 == 0 or m.step == cfg.steps:
             print(f"step {m.step}: mlm {m.mlm_loss:.4f} mdm {m.mdm_loss:.4f} "
                   f"total {m.total:.4f}")
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    tmp = metrics_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, metrics_path)
+    _write_text(os.path.join(out_dir, "metrics.csv"), "\n".join(lines) + "\n")
     state.save(os.path.join(out_dir, "model.ckpt"))
     print(f"checkpoint written to {os.path.join(out_dir, 'model.ckpt')}")
     return 0
@@ -382,7 +379,7 @@ def cmd_finetune_sim(args, cfg) -> int:
     return 0
 
 
-def _label_ids(cfg):
+def _label_ids():
     from .downstream import DEFAULT_TYPE_LABELS, NO_ACCESS
     labels = list(DEFAULT_TYPE_LABELS) + [NO_ACCESS]
     return {name: i for i, name in enumerate(labels)}
@@ -414,7 +411,7 @@ def cmd_train_type(args, cfg) -> int:
     from .pretrain import AdamW
 
     state, corpus = _load(args, cfg)
-    label_of = _label_ids(cfg)
+    label_of = _label_ids()
     labelled = _labelled_positions(_read_jsonl(args.labels), corpus, label_of)
     names = [n for n in labelled if labelled[n]]
     if not names:
@@ -450,7 +447,7 @@ def cmd_eval_type(args, cfg) -> int:
     from .encoder import encode
 
     state, corpus = _load(args, cfg)
-    label_of = _label_ids(cfg)
+    label_of = _label_ids()
     no_access = label_of["no-access"]
     labelled = _labelled_positions(_read_jsonl(args.labels), corpus, label_of)
     preds, gold = [], []
@@ -469,33 +466,32 @@ def cmd_eval_type(args, cfg) -> int:
     return 0
 
 
-def _mlc_matrices(samples, corpus, state, cfg, head):
-    """Scores and labels for every multi-label sample under a given head."""
+def _mlc_inputs(samples, corpus, state, cfg):
+    """Per sample, the embeddings of the functions it pools; each function is
+    encoded once."""
+    import numpy as np
+
+    names = dict.fromkeys(n for row in samples for n in row["functions"][:cfg.pool_k])
+    embs = {n: np.asarray(_embedding(state, corpus.by_name[n]), dtype=np.float64)
+            for n in names}
+    return [[embs[n] for n in row["functions"][:cfg.pool_k]] for row in samples]
+
+
+def _mlc_forward(e, head):
+    """The pooled vector, label logits and label probabilities of one sample."""
     import numpy as np
 
     from .downstream import attention_pool
 
-    cache = {}
-
-    def emb(name):
-        if name not in cache:
-            cache[name] = _embedding(state, corpus.by_name[name])
-        return cache[name]
-
-    ys, fs = [], []
-    for row in samples:
-        names = row["functions"][:cfg.pool_k]
-        pooled, _ = attention_pool([emb(n) for n in names], head["query"])
-        logits = pooled @ head["w"] + head["b"]
-        fs.append(1.0 / (1.0 + np.exp(-logits)))
-        ys.append(np.asarray(row["labels"]))
-    return np.stack(ys), np.stack(fs)
+    pooled, _ = attention_pool(e, head["query"])
+    logits = pooled @ head["w"] + head["b"]
+    return pooled, logits, 1.0 / (1.0 + np.exp(-logits))
 
 
 def cmd_train_mlc(args, cfg) -> int:
     import numpy as np
 
-    from .downstream import attention_pool, attention_pool_grads
+    from .downstream import attention_pool_grads
     from .pretrain import AdamW
 
     state, corpus = _load(args, cfg)
@@ -508,23 +504,15 @@ def cmd_train_mlc(args, cfg) -> int:
     head = {"query": (rng.standard_normal(dh) * 0.02),
             "w": (rng.standard_normal((dh, n_labels)) * 0.02),
             "b": np.zeros(n_labels)}
-    embs = {}
-    for row in samples:
-        for n in row["functions"][:cfg.pool_k]:
-            if n not in embs:
-                embs[n] = np.asarray(_embedding(state, corpus.by_name[n]), dtype=np.float64)
+    inputs = _mlc_inputs(samples, corpus, state, cfg)
     opt = AdamW(lr=1e-2, weight_decay=0.0, clip_norm=cfg.clip_norm,
                 warmup_steps=0, total_steps=args.steps)
     for step in range(args.steps):
         grads = {k: np.zeros_like(v) for k, v in head.items()}
         loss_sum = 0.0
-        for row in samples:
-            names = row["functions"][:cfg.pool_k]
-            e = [embs[n] for n in names]
-            pooled, _ = attention_pool(e, head["query"])
-            logits = pooled @ head["w"] + head["b"]
+        for row, e in zip(samples, inputs):
+            pooled, logits, p = _mlc_forward(e, head)
             y = np.asarray(row["labels"], dtype=np.float64)
-            p = 1.0 / (1.0 + np.exp(-logits))
             loss_sum += float(np.logaddexp(0, logits).sum() - (y * logits).sum())
             dlogits = (p - y) / len(samples)
             grads["w"] += np.outer(pooled, dlogits)
@@ -550,7 +538,9 @@ def cmd_eval_mlc(args, cfg) -> int:
     with open(args.head, encoding="utf-8") as fh:
         raw = json.load(fh)
     head = {k: np.asarray(v) for k, v in raw.items()}
-    y, f = _mlc_matrices(samples, corpus, state, cfg, head)
+    y = np.stack([np.asarray(row["labels"]) for row in samples])
+    f = np.stack([_mlc_forward(e, head)[2]
+                  for e in _mlc_inputs(samples, corpus, state, cfg)])
     print(json.dumps({"lrap": lrap(y, f), "lrl": lrl(y, f),
                       "roc_auc": macro_roc_auc(y, f), "samples": len(samples)},
                      sort_keys=True))

@@ -3,8 +3,8 @@
 The defaults are desk-scale: a small model that trains in minutes on a CPU.
 The encoder's shape (``ModelShape``) is declared once and shared by the run
 configuration and the encoder's own ``EncoderConfig``, which a checkpoint
-carries.  The attention mask's disabled value is a constant
-(``masks.MASK_NEG``), not a configuration key.
+carries.  The attention mask's disabled value is a constant of
+``masks``, not a configuration key.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class RunConfig(ModelShape):
     vocab_min_freq: int = 1
     flags_dep: bool = False
     on_unknown: str = "error"  # or "conservative"
-    node_cap: int = 512
     # pre-training
     lr: float = 3e-4
     warmup: int = 100
@@ -62,7 +61,8 @@ class RunConfig(ModelShape):
     pool_k: int = 4
     # run plumbing
     seed: int = 0
-    threads: int = 1
+    #: BLAS thread count the CLI pins before numpy loads; None leaves BLAS alone
+    threads: int | None = None
     corpus: str | None = None
     out_dir: str | None = None
 
@@ -76,6 +76,8 @@ class RunConfig(ModelShape):
             raise ConfigError("steps and batch_size must be positive")
         if self.warmup < 0:
             raise ConfigError("warmup must be >= 0")
+        if self.threads is not None and self.threads < 1:
+            raise ConfigError("threads must be >= 1")
 
     def encoder_config(self, vocab_size: int):
         """The ``EncoderConfig`` of a fresh model of this shape."""
@@ -98,7 +100,7 @@ class RunConfig(ModelShape):
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (OSError, ValueError) as e:  # unreadable, not UTF-8 or not JSON
             raise ConfigError(f"config file {path}: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

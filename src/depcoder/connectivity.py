@@ -13,6 +13,9 @@ import numpy as np
 
 from .dependence import DependenceGraph
 
+#: largest dependence graph the (cubic) closure accepts
+NODE_CAP = 512
+
 
 class ClosureError(Exception):
     pass
@@ -39,12 +42,12 @@ class ConnectivityGraph:
         return {"nodes": self.n_nodes, "edges": [[u, v, d] for u, v, d in self.edges()]}
 
 
-def connectivity(dep: DependenceGraph, node_cap: int = 512) -> ConnectivityGraph:
+def connectivity(dep: DependenceGraph) -> ConnectivityGraph:
     """All-pairs shortest directed path lengths, folded to undirected edges."""
     n = dep.n_nodes
-    if n > node_cap:
+    if n > NODE_CAP:
         raise ClosureError(
-            f"{n} nodes exceed the closure cap of {node_cap}; truncate the "
+            f"{n} nodes exceed the closure cap of {NODE_CAP}; truncate the "
             "function upstream (tokenizer max_len) before building masks")
     d = np.full((n, n), np.inf)
     np.fill_diagonal(d, 0.0)

@@ -1,7 +1,8 @@
 """Corpus management: per-function pipeline artifacts and their on-disk cache.
 
 A corpus binds every function of a listing to its tokenization, dependence
-graph, connectivity graph and mask bundle, each derived once per function.
+graph and connectivity graph, each derived once per function.  It keeps no
+dense mask: ``FunctionArtifacts.bundle`` builds one on each access.
 
 The ``pipeline`` command goes through an optional on-disk cache of one JSON
 entry per function.  An entry holds everything the vocabulary does not
@@ -49,20 +50,22 @@ class FunctionArtifacts:
     seq: TokenSequence
     deps: DependenceGraph
     con: ConnectivityGraph
-    bundle: MaskBundle
 
     @property
     def name(self) -> str:
         return self.fn.name
+
+    @property
+    def bundle(self) -> MaskBundle:
+        """The function's unperturbed mask bundle, built afresh on each access."""
+        return build_bundle(self.seq, self.con.dist)
 
 
 def compute_artifacts(fn: ParsedFunction, vocab: Vocabulary,
                       cfg: RunConfig) -> FunctionArtifacts:
     seq = tokenize(fn.instructions, vocab, cfg.max_len)
     deps = dependence_graph(fn, flags_channel=cfg.flags_dep, on_unknown=cfg.on_unknown)
-    con = connectivity(deps, node_cap=cfg.node_cap)
-    return FunctionArtifacts(fn=fn, seq=seq, deps=deps, con=con,
-                             bundle=build_bundle(seq, con))
+    return FunctionArtifacts(fn=fn, seq=seq, deps=deps, con=connectivity(deps))
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoder import EncoderState, ForwardTrace
+from .encoder import EncoderState, ForwardTrace, head_cross_entropy
 
 
 class MetricsError(Exception):
@@ -116,24 +116,8 @@ def type_inference_loss(trace: ForwardTrace, labelled: list[tuple[int, int]],
     ``labelled`` holds (token position, label id) pairs.  Returns the summed
     loss, gradient w.r.t. the final hidden states and head gradients.
     """
-    dh = np.zeros_like(trace.final)
-    head_grads = {"type_w": np.zeros_like(state.params["type_w"]),
-                  "type_b": np.zeros_like(state.params["type_b"])}
-    if not labelled:
-        return 0.0, dh, head_grads
-    positions = [p for p, _ in labelled]
-    targets = np.asarray([l for _, l in labelled])
-    hs = trace.final[positions]
-    logits = hs @ state.params["type_w"] + state.params["type_b"]
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    logp = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
-    loss = float(-logp[np.arange(len(targets)), targets].sum())
-    dlogits = np.exp(logp)
-    dlogits[np.arange(len(targets)), targets] -= 1.0
-    head_grads["type_w"] += hs.T @ dlogits
-    head_grads["type_b"] += dlogits.sum(axis=0)
-    dh[positions] += dlogits @ state.params["type_w"].T
-    return loss, dh, head_grads
+    return head_cross_entropy(trace, [p for p, _ in labelled], [l for _, l in labelled],
+                              state, "type")
 
 
 def type_prf(predictions: list[int], gold: list[int], no_access_id: int):

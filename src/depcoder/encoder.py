@@ -346,3 +346,28 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
         if not np.all(np.isfinite(g)):
             raise NumericsError(f"non-finite gradient for parameter {name!r}")
     return grads
+
+
+def head_cross_entropy(trace: ForwardTrace, positions: list[int], targets: list[int],
+                       state: EncoderState, head: str):
+    """Summed softmax cross-entropy of the linear head ``{head}_w``/``{head}_b``
+    over the final hidden states at ``positions``; returns the loss, the
+    gradient w.r.t. the final hidden states and the head's gradients, which
+    are accumulated into arrays of the parameters' dtype."""
+    w, b = state.params[f"{head}_w"], state.params[f"{head}_b"]
+    dh = np.zeros_like(trace.final)
+    head_grads = {f"{head}_w": np.zeros_like(w), f"{head}_b": np.zeros_like(b)}
+    if not positions:
+        return 0.0, dh, head_grads
+    hs = trace.final[positions]
+    logits = hs @ w + b
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    logp = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    rows, targets = np.arange(len(targets)), np.asarray(targets)
+    loss = float(-logp[rows, targets].sum())
+    dlogits = np.exp(logp)
+    dlogits[rows, targets] -= 1.0
+    head_grads[f"{head}_w"] += hs.T @ dlogits
+    head_grads[f"{head}_b"] += dlogits.sum(axis=0)
+    dh[positions] += dlogits @ w.T
+    return loss, dh, head_grads

@@ -58,7 +58,7 @@ def build_setup(seed: int = 0, layers: int = 2, hidden: int = 16,
     for art in corpus.functions:
         ids, pert = mlm_perturb(art.seq, len(corpus.vocab), rng, rate=0.3)
         sample = mdm_sample(art.con, art.seq.n_instructions, rng)
-        bundle = perturb_bundle(art.bundle, sample, art.seq)
+        bundle = perturb_bundle(art.seq, art.con.dist, sample)
         # a couple of labelled token positions for the type head
         positions = [p for p in range(1, len(art.seq)) if p % 3 == 0]
         labels = [(p, p % state.config.n_type_labels) for p in positions]

@@ -6,7 +6,8 @@ instruction, and a dependence part enabling bidirectional attention between
 the ``<INST>`` delimiters of connected instructions.  The dependence part is
 exactly ``R > 0``, so the distance matrix ``R`` is its only source.
 "Disabled" entries of the additive mask ``M`` hold ``MASK_NEG``, added to the
-attention logits before softmax.
+attention logits before softmax.  ``build_bundle`` is the only code that
+builds a bundle; callers build one from the distances where they use it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import ConnectivityGraph
 from .frontend import TokenSequence
 
 #: additive stand-in for -inf; post-softmax weight at such entries is < 1e-12
@@ -47,19 +47,17 @@ class MaskBundle:
     def n(self) -> int:
         return self.M.shape[0]
 
-    def copy(self) -> "MaskBundle":
-        return MaskBundle(M=self.M.copy(), R=self.R.copy())
 
-
-def build_bundle(seq: TokenSequence, con: ConnectivityGraph) -> MaskBundle:
-    """Distance matrix gathered from the kept instructions' distances, and the
-    union of the three mask parts."""
+def build_bundle(seq: TokenSequence, dist: np.ndarray) -> MaskBundle:
+    """Distance matrix gathered from the kept instructions' block of the
+    instruction distance matrix ``dist``, and the union of the three mask
+    parts."""
     n = len(seq)
     insts = np.fromiter(seq.inst_positions, dtype=np.int64, count=seq.n_instructions)
     pos = np.fromiter(seq.inst_positions.values(), dtype=np.int64,
                       count=seq.n_instructions)
     R = np.zeros((n, n), dtype=np.int32)
-    R[np.ix_(pos, pos)] = con.dist[np.ix_(insts, insts)]
+    R[np.ix_(pos, pos)] = dist[np.ix_(insts, insts)]
     M = np.where(global_enabled(seq) | local_enabled(seq) | (R > 0), 0.0, MASK_NEG)
     return MaskBundle(M=M, R=R)
 

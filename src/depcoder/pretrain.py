@@ -6,7 +6,8 @@ masking (positive connectivity edges touching a 40% node sample are deleted
 from the attention mask while an equal number of spurious edges is injected).
 Both losses are computed on the same perturbed forward pass; the model must
 recover the masked tokens and classify true-vs-injected edges from the
-``<INST>`` hidden states.
+``<INST>`` hidden states.  Edge masking edits a copy of the instruction
+distances and builds the step's mask bundle from it.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connectivity import ConnectivityGraph
-from .encoder import EncoderState, ForwardTrace, NumericsError, backward, encode
+from .corpus import FunctionArtifacts
+from .encoder import (EncoderState, ForwardTrace, NumericsError, backward, encode,
+                      head_cross_entropy)
 from .frontend import CLS_ID, FIRST_REGULAR_ID, INST_ID, MASK_ID, PAD_ID, TokenSequence
-from .masks import MASK_NEG, MaskBundle
+from .masks import MaskBundle, build_bundle
 
 
 @dataclass
@@ -75,11 +78,10 @@ def mdm_sample(con: ConnectivityGraph, n_nodes: int, rng: np.random.Generator,
                node_frac: float = 0.4) -> EdgeSample:
     """Sample positive edges touching a 40% node subset and an equal number of
     non-edges (all available when the complement is smaller)."""
-    nodes = list(range(n_nodes))
-    k = int(round(node_frac * len(nodes)))
+    k = int(round(node_frac * n_nodes))
     if k == 0:
         return EdgeSample(nodes=[], positives=[], negatives=[])
-    sampled = sorted(int(x) for x in rng.choice(len(nodes), size=k, replace=False))
+    sampled = sorted(int(x) for x in rng.choice(n_nodes, size=k, replace=False))
     in_sample = set(sampled)
 
     positives = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes)
@@ -95,22 +97,17 @@ def mdm_sample(con: ConnectivityGraph, n_nodes: int, rng: np.random.Generator,
     return EdgeSample(nodes=sampled, positives=positives, negatives=negatives)
 
 
-def perturb_bundle(bundle: MaskBundle, sample: EdgeSample,
-                   seq: TokenSequence) -> MaskBundle:
-    """Delete sampled positive edges from the mask (entries -> -inf, R -> 0)
-    and inject the negatives (entries -> 0, R -> 1).  Touches only the
-    <INST>-pair entries; the stored connectivity graph is never modified."""
-    out = bundle.copy()
-    pos_of = seq.inst_positions
+def perturb_bundle(seq: TokenSequence, dist: np.ndarray,
+                   sample: EdgeSample) -> MaskBundle:
+    """The bundle of ``seq`` over a copy of the instruction distances in which
+    the sampled positive edges are deleted (distance 0) and the negatives
+    injected (distance 1).  ``dist`` itself is never modified."""
+    d = dist.copy()
     for t, s in sample.positives:
-        pt, ps = pos_of[t], pos_of[s]
-        out.M[pt, ps] = out.M[ps, pt] = MASK_NEG
-        out.R[pt, ps] = out.R[ps, pt] = 0
+        d[t, s] = d[s, t] = 0
     for t, s in sample.negatives:
-        pt, ps = pos_of[t], pos_of[s]
-        out.M[pt, ps] = out.M[ps, pt] = 0.0
-        out.R[pt, ps] = out.R[ps, pt] = 1
-    return out
+        d[t, s] = d[s, t] = 1
+    return build_bundle(seq, d)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -125,24 +122,7 @@ def _sigmoid(x: float) -> float:
 def mlm_loss(trace: ForwardTrace, pert: MlmPerturbation, state: EncoderState):
     """Summed cross-entropy at the masked positions; returns the loss, the
     gradient w.r.t. the final hidden states and the head gradients."""
-    dh = np.zeros_like(trace.final)
-    head_grads = {"mlm_w": np.zeros_like(state.params["mlm_w"]),
-                  "mlm_b": np.zeros_like(state.params["mlm_b"])}
-    if not pert.positions:
-        return 0.0, dh, head_grads
-    hs = trace.final[pert.positions]
-    logits = hs @ state.params["mlm_w"] + state.params["mlm_b"]
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(logits).sum(axis=-1, keepdims=True))
-    logp = logits - logz
-    targets = np.asarray(pert.original)
-    loss = float(-logp[np.arange(len(targets)), targets].sum())
-    dlogits = np.exp(logp)
-    dlogits[np.arange(len(targets)), targets] -= 1.0
-    head_grads["mlm_w"] += hs.T @ dlogits
-    head_grads["mlm_b"] += dlogits.sum(axis=0)
-    dh[pert.positions] += dlogits @ state.params["mlm_w"].T
-    return loss, dh, head_grads
+    return head_cross_entropy(trace, pert.positions, pert.original, state, "mlm")
 
 
 def mdm_loss(trace: ForwardTrace, sample: EdgeSample, seq: TokenSequence):
@@ -232,13 +212,6 @@ class AdamW:
 
 
 @dataclass
-class BatchItem:
-    seq: TokenSequence
-    con: ConnectivityGraph
-    bundle: MaskBundle
-
-
-@dataclass
 class StepMetrics:
     step: int
     mlm_loss: float
@@ -249,7 +222,7 @@ class StepMetrics:
     n_edges: int
 
 
-def train_step(items: list[BatchItem], state: EncoderState, opt: AdamW,
+def train_step(items: list[FunctionArtifacts], state: EncoderState, opt: AdamW,
                rng: np.random.Generator, mlm_rate: float = 0.15,
                node_frac: float = 0.4, training: bool = True) -> StepMetrics:
     """One optimization step over a batch of functions.
@@ -261,7 +234,7 @@ def train_step(items: list[BatchItem], state: EncoderState, opt: AdamW,
     for item in items:
         ids, pert = mlm_perturb(item.seq, state.config.vocab_size, rng, mlm_rate)
         sample = mdm_sample(item.con, item.seq.n_instructions, rng, node_frac)
-        bundle = perturb_bundle(item.bundle, sample, item.seq)
+        bundle = perturb_bundle(item.seq, item.con.dist, sample)
         trace = encode(ids, bundle, state, rng=rng, training=training)
         prepared.append((item, pert, sample, trace))
 

@@ -24,7 +24,7 @@ from depcoder.downstream import (lrap, lrl, recall_at_k, type_prf)
 from depcoder.encoder import EncoderConfig, EncoderState, encode
 from depcoder.frontend import parse_listing
 from depcoder.gradcheck import run as run_gradcheck
-from depcoder.pretrain import (AdamW, BatchItem, edge_probabilities, mdm_sample,
+from depcoder.pretrain import (AdamW, edge_probabilities, mdm_sample,
                                mlm_perturb, perturb_bundle, train_step)
 from depcoder.synth import build_corpus
 
@@ -154,9 +154,9 @@ def test_criterion_04_masking_invariant():
                 worst_weight = max(worst_weight, float(c.probs[:, masked].max()))
             worst_rowsum = max(worst_rowsum,
                                float(np.abs(c.probs.sum(axis=-1) - 1.0).max()))
-        big = art.bundle.copy()
+        big = art.bundle
         big.R[big.R > 0] += ec.r_max + 3
-        sat = art.bundle.copy()
+        sat = art.bundle
         sat.R[sat.R > 0] = np.minimum(big.R[big.R > 0], ec.r_max)
         if not np.array_equal(encode(art.seq.tokens, big, state).final,
                               encode(art.seq.tokens, sat, state).final):
@@ -251,7 +251,7 @@ def smoke_run():
     cfg = RunConfig()
     corpus = Corpus.from_text(synth.listing, cfg)
     assert len(corpus) == 200
-    items = [BatchItem(f.seq, f.con, f.bundle) for f in corpus.functions]
+    items = corpus.functions
     ec = EncoderConfig(layers=2, heads=4, hidden=64, ffn=256,
                        vocab_size=len(corpus.vocab), max_len=cfg.max_len,
                        r_max=cfg.r_max, dropout=cfg.dropout)
@@ -283,7 +283,7 @@ def test_criterion_07_pretraining_smoke(smoke_run):
         sample = mdm_sample(art.con, art.seq.n_instructions, rng)
         if not sample.positives and not sample.negatives:
             continue
-        bundle = perturb_bundle(art.bundle, sample, art.seq)
+        bundle = perturb_bundle(art.seq, art.con.dist, sample)
         trace = encode(art.seq.tokens, bundle, state, training=False)
         for p, y in edge_probabilities(trace, sample, art.seq):
             correct += int((p > 0.5) == bool(y))

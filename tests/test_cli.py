@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from depcoder.cli import main
+from depcoder.cli import _THREAD_VARS, main
 
 POINTER_CHAIN = """.func chain
 mov rax, rbx
@@ -164,6 +164,32 @@ class TestConfig:
     def test_malformed_json_rejected(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", "{nope")
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+
+class TestThreads:
+    @pytest.fixture(autouse=True)
+    def unset_thread_vars(self, monkeypatch):
+        for var in _THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+
+    def synth(self, tmp_path, config, *flags):
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        code = main(["synth", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--functions", "2", *flags])
+        return code, {var: os.environ.get(var) for var in _THREAD_VARS}
+
+    def test_config_key_pins_blas_threads(self, tmp_path):
+        assert self.synth(tmp_path, {"threads": 3}) == (0, dict.fromkeys(_THREAD_VARS, "3"))
+
+    def test_flag_overrides_config_key(self, tmp_path):
+        assert self.synth(tmp_path, {"threads": 3}, "--threads", "2") == (
+            0, dict.fromkeys(_THREAD_VARS, "2"))
+
+    def test_default_leaves_blas_alone(self, tmp_path):
+        assert self.synth(tmp_path, {}) == (0, dict.fromkeys(_THREAD_VARS))
+
+    def test_non_positive_rejected(self, tmp_path):
+        assert self.synth(tmp_path, {"threads": 0}) == (4, dict.fromkeys(_THREAD_VARS))
 
 
 @pytest.fixture(scope="module")

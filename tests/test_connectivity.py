@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from depcoder.connectivity import ClosureError, connectivity
+from depcoder.connectivity import NODE_CAP, ClosureError, connectivity
 from depcoder.dependence import DependenceGraph
 
 from generators import random_digraph
@@ -72,8 +72,8 @@ def test_triangle_bound_on_directed_distances():
 
 
 def test_node_cap():
-    with pytest.raises(ClosureError, match="truncate"):
-        connectivity(graph(10, []), node_cap=8)
+    with pytest.raises(ClosureError, match="closure cap.*truncate"):
+        connectivity(graph(NODE_CAP + 1, []))
 
 
 def test_serialization_roundtrip():

@@ -93,9 +93,9 @@ class TestAttention:
         state = make_state(corpus)
         state.params["beta"][:] = np.random.default_rng(1).standard_normal(
             state.params["beta"].shape)
-        big = art.bundle.copy()
+        big = art.bundle
         big.R[big.R > 0] = 12
-        clamped = art.bundle.copy()
+        clamped = art.bundle
         clamped.R[clamped.R > 0] = state.config.r_max
         out_big = encode(art.seq.tokens, big, state).final
         out_clamped = encode(art.seq.tokens, clamped, state).final

@@ -1,7 +1,7 @@
 import numpy as np
 
 from depcoder.config import RunConfig
-from depcoder.connectivity import ConnectivityGraph, connectivity
+from depcoder.connectivity import connectivity
 from depcoder.corpus import Corpus
 from depcoder.dependence import DependenceGraph
 from depcoder.frontend import build_vocab, parse_listing, tokenize
@@ -27,7 +27,7 @@ def con_of(body: str):
 
 
 def dependence_enabled(seq, con):
-    return build_bundle(seq, con).R > 0
+    return build_bundle(seq, con.dist).R > 0
 
 
 class TestGlobalMask:
@@ -96,12 +96,12 @@ class TestDependenceMask:
 class TestBundle:
     def test_single_instruction_all_enabled(self):
         seq, con = con_of("ret")
-        bundle = build_bundle(seq, con)
+        bundle = build_bundle(seq, con.dist)
         assert np.all(bundle.M == 0)
 
     def test_diagonal_and_symmetry(self):
         seq, con = con_of("mov rax, 1\nmov rbx, rax\nadd rbx, rax")
-        bundle = build_bundle(seq, con)
+        bundle = build_bundle(seq, con.dist)
         assert np.all(np.diag(bundle.M) == 0)
         assert np.array_equal(bundle.M, bundle.M.T)
         assert np.array_equal(bundle.R, bundle.R.T)
@@ -109,7 +109,7 @@ class TestBundle:
 
     def test_r_only_between_connected_inst_pairs(self):
         seq, con = con_of("mov rax, 1\nmov rbx, rax\nadd rbx, rax")
-        bundle = build_bundle(seq, con)
+        bundle = build_bundle(seq, con.dist)
         inst_positions = set(seq.inst_positions.values())
         for u, v in zip(*np.nonzero(bundle.R)):
             assert u in inst_positions and v in inst_positions
@@ -122,7 +122,7 @@ class TestBundle:
         con = connectivity(dep)
         body = "\n".join(f"mov rax, {i}" for i in range(6))
         _, seq = seq_of(body)
-        bundle = build_bundle(seq, con)
+        bundle = build_bundle(seq, con.dist)
         p = seq.inst_positions
         assert bundle.R[p[4], p[0]] == 1
         assert bundle.R[p[4], p[3]] == 1
@@ -140,17 +140,23 @@ class TestBundle:
             assert np.array_equal(art.bundle.M, want_m), f"trial {trial}"
             assert np.array_equal(art.bundle.R, want_r), f"trial {trial}"
 
+    def test_artifact_bundle_is_fresh_on_each_access(self):
+        # tests that edit ``art.bundle`` in place rely on this
+        art = Corpus.from_text(".func f\nmov rax, 1\nmov rbx, rax\n", RunConfig()).functions[0]
+        art.bundle.R[:] = 7
+        assert not np.any(art.bundle.R == 7)
+
     def test_union_monotone_in_connectivity(self):
         seq, con = con_of("mov rax, 1\nmov rbx, 2\nmov rcx, 3")
-        base = build_bundle(seq, con)
-        richer = ConnectivityGraph(con.n_nodes, con.dist.copy())
-        richer.dist[0, 1] = richer.dist[1, 0] = 1
+        base = build_bundle(seq, con.dist)
+        richer = con.dist.copy()
+        richer[0, 1] = richer[1, 0] = 1
         extended = build_bundle(seq, richer)
         assert np.all(extended.M >= base.M)
 
     def test_inst_mediated_two_hop_path(self):
         seq, con = con_of("mov rax, 1\nmov rbx, rax")
-        bundle = build_bundle(seq, con)
+        bundle = build_bundle(seq, con.dist)
         p0, p1 = seq.inst_positions[0], seq.inst_positions[1]
         i, j = p0 + 1, p1 + 1  # internal tokens of the two instructions
         assert bundle.M[i, j] == NEG
@@ -162,7 +168,7 @@ class TestBundle:
 class TestSparseSerialization:
     def test_pairs_sorted_and_consistent(self):
         seq, con = con_of("mov rax, 1\nmov rbx, rax")
-        sp = sparse_masks(seq, build_bundle(seq, con))
+        sp = sparse_masks(seq, build_bundle(seq, con.dist))
         assert sp["n"] == len(seq)
         for kind in ("global", "local", "dependence"):
             assert sp[kind] == sorted(sp[kind])

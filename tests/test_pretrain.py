@@ -7,7 +7,7 @@ from depcoder.corpus import Corpus
 from depcoder.encoder import EncoderConfig, EncoderState, ForwardTrace, encode
 from depcoder.frontend import (CLS_ID, FIRST_REGULAR_ID, INST_ID, MASK_ID,
                                TokenSequence)
-from depcoder.pretrain import (AdamW, BatchItem, EdgeSample, edge_probabilities,
+from depcoder.pretrain import (AdamW, EdgeSample, edge_probabilities,
                                eligible_positions, mdm_loss, mdm_sample,
                                mlm_loss, mlm_perturb, perturb_bundle, train_step)
 
@@ -139,7 +139,7 @@ class TestPerturbBundle:
     def test_empty_sample_identity(self):
         _, art = small_artifact()
         sample = EdgeSample(nodes=[], positives=[], negatives=[])
-        out = perturb_bundle(art.bundle, sample, art.seq)
+        out = perturb_bundle(art.seq, art.con.dist, sample)
         assert np.array_equal(out.M, art.bundle.M)
         assert np.array_equal(out.R, art.bundle.R)
 
@@ -147,7 +147,7 @@ class TestPerturbBundle:
         _, art = small_artifact()
         t, s = art.con.edges()[0][:2]
         sample = EdgeSample(nodes=[t], positives=[(t, s)], negatives=[])
-        out = perturb_bundle(art.bundle, sample, art.seq)
+        out = perturb_bundle(art.seq, art.con.dist, sample)
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
         assert out.M[pt, ps] == out.M[ps, pt] == -1e9
         assert out.R[pt, ps] == out.R[ps, pt] == 0
@@ -159,7 +159,7 @@ class TestPerturbBundle:
                      if not art.con.connected(u, v)]
         t, s = non_edges[0]
         sample = EdgeSample(nodes=[t], positives=[], negatives=[(t, s)])
-        out = perturb_bundle(art.bundle, sample, art.seq)
+        out = perturb_bundle(art.seq, art.con.dist, sample)
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
         assert out.M[pt, ps] == out.M[ps, pt] == 0.0
         assert out.R[pt, ps] == out.R[ps, pt] == 1
@@ -172,10 +172,13 @@ class TestPerturbBundle:
 
     def test_original_bundle_immutable(self):
         _, art = small_artifact()
-        before = art.bundle.M.copy()
+        before = art.con.dist.copy()
         t, s = art.con.edges()[0][:2]
-        perturb_bundle(art.bundle, EdgeSample([t], [(t, s)], []), art.seq)
-        assert np.array_equal(art.bundle.M, before)
+        non_edge = next((u, v) for u in range(art.seq.n_instructions)
+                        for v in range(u + 1, art.seq.n_instructions)
+                        if not art.con.connected(u, v))
+        perturb_bundle(art.seq, art.con.dist, EdgeSample([t], [(t, s)], [non_edge]))
+        assert np.array_equal(art.con.dist, before)
 
 
 def fake_trace(final):
@@ -248,7 +251,7 @@ class TestTrainStep:
         listing = "\n".join("\n".join(generate_function(f"f{i}", rng))
                             for i in range(n)) + "\n"
         corpus = Corpus.from_text(listing, RunConfig(dropout=0.1))
-        items = [BatchItem(f.seq, f.con, f.bundle) for f in corpus.functions]
+        items = corpus.functions
         cfg = EncoderConfig(layers=2, heads=2, hidden=32, ffn=64,
                             vocab_size=len(corpus.vocab))
         return items, EncoderState.init(cfg, seed)
@@ -286,7 +289,7 @@ class TestTrainStep:
         state = EncoderState.init(cfg, 0)
         t, s = art.con.edges()[0][:2]
         sample = EdgeSample(nodes=[t], positives=[(t, s)], negatives=[])
-        perturbed = perturb_bundle(art.bundle, sample, art.seq)
+        perturbed = perturb_bundle(art.seq, art.con.dist, sample)
         trace = encode(art.seq.tokens, perturbed, state)
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
         for c in trace.caches:

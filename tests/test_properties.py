@@ -34,7 +34,7 @@ max_lens = st.integers(2, 96)
 def test_bundle_and_sparse_view_match_the_oracle(seed, max_len):
     art = artifact(seed, max_len)
     want_m, want_r = naive_mask_bundle(art.seq, art.con)
-    bundle = build_bundle(art.seq, art.con)
+    bundle = build_bundle(art.seq, art.con.dist)
     assert np.array_equal(bundle.M, want_m)
     assert np.array_equal(bundle.R, want_r)
     assert sparse_masks(art.seq, bundle) == naive_sparse_masks(art.seq, art.con)
@@ -48,7 +48,7 @@ def test_perturbed_mask_is_enabled_exactly_on_its_parts(seed, max_len, sample_se
     art = artifact(seed, max_len)
     rng = np.random.default_rng(sample_seed)
     sample = mdm_sample(art.con, art.seq.n_instructions, rng, node_frac)
-    out = perturb_bundle(art.bundle, sample, art.seq)
+    out = perturb_bundle(art.seq, art.con.dist, sample)
     enabled = global_enabled(art.seq) | local_enabled(art.seq) | (out.R > 0)
     assert np.array_equal(out.M == 0, enabled)
     pos = art.seq.inst_positions
