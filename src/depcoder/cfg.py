@@ -7,7 +7,7 @@ the exit is reachable from every block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .frontend import Instruction, ParsedFunction
 
@@ -31,8 +31,6 @@ class Cfg:
     blocks: list[tuple[int, int]]
     #: block id (or ENTRY) -> successor block ids (EXIT allowed)
     succ: dict[int, list[int]]
-    n_instructions: int = 0
-    block_of: list[int] = field(default_factory=list)  # instruction -> block id
 
     def preds(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {b: [] for b in range(len(self.blocks))}
@@ -66,7 +64,7 @@ def build_cfg(fn: ParsedFunction) -> Cfg:
     instrs = fn.instructions
     n = len(instrs)
     if n == 0:
-        return Cfg(blocks=[], succ={ENTRY: [EXIT]}, n_instructions=0)
+        return Cfg(blocks=[], succ={ENTRY: [EXIT]})
 
     leaders = {0}
     for target in fn.labels.values():
@@ -78,9 +76,6 @@ def build_cfg(fn: ParsedFunction) -> Cfg:
     starts = sorted(leaders)
     blocks = [(s, e) for s, e in zip(starts, starts[1:] + [n])]
     block_at = {s: i for i, (s, e) in enumerate(blocks)}
-    block_of = []
-    for b, (s, e) in enumerate(blocks):
-        block_of.extend([b] * (e - s))
 
     def target_block(idx: int) -> int:
         return EXIT if idx >= n else block_at[idx]
@@ -108,7 +103,7 @@ def build_cfg(fn: ParsedFunction) -> Cfg:
         succ[b] = deduped
 
     _augment_exit_reachability(blocks, succ)
-    return Cfg(blocks=blocks, succ=succ, n_instructions=n, block_of=block_of)
+    return Cfg(blocks=blocks, succ=succ)
 
 
 def _augment_exit_reachability(blocks, succ) -> None:

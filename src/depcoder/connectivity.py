@@ -30,9 +30,6 @@ class ConnectivityGraph:
     def connected(self, u: int, v: int) -> bool:
         return u != v and self.dist[u, v] > 0
 
-    def distance(self, u: int, v: int) -> int:
-        return int(self.dist[u, v])
-
     def edges(self) -> list[tuple[int, int, int]]:
         """(u, v, distance) for every connected pair u < v, in row-major order."""
         u, v = np.nonzero(np.triu(self.dist, 1))

@@ -10,7 +10,8 @@ decide: the surface tokens, the dependence and connectivity graphs and the
 sparse mask view.  It is keyed (``sha``) by the hash of the function's text,
 the analysis settings that shape those artifacts (``max_len``, ``flags_dep``,
 ``on_unknown``) and the entry format, so a stale entry is recomputed, never
-silently reused.  Token ids are looked up from the surface on every call.
+silently reused; so is an entry that cannot be read or parsed, or that is not
+an object.  Token ids are looked up from the surface on every call.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class Corpus:
 def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
                          cache_dir: str | None = None) -> dict:
     """Artifacts of one function as a JSON-ready dict, going through the cache
-    when one is configured; a key mismatch triggers recomputation.  The token
+    when one is configured; an entry that is unreadable, not a JSON object or
+    keyed differently is recomputed and overwritten.  The token
     ids are looked up in ``vocab`` on every call, cached or not."""
     out = cache_path = None
     if cache_dir:
@@ -110,11 +112,13 @@ def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
         cache_path = os.path.join(cache_dir, f"{fn.name}.json")
         key = [CACHE_FORMAT, function_text(fn), cfg.max_len, cfg.flags_dep, cfg.on_unknown]
         sha = hashlib.sha256(json.dumps(key).encode("utf-8")).hexdigest()
-        if os.path.exists(cache_path):
+        try:
             with open(cache_path, encoding="utf-8") as fh:
                 entry = json.load(fh)
-            if entry.get("sha") == sha:
-                out = entry["artifacts"]
+        except (OSError, ValueError):  # missing, unreadable or not JSON: a miss
+            entry = None
+        if isinstance(entry, dict) and entry.get("sha") == sha:
+            out = entry["artifacts"]
     if out is None:
         arts = compute_artifacts(fn, vocab, cfg)
         out = {
@@ -131,7 +135,7 @@ def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
         if cache_path:
             tmp = cache_path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump({"sha": sha, "artifacts": out}, fh, sort_keys=True)
+                fh.write(json.dumps({"sha": sha, "artifacts": out}, sort_keys=True))
             os.replace(tmp, cache_path)
     out["tokens"]["ids"] = [vocab.id(t) for t in out["tokens"]["surface"]]
     return out

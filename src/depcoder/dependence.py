@@ -8,6 +8,13 @@ over-approximate the memory an expression can touch:
     stack frame
   * any other memory expression -> the whole memory space
 
+Reaching definitions are kept per location: a def of a register, the flags or
+a stack slot replaces the location's reaching set, a def of the whole frame or
+the whole memory adds to it, and a use depends on every def that reaches a
+location it may overlap.  Each block is walked once per pass of the fixed
+point, and edges are collected in that walk.  Every block is analysed whether
+the entry reaches it or not.
+
 Control dependences use the post-dominance-frontier criterion, lifted from
 basic blocks to instructions.
 """
@@ -234,53 +241,38 @@ def def_use(instr: Instruction, frame_off: int | None, flags_channel: bool = Fal
 
 def data_dependences(instrs: list[Instruction], cfg: Cfg, flags_channel: bool = False,
                      on_unknown: str = "error") -> set[tuple[int, int]]:
-    """Edges (u, v): instruction u may use a value defined at v."""
-    n = len(instrs)
-    if n == 0:
-        return set()
+    """Edges (u, v): instruction u may use a value defined at v.
+
+    Edges are recorded in the same block walk that computes OUT.  IN only
+    grows from empty, so every edge an earlier pass records is recorded again
+    by the last pass, in which no OUT changes.
+    """
     frames = frame_offsets(instrs)
     du = [def_use(i, frames[i.index], flags_channel, on_unknown) for i in instrs]
-
-    def transfer(defs_in: frozenset, lo: int, hi: int) -> frozenset:
-        cur = set(defs_in)
-        for i in range(lo, hi):
-            for d in du[i][0]:
-                if _is_precise(d):
-                    cur = {(j, L) for (j, L) in cur if L != d}
-                cur.add((i, d))
-        return frozenset(cur)
-
-    nblocks = len(cfg.blocks)
     preds = cfg.preds()
-    ins = [frozenset() for _ in range(nblocks)]
-    outs = [frozenset() for _ in range(nblocks)]
+    outs: list[dict[AbstractLocation, frozenset[int]]] = [{} for _ in cfg.blocks]
+    edges: set[tuple[int, int]] = set()
     changed = True
     while changed:
         changed = False
-        for b in range(nblocks):
-            merged = set()
+        for b, (lo, hi) in enumerate(cfg.blocks):
+            reach: dict[AbstractLocation, frozenset[int]] = {}
             for p in preds[b]:
                 if p >= 0:
-                    merged |= outs[p]
-            new_in = frozenset(merged)
-            new_out = transfer(new_in, *cfg.blocks[b])
-            if new_in != ins[b] or new_out != outs[b]:
-                ins[b], outs[b] = new_in, new_out
+                    for loc, sites in outs[p].items():
+                        reach[loc] = reach.get(loc, frozenset()) | sites
+            for i in range(lo, hi):
+                defs, uses = du[i]
+                for use in uses:
+                    for loc, sites in reach.items():
+                        if overlap(use, loc):
+                            edges.update((i, j) for j in sites if j != i)
+                for d in defs:
+                    kept = frozenset() if _is_precise(d) else reach.get(d, frozenset())
+                    reach[d] = kept | {i}
+            if reach != outs[b]:
+                outs[b] = reach
                 changed = True
-
-    edges: set[tuple[int, int]] = set()
-    for b in range(nblocks):
-        reach = set(ins[b])
-        lo, hi = cfg.blocks[b]
-        for i in range(lo, hi):
-            for use in du[i][1]:
-                for (j, d) in reach:
-                    if j != i and overlap(use, d):
-                        edges.add((i, j))
-            for d in du[i][0]:
-                if _is_precise(d):
-                    reach = {(j, L) for (j, L) in reach if L != d}
-                reach.add((i, d))
     return edges
 
 
@@ -400,12 +392,9 @@ class DependenceGraph:
     def directed_pairs(self) -> set[tuple[int, int]]:
         return {(u, v) for (u, v, _) in self.edges}
 
-    def sorted_edges(self) -> list[tuple[int, int, str]]:
-        return sorted(self.edges)
-
     def to_dict(self) -> dict:
         return {"nodes": self.n_nodes,
-                "edges": [[u, v, k] for (u, v, k) in self.sorted_edges()]}
+                "edges": [[u, v, k] for (u, v, k) in sorted(self.edges)]}
 
 
 def dependence_graph(fn: ParsedFunction, flags_channel: bool = False,

@@ -2,8 +2,9 @@
 
 Loop-free programs keep every block reachable (branches are built from
 structured if-then / if-then-else patterns), so exhaustive path enumeration
-from the entry covers the whole function.  Random CFGs are fabricated
-directly as block graphs, cycles allowed.
+from the entry covers the whole function.  Looping programs jump forward and
+backward to random labels, so they also hold unreachable blocks.  Random CFGs
+are fabricated directly as block graphs, cycles allowed.
 """
 
 from __future__ import annotations
@@ -72,6 +73,38 @@ def random_loopfree_function(rng: np.random.Generator, max_instr: int = 10):
     return parse_listing(random_loopfree_program(rng, max_instr))[0]
 
 
+def random_looping_program(rng: np.random.Generator, max_instr: int = 9) -> str:
+    """Listing text for one random function of 3..``max_instr`` instructions
+    whose jcc/jmp targets lie before or after the jump (or at the end).
+
+    Besides the loop-free instruction mix it draws calls, pops, rets and
+    writes to rsp, so frame tracking is lost or shifted inside loops.
+    """
+    n = int(rng.integers(3, max_instr + 1))
+    n_labels = int(rng.integers(1, 4))
+    label_at = [int(rng.integers(n + 1)) for _ in range(n_labels)]
+    r = lambda: _REGS[int(rng.integers(len(_REGS)))]
+    lines = []
+    for i in range(n + 1):
+        lines.extend(f".L{k}:" for k, at in enumerate(label_at) if at == i)
+        if i == n:
+            break
+        target = f".L{int(rng.integers(n_labels))}"
+        u = rng.random()
+        if u < 0.2:
+            lines.append(f"{_JCCS[int(rng.integers(len(_JCCS)))]} {target}")
+        elif u < 0.3:
+            lines.append(f"jmp {target}")
+        elif u < 0.4:
+            lines.append(f"cmp {r()}, {r()}")
+        elif u < 0.5:
+            lines.append(("call g", f"pop {r()}", "sub rsp, 16", "add rsp, 8",
+                          "mov rsp, rbp", "ret")[int(rng.integers(6))])
+        else:
+            lines.append(_simple_instr(rng))
+    return ".func f\n" + "\n".join(lines) + "\n"
+
+
 def random_cfg(rng: np.random.Generator, max_blocks: int = 12) -> Cfg:
     """Fabricated one-instruction-per-block CFG; cycles allowed, exit made
     reachable by the same augmentation the real builder uses."""
@@ -92,8 +125,7 @@ def random_cfg(rng: np.random.Generator, max_blocks: int = 12) -> Cfg:
             targets = [EXIT]
         succ[b] = targets
     _augment_exit_reachability(blocks, succ)
-    return Cfg(blocks=blocks, succ=succ, n_instructions=n,
-               block_of=list(range(n)))
+    return Cfg(blocks=blocks, succ=succ)
 
 
 def random_digraph(rng: np.random.Generator, max_nodes: int = 64, p: float = 0.08):

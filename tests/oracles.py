@@ -158,7 +158,7 @@ def naive_mask_bundle(seq: TokenSequence, con, neg=-1.0e9):
                 t, s = seq.inst_of[i], seq.inst_of[j]
                 if t != s and con.connected(t, s):
                     m[i, j] = 0.0  # dependence: connected instructions
-                    r[i, j] = con.distance(t, s)
+                    r[i, j] = int(con.dist[t, s])
     return m, r
 
 

@@ -120,7 +120,7 @@ def test_criterion_03_mask_oracle():
                               (3, 2, "data"), (5, 4, "data")})
     con = connectivity(dep)
     neigh = np.flatnonzero(con.dist[4]).tolist()
-    dists = [con.distance(4, v) for v in neigh]
+    dists = [int(con.dist[4, v]) for v in neigh]
     ok_fig = (neigh == [0, 2, 3, 5] and dists == [1, 2, 1, 1]
               and not con.connected(4, 1))
     record("3", ok_random and ok_fig,

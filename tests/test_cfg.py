@@ -61,10 +61,10 @@ def test_empty_function():
 
 
 def test_every_instruction_in_exactly_one_block():
-    cfg = cfg_of("cmp rax, rbx\njl .a\nmov rcx, 1\njmp .b\n.a:\nmov rcx, 2\n.b:\nret")
+    fn = parse_listing(".func f\ncmp rax, rbx\njl .a\nmov rcx, 1\njmp .b\n"
+                       ".a:\nmov rcx, 2\n.b:\nret\n")[0]
+    cfg = build_cfg(fn)
     covered = []
     for (lo, hi) in cfg.blocks:
         covered.extend(range(lo, hi))
-    assert covered == list(range(cfg.n_instructions))
-    assert cfg.block_of == [cfg_block for cfg_block, (lo, hi) in enumerate(cfg.blocks)
-                            for _ in range(hi - lo)]
+    assert covered == list(range(len(fn.instructions)))

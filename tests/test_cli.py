@@ -100,6 +100,21 @@ class TestPipeline:
         with open(out / "chain.deps.json") as fh:
             assert json.load(fh)["edges"] == [[3, 0, "data"]]
 
+    @pytest.mark.parametrize("corrupt", [lambda text: text[:20], lambda text: "[]"],
+                             ids=["truncated", "not-an-object"])
+    def test_corrupt_cache_entry_is_recomputed(self, tmp_path, chain_listing, corrupt):
+        fresh, out, cache = (str(tmp_path / d) for d in ("fresh", "out", "cache"))
+        assert main(["pipeline", chain_listing, "--out", fresh]) == 0
+        assert main(["pipeline", chain_listing, "--out", out, "--cache-dir", cache]) == 0
+        entry_path = os.path.join(cache, "chain.json")
+        with open(entry_path, encoding="utf-8") as fh:
+            good_entry = fh.read()
+        write(entry_path, corrupt(good_entry))
+        assert main(["pipeline", chain_listing, "--out", out, "--cache-dir", cache]) == 0
+        assert {f: sha(os.path.join(out, f)) for f in os.listdir(out)} == \
+            {f: sha(os.path.join(fresh, f)) for f in os.listdir(fresh)}
+        assert sha(entry_path) == hashlib.sha256(good_entry.encode()).hexdigest()
+
     def read(self, path):
         with open(path) as fh:
             return json.load(fh)

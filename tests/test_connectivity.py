@@ -23,10 +23,10 @@ def test_worked_example_six_instructions():
     edges = [(4, 0), (4, 3), (3, 2), (5, 4)]
     con = connectivity(graph(6, edges))
     assert np.flatnonzero(con.dist[4]).tolist() == [0, 2, 3, 5]
-    assert con.distance(4, 0) == 1
-    assert con.distance(4, 2) == 2  # transitive, through instruction 4
-    assert con.distance(4, 3) == 1
-    assert con.distance(4, 5) == 1
+    assert con.dist[4, 0] == 1
+    assert con.dist[4, 2] == 2  # transitive, through instruction 4
+    assert con.dist[4, 3] == 1
+    assert con.dist[4, 5] == 1
     assert not con.connected(4, 1)
 
 
@@ -37,8 +37,8 @@ def test_empty_edge_set():
 def test_mixed_direction_takes_minimum():
     # u reaches v in 3 hops, v reaches u in 1
     con = connectivity(graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-    assert con.distance(0, 3) == 1
-    assert con.distance(0, 2) == 2  # 2->3->0 beats 0->1->2
+    assert con.dist[0, 3] == 1
+    assert con.dist[0, 2] == 2  # 2->3->0 beats 0->1->2
 
 
 def test_matches_bfs_oracle_on_random_digraphs():

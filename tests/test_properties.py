@@ -1,7 +1,12 @@
-"""Property-based checks of the mask bundle over synthetic functions.
+"""Property-based checks of the dependence analysis and the mask bundle.
 
-Each example draws a function from ``synth.generate_function`` and a token
-budget that often truncates it, so the kept-instruction gather in
+The data dependences of random functions with forward and backward jumps are
+compared with exhaustive path enumeration, restricted to the instructions the
+entry reaches (the dataflow also analyses unreachable blocks, which no path
+from the entry visits).
+
+The mask examples draw a function from ``synth.generate_function`` and a
+token budget that often truncates it, so the kept-instruction gather in
 ``build_bundle`` is exercised on prefixes as well as whole functions.
 """
 
@@ -9,13 +14,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depcoder.cfg import ENTRY, build_cfg
 from depcoder.config import RunConfig
 from depcoder.corpus import Corpus
+from depcoder.dependence import data_dependences
+from depcoder.frontend import parse_listing
 from depcoder.masks import build_bundle, global_enabled, local_enabled, sparse_masks
 from depcoder.pretrain import mdm_sample, perturb_bundle
 from depcoder.synth import generate_function
 
-from oracles import naive_mask_bundle, naive_sparse_masks
+from generators import random_looping_program
+from oracles import naive_mask_bundle, naive_sparse_masks, path_enum_data_deps
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -27,6 +36,28 @@ def artifact(seed: int, max_len: int):
 
 seeds = st.integers(0, 2 ** 32 - 1)
 max_lens = st.integers(2, 96)
+
+
+def reachable_instructions(cfg) -> set[int]:
+    seen, todo = set(), [ENTRY]
+    while todo:
+        for b in cfg.succ.get(todo.pop(), []):
+            if b >= 0 and b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return {i for b in seen for i in range(*cfg.blocks[b])}
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=seeds)
+def test_data_dependences_with_back_edges_match_path_enumeration(seed):
+    fn = parse_listing(random_looping_program(np.random.default_rng(seed)))[0]
+    cfg = build_cfg(fn)
+    live = reachable_instructions(cfg)
+    for flags_channel in (False, True):
+        got = data_dependences(fn.instructions, cfg, flags_channel)
+        want = path_enum_data_deps(fn.instructions, cfg, flags_channel)
+        assert {(u, v) for u, v in got if u in live and v in live} == want
 
 
 @SETTINGS
