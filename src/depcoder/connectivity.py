@@ -27,9 +27,6 @@ class ConnectivityGraph:
     #: dense symmetric distance matrix; 0 means "not connected" (D >= 1 on edges)
     dist: np.ndarray
 
-    def connected(self, u: int, v: int) -> bool:
-        return u != v and self.dist[u, v] > 0
-
     def edges(self) -> list[tuple[int, int, int]]:
         """(u, v, distance) for every connected pair u < v, in row-major order."""
         u, v = np.nonzero(np.triu(self.dist, 1))

@@ -55,7 +55,6 @@ class AbstractLocation:
 FLAGS = AbstractLocation("flags")
 STACK_FRAME_ALL = AbstractLocation("stack_frame_all")
 MEMORY_ALL = AbstractLocation("memory_all")
-_MEMORY_KINDS = ("stack_slot", "stack_frame_all", "memory_all")
 
 
 def reg_loc(name: str) -> AbstractLocation:
@@ -162,9 +161,6 @@ CALL_USES = frozenset({reg_loc(r) for r in ("rdi", "rsi", "rdx", "rcx", "r8", "r
                       | {MEMORY_ALL})
 
 _RMW_MNEMONICS = frozenset({"add", "sub", "and", "or", "xor", "shl", "shr"})
-SUPPORTED_MNEMONICS = (_RMW_MNEMONICS | JCC_MNEMONICS
-                       | {"mov", "lea", "push", "pop", "imul", "idiv",
-                          "cmp", "test", "jmp", "call", "ret", "nop"})
 
 
 def def_use(instr: Instruction, frame_off: int | None, flags_channel: bool = False,

@@ -11,13 +11,19 @@ between the ``<INST>`` tokens of connected instructions and an additive
     head_i = softmax((Q_i K_i^T + B_i) / sqrt(d_k) + M) V_i
     B_i[u, v] = beta_i[min(R[u, v], r_max)]   where R[u, v] > 0, else 0
 
-Everything runs on numpy with an explicit reverse pass so gradients can be
-checked against central finite differences in 64-bit mode.
+B is never built: ``beta`` is looked up and added only at the nonzero
+entries of R (the connected ``<INST>`` pairs), and the reverse pass scatters
+their logit gradients back into ``beta`` in one ``np.add.at``.
+
+A float32 model computes in float32 throughout (the float64 mask is added in
+place); everything runs on numpy with an explicit reverse pass so gradients
+can be checked against central finite differences in 64-bit mode.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -203,16 +209,6 @@ def _layer_norm_backward(dy, xhat, inv_std, g):
     return dx, dg, db
 
 
-def _bias_tensor(state: EncoderState, bundle: MaskBundle):
-    """(heads, N, N) bias from the per-head distance tables; zero wherever the
-    distance matrix is zero (non-<INST> pairs and unconnected instructions)."""
-    r_max = state.config.r_max
-    r_clamped = np.minimum(bundle.R, r_max)
-    gate = bundle.R > 0
-    bias = state.params["beta"][:, r_clamped] * gate[None, :, :]
-    return bias.astype(state.config.np_dtype), r_clamped, gate
-
-
 def rma_attention(h: np.ndarray, bundle: MaskBundle, layer: int, state: EncoderState,
                   rng: np.random.Generator | None = None, training: bool = False):
     """One regularized multi-head attention application; returns the output
@@ -220,13 +216,17 @@ def rma_attention(h: np.ndarray, bundle: MaskBundle, layer: int, state: EncoderS
     cfg = state.config
     p = state.params
     dk = cfg.head_dim
-    mask = bundle.M.astype(cfg.np_dtype)
 
     q = np.einsum("nd,hdk->hnk", h, p[f"l{layer}.wq"])
     k = np.einsum("nd,hdk->hnk", h, p[f"l{layer}.wk"])
     v = np.einsum("nd,hdk->hnk", h, p[f"l{layer}.wv"])
-    bias, _, _ = _bias_tensor(state, bundle)
-    scores = (q @ k.transpose(0, 2, 1) + bias) / np.sqrt(dk) + mask[None, :, :]
+    # the distance bias applies only between connected <INST> tokens (R > 0)
+    i, j = np.nonzero(bundle.R)
+    r = np.minimum(bundle.R[i, j], cfg.r_max)
+    scores = q @ k.transpose(0, 2, 1)
+    scores[:, i, j] += p["beta"][:, r]
+    scores /= math.sqrt(dk)  # a Python float keeps float32 scores float32
+    scores += bundle.M
     scores = scores - scores.max(axis=-1, keepdims=True)
     expd = np.exp(scores)
     probs = expd / expd.sum(axis=-1, keepdims=True)
@@ -292,7 +292,8 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
     p = state.params
     if grads is None:
         grads = state.zero_grads()
-    _, r_clamped, gate = _bias_tensor(state, trace.bundle)
+    i, j = np.nonzero(trace.bundle.R)
+    r = np.minimum(trace.bundle.R[i, j], cfg.r_max)
     dk = cfg.head_dim
     dh_out = d_final.astype(cfg.np_dtype)
 
@@ -326,9 +327,8 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
         dv = used.transpose(0, 2, 1) @ dz
         dprobs = dused if c.attn_drop is None else dused * c.attn_drop
         dscores = c.probs * (dprobs - (dprobs * c.probs).sum(axis=-1, keepdims=True))
-        draw = dscores / np.sqrt(dk)  # grad w.r.t. (QK^T + B)
-        for hidx in range(cfg.heads):
-            np.add.at(grads["beta"][hidx], r_clamped[gate], draw[hidx][gate])
+        draw = dscores / math.sqrt(dk)  # grad w.r.t. (QK^T + B)
+        np.add.at(grads["beta"], (np.arange(cfg.heads)[:, None], r), draw[:, i, j])
         dq = draw @ c.k
         dkk = draw.transpose(0, 2, 1) @ c.q
         grads[f"l{layer}.wq"] += np.einsum("nd,hnk->hdk", c.h_in, dq)

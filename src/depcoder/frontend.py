@@ -33,8 +33,6 @@ RESERVED_TOKENS = (PAD, UNK, CLS, MASK, INST, IMM16, IMM32, IMM64, ADDR)
 PAD_ID, UNK_ID, CLS_ID, MASK_ID, INST_ID = 0, 1, 2, 3, 4
 FIRST_REGULAR_ID = len(RESERVED_TOKENS)
 
-PUNCT_TOKENS = (",", "[", "]", "+", "*")
-
 _R64 = ("rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp",
         "r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15", "rip")
 _SUB_FORMS = {
@@ -329,10 +327,6 @@ class Vocabulary:
 
     def token(self, idx: int) -> str:
         return self._id_to_token[idx]
-
-    @property
-    def n_regular(self) -> int:
-        return len(self._id_to_token) - FIRST_REGULAR_ID
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -82,18 +82,18 @@ def mdm_sample(con: ConnectivityGraph, n_nodes: int, rng: np.random.Generator,
     if k == 0:
         return EdgeSample(nodes=[], positives=[], negatives=[])
     sampled = sorted(int(x) for x in rng.choice(n_nodes, size=k, replace=False))
-    in_sample = set(sampled)
-
-    positives = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes)
-                 if (u in in_sample or v in in_sample) and con.connected(u, v)]
-    candidates = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes)
-                  if (u in in_sample or v in in_sample) and not con.connected(u, v)]
+    in_sample = np.zeros(n_nodes, dtype=bool)
+    in_sample[sampled] = True
+    # pairs u < v with an end in the sample, row-major like the edge lists
+    touched = np.triu(in_sample[:, None] | in_sample[None, :], 1)
+    linked = con.dist[:n_nodes, :n_nodes] > 0
+    positives = [(u, v) for u, v in np.argwhere(touched & linked).tolist()]
+    candidates = np.argwhere(touched & ~linked)
     n_neg = min(len(positives), len(candidates))
+    negatives = []
     if n_neg:
-        idx = sorted(int(x) for x in rng.choice(len(candidates), size=n_neg, replace=False))
-        negatives = [candidates[i] for i in idx]
-    else:
-        negatives = []
+        idx = np.sort(rng.choice(len(candidates), size=n_neg, replace=False))
+        negatives = [(u, v) for u, v in candidates[idx].tolist()]
     return EdgeSample(nodes=sampled, positives=positives, negatives=negatives)
 
 

@@ -122,7 +122,7 @@ def test_criterion_03_mask_oracle():
     neigh = np.flatnonzero(con.dist[4]).tolist()
     dists = [int(con.dist[4, v]) for v in neigh]
     ok_fig = (neigh == [0, 2, 3, 5] and dists == [1, 2, 1, 1]
-              and not con.connected(4, 1))
+              and con.dist[4, 1] == 0)
     record("3", ok_random and ok_fig,
            f"200 random programs vs per-pair oracle "
            f"{'exact' if ok_random else 'MISMATCH'}; worked example "
@@ -230,7 +230,7 @@ def test_criterion_06_sampler_statistics():
         fracs.append(len(s.nodes) / n)
         in_s = set(s.nodes)
         cands = sum(1 for u in range(n) for v in range(u + 1, n)
-                    if (u in in_s or v in in_s) and not con.connected(u, v))
+                    if (u in in_s or v in in_s) and con.dist[u, v] == 0)
         if len(s.negatives) != min(len(s.positives), cands):
             balanced = False
     node_frac = float(np.mean(fracs))

@@ -27,7 +27,7 @@ def test_worked_example_six_instructions():
     assert con.dist[4, 2] == 2  # transitive, through instruction 4
     assert con.dist[4, 3] == 1
     assert con.dist[4, 5] == 1
-    assert not con.connected(4, 1)
+    assert con.dist[4, 1] == 0
 
 
 def test_empty_edge_set():

@@ -193,6 +193,16 @@ class TestBackward:
         assert np.all(grads["beta"][:, 0] == 0)
         assert np.any(grads["beta"][:, 1:] != 0)
 
+    def test_float32_model_computes_in_float32(self, corpus, art):
+        state = make_state(corpus, dtype="float32")
+        trace = encode(art.seq.tokens, art.bundle, state)
+        for c in trace.caches:
+            assert c.probs.dtype == np.float32
+            assert c.z_cat.dtype == np.float32
+        assert trace.final.dtype == np.float32
+        grads = backward(trace, np.ones_like(trace.final), state)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
     def test_dropout_masks_are_applied_in_backward(self, corpus, art):
         cfg = EncoderConfig(layers=1, heads=2, hidden=16, ffn=32,
                             vocab_size=len(corpus.vocab), max_len=128,

@@ -109,9 +109,13 @@ class TestMdmSample:
             con = ConnectivityGraph(n_nodes=n, dist=dist)
             sample = mdm_sample(con, n, rng)
             in_s = set(sample.nodes)
-            n_cand = sum(1 for u in range(n) for v in range(u + 1, n)
-                         if (u in in_s or v in in_s) and not con.connected(u, v))
-            assert len(sample.negatives) == min(len(sample.positives), n_cand)
+            touched = [(u, v) for u in range(n) for v in range(u + 1, n)
+                       if u in in_s or v in in_s]
+            candidates = [(u, v) for u, v in touched if con.dist[u, v] == 0]
+            assert sample.positives == [(u, v) for u, v in touched if con.dist[u, v] > 0]
+            assert set(sample.negatives) <= set(candidates)
+            assert sample.negatives == sorted(sample.negatives)
+            assert len(sample.negatives) == min(len(sample.positives), len(candidates))
             assert not (set(sample.positives) & set(sample.negatives))
 
     def test_positives_touch_sampled_nodes(self):
@@ -156,7 +160,7 @@ class TestPerturbBundle:
         _, art = small_artifact()
         non_edges = [(u, v) for u in range(art.seq.n_instructions)
                      for v in range(u + 1, art.seq.n_instructions)
-                     if not art.con.connected(u, v)]
+                     if art.con.dist[u, v] == 0]
         t, s = non_edges[0]
         sample = EdgeSample(nodes=[t], positives=[], negatives=[(t, s)])
         out = perturb_bundle(art.seq, art.con.dist, sample)
@@ -176,7 +180,7 @@ class TestPerturbBundle:
         t, s = art.con.edges()[0][:2]
         non_edge = next((u, v) for u in range(art.seq.n_instructions)
                         for v in range(u + 1, art.seq.n_instructions)
-                        if not art.con.connected(u, v))
+                        if art.con.dist[u, v] == 0)
         perturb_bundle(art.seq, art.con.dist, EdgeSample([t], [(t, s)], [non_edge]))
         assert np.array_equal(art.con.dist, before)
 
