@@ -1,8 +1,8 @@
 """Control flow graph over instruction index ranges.
 
-Blocks split at label targets and after terminators (jmp/jcc/ret).  Virtual
-entry and exit nodes carry the ids ``ENTRY`` and ``EXIT``; after augmentation
-the exit is reachable from every block.
+Blocks split at label targets and after terminators (jmp/jcc/ret).  Block 0
+is the entry; one virtual exit node carries the id ``EXIT``, and after
+augmentation it is reachable from every block.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .frontend import Instruction, ParsedFunction
 
-ENTRY = -1
 EXIT = -2
 
 JCC_MNEMONICS = frozenset({
@@ -29,7 +28,7 @@ class CfgError(Exception):
 class Cfg:
     #: (start, end) instruction index ranges, end exclusive, listing order
     blocks: list[tuple[int, int]]
-    #: block id (or ENTRY) -> successor block ids (EXIT allowed)
+    #: block id -> successor block ids (EXIT allowed)
     succ: dict[int, list[int]]
 
     def preds(self) -> dict[int, list[int]]:
@@ -64,7 +63,7 @@ def build_cfg(fn: ParsedFunction) -> Cfg:
     instrs = fn.instructions
     n = len(instrs)
     if n == 0:
-        return Cfg(blocks=[], succ={ENTRY: [EXIT]})
+        return Cfg(blocks=[], succ={})
 
     leaders = {0}
     for target in fn.labels.values():
@@ -80,7 +79,7 @@ def build_cfg(fn: ParsedFunction) -> Cfg:
     def target_block(idx: int) -> int:
         return EXIT if idx >= n else block_at[idx]
 
-    succ: dict[int, list[int]] = {ENTRY: [0]}
+    succ: dict[int, list[int]] = {}
     for b, (s, e) in enumerate(blocks):
         last = instrs[e - 1]
         out: list[int] = []

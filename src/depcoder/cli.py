@@ -397,6 +397,9 @@ def _labelled_positions(rows, corpus, label_of):
         for pos, label in row["labels"]:
             if label not in label_of:
                 raise FileNotFoundError(f"unknown type label {label!r}")
+            if not isinstance(pos, int) or pos < 0:
+                raise FileNotFoundError(
+                    f"label position {pos!r} in {name!r} is not a non-negative integer")
             if pos < seq_len:
                 pairs.append((pos, label_of[label]))
         out[name] = pairs

@@ -15,15 +15,16 @@ location it may overlap.  Each block is walked once per pass of the fixed
 point, and edges are collected in that walk.  Every block is analysed whether
 the entry reaches it or not.
 
-Control dependences use the post-dominance-frontier criterion, lifted from
-basic blocks to instructions.
+Control dependences are read off the post-dominator sets of the blocks by
+the definition of Ferrante, Ottenstein and Warren, then lifted from basic
+blocks to instructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cfg import ENTRY, EXIT, JCC_MNEMONICS, Cfg, CfgError, build_cfg
+from .cfg import EXIT, JCC_MNEMONICS, Cfg, CfgError, build_cfg
 from .frontend import CANONICAL_REG, Instruction, Operand, ParsedFunction
 
 
@@ -254,9 +255,8 @@ def data_dependences(instrs: list[Instruction], cfg: Cfg, flags_channel: bool = 
         for b, (lo, hi) in enumerate(cfg.blocks):
             reach: dict[AbstractLocation, frozenset[int]] = {}
             for p in preds[b]:
-                if p >= 0:
-                    for loc, sites in outs[p].items():
-                        reach[loc] = reach.get(loc, frozenset()) | sites
+                for loc, sites in outs[p].items():
+                    reach[loc] = reach.get(loc, frozenset()) | sites
             for i in range(lo, hi):
                 defs, uses = du[i]
                 for use in uses:
@@ -275,93 +275,35 @@ def data_dependences(instrs: list[Instruction], cfg: Cfg, flags_channel: bool = 
 # ---------------------------------------------------------------------------
 # Post-dominators -> control dependences
 
-def _postdominators(cfg: Cfg) -> dict[int, int]:
-    """Immediate post-dominator per node of the augmented CFG.
+def _postdominators(cfg: Cfg) -> dict[int, set[int]]:
+    """Post-dominator set of every block and of EXIT: the greatest solution
+    of pdom(b) = {b} | intersection of pdom(s) over the successors s of b.
 
-    Iterative intersection on the reverse graph rooted at EXIT (Cooper-style),
-    over nodes {ENTRY, EXIT} + blocks with the ENTRY->EXIT augmentation edge.
+    The greatest solution is the right one because EXIT is reachable from
+    every block of a built CFG.
     """
-    succ = {b: list(vs) for b, vs in cfg.succ.items()}
-    succ.setdefault(ENTRY, [0] if cfg.blocks else [EXIT])
-    if EXIT not in succ[ENTRY]:
-        succ[ENTRY] = succ[ENTRY] + [EXIT]
-
-    # reverse post-order of the reverse graph from EXIT
-    preds_of: dict[int, list[int]] = {EXIT: [], ENTRY: []}
-    for b in range(len(cfg.blocks)):
-        preds_of[b] = []
-    for u, vs in succ.items():
-        for v in vs:
-            preds_of[v].append(u)
-    order: list[int] = []
-    seen = set()
-
-    def dfs(node):
-        stack = [(node, iter(preds_of[node]))]
-        seen.add(node)
-        while stack:
-            cur, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(preds_of[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(cur)
-                stack.pop()
-
-    dfs(EXIT)
-    rpo = list(reversed(order))  # EXIT first
-    rpo_index = {node: i for i, node in enumerate(rpo)}
-
-    ipdom: dict[int, int | None] = {node: None for node in rpo}
-    ipdom[EXIT] = EXIT
-
-    def intersect(a, b):
-        while a != b:
-            while rpo_index[a] > rpo_index[b]:
-                a = ipdom[a]
-            while rpo_index[b] > rpo_index[a]:
-                b = ipdom[b]
-        return a
-
+    blocks = range(len(cfg.blocks))
+    pdom = dict.fromkeys(blocks, set(blocks) | {EXIT})
+    pdom[EXIT] = {EXIT}
     changed = True
     while changed:
         changed = False
-        for node in rpo:
-            if node == EXIT:
-                continue
-            candidates = [s for s in succ[node] if ipdom.get(s) is not None]
-            if not candidates:
-                continue
-            new = candidates[0]
-            for s in candidates[1:]:
-                new = intersect(new, s)
-            if ipdom[node] != new:
-                ipdom[node] = new
+        for b in reversed(blocks):
+            new = {b} | set.intersection(*(pdom[s] for s in cfg.succ[b]))
+            if new != pdom[b]:
+                pdom[b] = new
                 changed = True
-    return {k: v for k, v in ipdom.items() if v is not None}
+    return pdom
 
 
 def block_control_dependences(cfg: Cfg) -> set[tuple[int, int]]:
-    """(dependent block, controlling block) pairs per the post-dominance
-    frontier criterion; controlling blocks are real branch blocks."""
-    if not cfg.blocks:
-        return set()
-    ipdom = _postdominators(cfg)
-    out: set[tuple[int, int]] = set()
-    for a, vs in cfg.succ.items():
-        if a < 0 or len(vs) < 2:
-            continue
-        for s in vs:
-            runner = s
-            while runner != ipdom[a]:
-                if runner >= 0:
-                    out.add((runner, a))
-                runner = ipdom[runner]
-    return out
+    """(dependent block, controlling block) pairs.  Block b depends on the
+    branch block a when b post-dominates a successor of a but does not
+    strictly post-dominate a (Ferrante, Ottenstein and Warren 1987)."""
+    pdom = _postdominators(cfg)
+    return {(b, a) for a, vs in cfg.succ.items() if len(vs) > 1
+            for s in vs for b in pdom[s]
+            if b != EXIT and (b == a or b not in pdom[a])}
 
 
 def control_dependences(instrs: list[Instruction], cfg: Cfg) -> set[tuple[int, int]]:

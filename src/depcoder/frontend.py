@@ -344,6 +344,8 @@ class Vocabulary:
                 tok, _, idx = line.rpartition("\t")
                 pairs.append((int(idx), tok))
         pairs.sort()
+        if [idx for idx, _ in pairs] != list(range(len(pairs))):
+            raise ValueError("vocabulary ids are not exactly 0..n-1")
         tokens = [t for _, t in pairs]
         if tuple(tokens[:FIRST_REGULAR_ID]) != RESERVED_TOKENS:
             raise ValueError("vocabulary file does not carry the reserved token block")

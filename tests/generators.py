@@ -110,7 +110,7 @@ def random_cfg(rng: np.random.Generator, max_blocks: int = 12) -> Cfg:
     reachable by the same augmentation the real builder uses."""
     n = int(rng.integers(2, max_blocks + 1))
     blocks = [(i, i + 1) for i in range(n)]
-    succ: dict[int, list[int]] = {-1: [0]}
+    succ: dict[int, list[int]] = {}
     for b in range(n):
         k = int(rng.integers(1, 3))
         targets: list[int] = []

@@ -2,7 +2,7 @@
 
 Each routine deliberately takes a different computational path from the
 library code it checks: path enumeration instead of a dataflow fixpoint,
-set-based iterative post-dominators instead of the ipdom tree walk, BFS
+post-dominance by reachability instead of post-dominator sets, BFS
 instead of Floyd-Warshall, per-pair definition evaluation instead of matrix
 composition, explicit loops instead of vectorized metrics.
 """
@@ -64,46 +64,32 @@ def path_enum_data_deps(instrs, cfg: Cfg, flags_channel=False, max_len=None):
 
 
 # ---------------------------------------------------------------------------
-# Control dependences from set-based iterative post-dominators
+# Control dependences from post-dominance by reachability
 
-def iterative_postdom_sets(cfg: Cfg) -> dict[int, set[int]]:
-    nodes = list(range(len(cfg.blocks))) + [EXIT]
-    succ = {b: list(vs) for b, vs in cfg.succ.items() if b >= 0}
-    succ[EXIT] = []
-    pd = {node: set(nodes) for node in nodes}
-    pd[EXIT] = {EXIT}
-    changed = True
-    while changed:
-        changed = False
-        for node in nodes:
-            if node == EXIT:
-                continue
-            inter = None
-            for s in succ[node]:
-                inter = set(pd[s]) if inter is None else inter & pd[s]
-            new = {node} | (inter if inter is not None else set())
-            if new != pd[node]:
-                pd[node] = new
-                changed = True
-    return pd
+def postdominates(cfg: Cfg, b: int, a: int) -> bool:
+    """True when every path from block a to EXIT passes through block b: a is
+    b, or EXIT is unreachable from a once b is removed."""
+    if a == b:
+        return True
+    seen, todo = {a}, [a]
+    while todo:
+        for v in cfg.succ[todo.pop()]:
+            if v == EXIT:
+                return False
+            if v != b and v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return True
 
 
 def oracle_block_control_deps(cfg: Cfg) -> set[tuple[int, int]]:
     """(dependent, controlling) pairs straight from the definition: B is
     control dependent on A iff some successor of A is post-dominated by B
     while A itself is not strictly post-dominated by B."""
-    pd = iterative_postdom_sets(cfg)
-    out = set()
-    for a in range(len(cfg.blocks)):
-        succs = cfg.succ[a]
-        if len(succs) < 2:
-            continue
-        for b in range(len(cfg.blocks)):
-            if b in pd[a] and b != a:
-                continue  # b strictly post-dominates a
-            if any(b in pd[s] for s in succs):
-                out.add((b, a))
-    return out
+    blocks = range(len(cfg.blocks))
+    return {(b, a) for a in blocks if len(cfg.succ[a]) > 1 for b in blocks
+            if (b == a or not postdominates(cfg, b, a))
+            and any(s != EXIT and postdominates(cfg, b, s) for s in cfg.succ[a])}
 
 
 # ---------------------------------------------------------------------------

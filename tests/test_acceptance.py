@@ -73,7 +73,7 @@ mov rdx, [rcx]
     record("1", ok_example and ok_data and ok_control and elapsed < 30,
            f"worked example {'exact' if ok_example else 'WRONG'}; 200 loop-free "
            f"programs vs path enumeration {'exact' if ok_data else 'MISMATCH'}; "
-           f"100 CFGs vs iterative post-dominators "
+           f"100 CFGs vs post-dominance by reachability "
            f"{'exact' if ok_control else 'MISMATCH'}; {elapsed:.1f}s")
 
 

@@ -122,3 +122,35 @@ def test_traced_commands_fill_the_counters(spans, tmp_path):
                  "pretrain.masked_tokens", "masks.resident_mb"):
         assert m[name] > 0, name
     assert 0.0 < m["masks.density"] < 1.0
+
+
+def test_timed_entry_points_are_looked_up_when_called(monkeypatch, tmp_path):
+    # the benchmark times an operation by swapping the module attribute; a
+    # command that bound the name at import time would run untimed
+    from depcoder import corpus, encoder, pretrain
+
+    calls = {}
+    for module, attr in ((pretrain, "train_step"), (encoder, "encode"),
+                         (corpus, "cached_artifact_dict")):
+        def counted(*args, _orig=getattr(module, attr), _attr=attr, **kwargs):
+            calls[_attr] = calls.get(_attr, 0) + 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+
+    listing = tmp_path / "x.asm"
+    listing.write_text(LISTING, encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"layers": 1, "hidden": 16, "heads": 2, "ffn": 32,
+                               "steps": 2, "batch_size": 2, "warmup": 1}))
+    run = tmp_path / "run"
+    assert main(["pretrain", "--config", str(cfg), "--corpus", str(listing),
+                 "--out", str(run)]) == 0
+    assert calls["train_step"] == 2
+    calls.clear()
+    assert main(["embed", str(listing), "--checkpoint", str(run / "model.ckpt"),
+                 "--out", str(tmp_path / "emb.jsonl")]) == 0
+    assert calls == {"encode": 2}
+    calls.clear()
+    assert main(["pipeline", str(listing), "--out", str(tmp_path / "p"),
+                 "--cache-dir", str(tmp_path / "c")]) == 0
+    assert calls == {"cached_artifact_dict": 2}

@@ -288,6 +288,15 @@ class TestTrainingCommands:
         assert 0.0 <= result["lrap"] <= 1.0
         assert 0.0 <= result["lrl"] <= 1.0
 
+    @pytest.mark.parametrize("pos", [-1, "1"])
+    def test_bad_label_position_rejected(self, trained, tmp_path, capsys, pos):
+        listing = write(tmp_path / "chain.asm", POINTER_CHAIN)
+        labels = write(tmp_path / "labels.jsonl", json.dumps(
+            {"function": "chain", "labels": [[pos, "long"], [2, "no-access"]]}) + "\n")
+        assert main(["eval-type", listing, "--checkpoint",
+                     str(trained["run"] / "model.ckpt"), "--labels", labels]) == 2
+        assert "not a non-negative integer" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, trained, tmp_path):
         cfg = dict(json.loads(open(trained["cfg"]).read()))
         cfg.update({"lr": 1e12, "steps": 30, "warmup": 0,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from depcoder.cfg import build_cfg
+from depcoder.cfg import EXIT, build_cfg
 from depcoder.dependence import (CALL_DEFS, CALL_USES, MEMORY_ALL,
                                  STACK_FRAME_ALL, UnsupportedInstruction,
                                  control_dependences, data_dependences,
@@ -197,7 +197,20 @@ class TestControlDependences:
         edges = control_dependences(fn.instructions, build_cfg(fn))
         assert edges == {(2, 1), (3, 1), (4, 1)}  # both arms incl. the jmp
 
-    def test_matches_iterative_postdominator_oracle(self):
+    def test_infinite_loop_worked_example(self):
+        # blocks: 0 = cmp/je, 1 = the add/jmp loop, 2 = ret.  The loop gets
+        # an edge to EXIT, so pdom(1) = {1, EXIT}, pdom(2) = {2, EXIT} and
+        # pdom(0) = {0, EXIT}: both arms depend on the je, and the loop body
+        # depends on its own jmp through the augmentation edge.
+        fn = fn_of("cmp rax, rbx\nje .out\n.loop:\nadd rax, 1\njmp .loop\n"
+                   ".out:\nret")
+        cfg = build_cfg(fn)
+        assert cfg.succ == {0: [2, 1], 1: [1, EXIT], 2: [EXIT]}
+        assert block_control_dependences(cfg) == {(1, 0), (2, 0), (1, 1)}
+        assert control_dependences(fn.instructions, cfg) == {
+            (2, 1), (3, 1), (4, 1), (2, 3)}
+
+    def test_matches_postdominance_oracle(self):
         rng = np.random.default_rng(123)
         for trial in range(100):
             cfg = random_cfg(rng, max_blocks=12)

@@ -1,7 +1,7 @@
 import pytest
 
-from depcoder.frontend import (CLS, INST, UNK_ID, Operand, ParseError,
-                               Vocabulary, build_vocab, immediate_token,
+from depcoder.frontend import (CLS, INST, RESERVED_TOKENS, UNK_ID, Operand,
+                               ParseError, Vocabulary, build_vocab, immediate_token,
                                instruction_tokens, parse_listing, tokenize)
 
 
@@ -195,6 +195,16 @@ class TestVocabulary:
         loaded = Vocabulary.load(path)
         assert len(loaded) == len(vocab)
         assert all(loaded.token(i) == vocab.token(i) for i in range(len(vocab)))
+
+    @pytest.mark.parametrize("rows", [[("mov", 10), ("rax", 11)],
+                                      [("mov", 9), ("rax", 9)]],
+                             ids=["gap", "duplicate"])
+    def test_load_rejects_ids_that_are_not_consecutive(self, tmp_path, rows):
+        path = tmp_path / "vocab.tsv"
+        lines = list(zip(RESERVED_TOKENS, range(len(RESERVED_TOKENS)))) + rows
+        path.write_text("".join(f"{tok}\t{idx}\n" for tok, idx in lines))
+        with pytest.raises(ValueError, match="not exactly"):
+            Vocabulary.load(path)
 
     def test_unknown_lookup_is_unk(self):
         vocab = build_vocab(parse_listing(".func f\nret\n"))

@@ -3,7 +3,9 @@
 The data dependences of random functions with forward and backward jumps are
 compared with exhaustive path enumeration, restricted to the instructions the
 entry reaches (the dataflow also analyses unreachable blocks, which no path
-from the entry visits).
+from the entry visits).  Their control dependences are compared with the
+definition through post-dominance by reachability, on the CFGs ``build_cfg``
+builds: back edges, self-loops, and infinite loops that need the exit edge.
 
 The mask examples draw a function from ``synth.generate_function`` and a
 token budget that often truncates it, so the kept-instruction gather in
@@ -19,10 +21,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from depcoder.cfg import ENTRY, build_cfg
+from depcoder.cfg import build_cfg
 from depcoder.config import RunConfig
 from depcoder.corpus import Corpus
-from depcoder.dependence import data_dependences
+from depcoder.dependence import block_control_dependences, data_dependences
 from depcoder.encoder import EncoderConfig, EncoderState, backward, encode, rma_attention
 from depcoder.frontend import parse_listing
 from depcoder.masks import build_bundle, global_enabled, local_enabled, sparse_masks
@@ -31,7 +33,7 @@ from depcoder.synth import generate_function
 
 from generators import random_looping_program
 from oracles import (dense_attention, naive_mask_bundle, naive_sparse_masks,
-                     path_enum_data_deps)
+                     oracle_block_control_deps, path_enum_data_deps)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -46,9 +48,9 @@ max_lens = st.integers(2, 96)
 
 
 def reachable_instructions(cfg) -> set[int]:
-    seen, todo = set(), [ENTRY]
+    seen, todo = {0}, [0]
     while todo:
-        for b in cfg.succ.get(todo.pop(), []):
+        for b in cfg.succ[todo.pop()]:
             if b >= 0 and b not in seen:
                 seen.add(b)
                 todo.append(b)
@@ -65,6 +67,14 @@ def test_data_dependences_with_back_edges_match_path_enumeration(seed):
         got = data_dependences(fn.instructions, cfg, flags_channel)
         want = path_enum_data_deps(fn.instructions, cfg, flags_channel)
         assert {(u, v) for u, v in got if u in live and v in live} == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=seeds)
+def test_control_dependences_of_built_cfgs_match_the_definition(seed):
+    fn = parse_listing(random_looping_program(np.random.default_rng(seed), 16))[0]
+    cfg = build_cfg(fn)
+    assert block_control_dependences(cfg) == oracle_block_control_deps(cfg)
 
 
 @SETTINGS
