@@ -62,11 +62,11 @@ _GELU_A = 0.044715
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x ** 3)))
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * (x * x * x))))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (x + _GELU_A * x ** 3))
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
 
 
@@ -217,9 +217,9 @@ def rma_attention(h: np.ndarray, bundle: MaskBundle, layer: int, state: EncoderS
     p = state.params
     dk = cfg.head_dim
 
-    q = np.einsum("nd,hdk->hnk", h, p[f"l{layer}.wq"])
-    k = np.einsum("nd,hdk->hnk", h, p[f"l{layer}.wk"])
-    v = np.einsum("nd,hdk->hnk", h, p[f"l{layer}.wv"])
+    q = h @ p[f"l{layer}.wq"]  # (heads, N, dk)
+    k = h @ p[f"l{layer}.wk"]
+    v = h @ p[f"l{layer}.wv"]
     # the distance bias applies only between connected <INST> tokens (R > 0)
     i, j = np.nonzero(bundle.R)
     r = np.minimum(bundle.R[i, j], cfg.r_max)
@@ -331,12 +331,9 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
         np.add.at(grads["beta"], (np.arange(cfg.heads)[:, None], r), draw[:, i, j])
         dq = draw @ c.k
         dkk = draw.transpose(0, 2, 1) @ c.q
-        grads[f"l{layer}.wq"] += np.einsum("nd,hnk->hdk", c.h_in, dq)
-        grads[f"l{layer}.wk"] += np.einsum("nd,hnk->hdk", c.h_in, dkk)
-        grads[f"l{layer}.wv"] += np.einsum("nd,hnk->hdk", c.h_in, dv)
-        dh_in += np.einsum("hnk,hdk->nd", dq, p[f"l{layer}.wq"])
-        dh_in += np.einsum("hnk,hdk->nd", dkk, p[f"l{layer}.wk"])
-        dh_in += np.einsum("hnk,hdk->nd", dv, p[f"l{layer}.wv"])
+        for name, dproj in (("wq", dq), ("wk", dkk), ("wv", dv)):
+            grads[f"l{layer}.{name}"] += c.h_in.T @ dproj
+            dh_in += (dproj @ p[f"l{layer}.{name}"].transpose(0, 2, 1)).sum(axis=0)
         dh_out = dh_in
 
     np.add.at(grads["tok_emb"], trace.token_ids, dh_out)
