@@ -227,9 +227,11 @@ def rma_attention(h: np.ndarray, bundle: MaskBundle, layer: int, state: EncoderS
     scores[:, i, j] += p["beta"][:, r]
     scores /= math.sqrt(dk)  # a Python float keeps float32 scores float32
     scores += bundle.M
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    expd = np.exp(scores)
-    probs = expd / expd.sum(axis=-1, keepdims=True)
+    # softmax in place: ``scores`` is a fresh array and becomes ``probs``
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    probs = scores
 
     attn_drop = None
     used = probs
@@ -323,11 +325,15 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
         dz = dz_cat.reshape(n, cfg.heads, dk).transpose(1, 0, 2)  # (heads, N, dk)
 
         used = c.probs if c.attn_drop is None else c.probs * c.attn_drop
-        dused = dz @ c.v.transpose(0, 2, 1)
         dv = used.transpose(0, 2, 1) @ dz
-        dprobs = dused if c.attn_drop is None else dused * c.attn_drop
-        dscores = c.probs * (dprobs - (dprobs * c.probs).sum(axis=-1, keepdims=True))
-        draw = dscores / math.sqrt(dk)  # grad w.r.t. (QK^T + B)
+        # softmax reverse in place on the fresh ``dprobs``; the cache is read only
+        dprobs = dz @ c.v.transpose(0, 2, 1)
+        if c.attn_drop is not None:
+            dprobs *= c.attn_drop
+        dprobs -= (dprobs * c.probs).sum(axis=-1, keepdims=True)
+        dprobs *= c.probs
+        dprobs /= math.sqrt(dk)
+        draw = dprobs  # grad w.r.t. (QK^T + B)
         np.add.at(grads["beta"], (np.arange(cfg.heads)[:, None], r), draw[:, i, j])
         dq = draw @ c.k
         dkk = draw.transpose(0, 2, 1) @ c.q

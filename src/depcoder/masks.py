@@ -58,7 +58,8 @@ def build_bundle(seq: TokenSequence, dist: np.ndarray) -> MaskBundle:
                       count=seq.n_instructions)
     R = np.zeros((n, n), dtype=np.int32)
     R[np.ix_(pos, pos)] = dist[np.ix_(insts, insts)]
-    M = np.where(global_enabled(seq) | local_enabled(seq) | (R > 0), 0.0, MASK_NEG)
+    M = np.where(global_enabled(seq) | local_enabled(seq) | (R > 0),
+                 np.float32(0.0), np.float32(MASK_NEG))
     return MaskBundle(M=M, R=R)
 
 

@@ -5,7 +5,7 @@ from depcoder.config import RunConfig
 from depcoder.corpus import Corpus
 from depcoder.encoder import (EncoderConfig, EncoderState, NumericsError,
                               backward, embed_inputs, encode, rma_attention)
-from depcoder.masks import MaskBundle
+from depcoder.masks import MaskBundle, build_bundle
 from depcoder.synth import generate_function, reorder_variant
 
 LISTING = """\
@@ -111,6 +111,20 @@ class TestAttention:
                 assert c.probs[:, masked].max() < 1e-12
                 assert np.allclose(c.probs.sum(axis=-1), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_float32_mask_gives_the_float64_mask_result(self, corpus, art, dtype):
+        bundle = build_bundle(art.seq, art.con.dist)
+        assert bundle.M.dtype == np.float32
+        wide = MaskBundle(M=bundle.M.astype(np.float64), R=bundle.R)
+        state = make_state(corpus, dtype=dtype)
+        state.params["beta"][:] = 0.3
+        h = np.random.default_rng(0).standard_normal((len(art.seq), 16)).astype(dtype)
+        out, (*_, probs, _, _) = rma_attention(h, bundle, 0, state)
+        out_wide, (*_, probs_wide, _, _) = rma_attention(h, wide, 0, state)
+        assert out.dtype == np.dtype(dtype)
+        assert np.array_equal(out, out_wide)
+        assert np.array_equal(probs, probs_wide)
+
     def test_bias_locality(self, corpus, art):
         state = make_state(corpus)
         state.params["beta"][:] = 0.05
@@ -212,6 +226,25 @@ class TestBackward:
         trace = encode(art.seq.tokens, art.bundle, state, rng=rng, training=True)
         grads = backward(trace, np.ones_like(trace.final), state)
         assert np.isfinite(grads["tok_emb"]).all()
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_backward_leaves_the_trace_unchanged(self, corpus, art, dropout):
+        cfg = EncoderConfig(layers=2, heads=2, hidden=16, ffn=32,
+                            vocab_size=len(corpus.vocab), max_len=128,
+                            dropout=dropout, dtype="float64")
+        state = EncoderState.init(cfg, 0)
+        trace = encode(art.seq.tokens, art.bundle, state,
+                       rng=np.random.default_rng(0), training=True)
+        before = [(c.probs.copy(), c.attn_drop if c.attn_drop is None else c.attn_drop.copy())
+                  for c in trace.caches]
+        d_final = np.random.default_rng(1).standard_normal(trace.final.shape)
+        first = backward(trace, d_final, state)
+        second = backward(trace, d_final, state)
+        assert all(np.array_equal(first[name], second[name]) for name in first)
+        for c, (probs, attn_drop) in zip(trace.caches, before):
+            assert np.array_equal(c.probs, probs)
+            assert (c.attn_drop is None) == (dropout == 0.0)
+            assert attn_drop is None or np.array_equal(c.attn_drop, attn_drop)
 
 
 class TestCheckpoint:
