@@ -397,7 +397,7 @@ def _labelled_positions(rows, corpus, label_of):
         for pos, label in row["labels"]:
             if label not in label_of:
                 raise FileNotFoundError(f"unknown type label {label!r}")
-            if not isinstance(pos, int) or pos < 0:
+            if type(pos) is not int or pos < 0:  # a JSON true is a bool, not a position
                 raise FileNotFoundError(
                     f"label position {pos!r} in {name!r} is not a non-negative integer")
             if pos < seq_len:

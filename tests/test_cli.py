@@ -288,7 +288,7 @@ class TestTrainingCommands:
         assert 0.0 <= result["lrap"] <= 1.0
         assert 0.0 <= result["lrl"] <= 1.0
 
-    @pytest.mark.parametrize("pos", [-1, "1"])
+    @pytest.mark.parametrize("pos", [-1, "1", True])
     def test_bad_label_position_rejected(self, trained, tmp_path, capsys, pos):
         listing = write(tmp_path / "chain.asm", POINTER_CHAIN)
         labels = write(tmp_path / "labels.jsonl", json.dumps(
