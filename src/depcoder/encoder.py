@@ -15,9 +15,12 @@ B is never built: ``beta`` is looked up and added only at the nonzero
 entries of R (the connected ``<INST>`` pairs), and the reverse pass scatters
 their logit gradients back into ``beta`` in one ``np.add.at``.
 
-A float32 model computes in float32 throughout (the float64 mask is added in
-place); everything runs on numpy with an explicit reverse pass so gradients
-can be checked against central finite differences in 64-bit mode.
+A float32 model computes in float32 throughout: the mask is float32, so
+adding it casts nothing.  The projections are batched matmuls on the
+(heads, d, dk) weights, and the softmax and its reverse run in place on
+arrays the step has just made, never on the trace.  Everything runs on numpy
+with an explicit reverse pass so gradients can be checked against central
+finite differences in 64-bit mode.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ instruction, and a dependence part enabling bidirectional attention between
 the ``<INST>`` delimiters of connected instructions.  The dependence part is
 exactly ``R > 0``, so the distance matrix ``R`` is its only source.
 "Disabled" entries of the additive mask ``M`` hold ``MASK_NEG``, added to the
-attention logits before softmax.  ``build_bundle`` is the only code that
+attention logits before softmax.  ``M`` is float32: 0 and ``MASK_NEG`` are
+exact in it, so a float32 model adds it without a cast and a float64 model
+widens it exactly.  ``build_bundle`` is the only code that
 builds a bundle; callers build one from the distances where they use it.
 """
 
@@ -37,7 +39,7 @@ def local_enabled(seq: TokenSequence) -> np.ndarray:
 
 @dataclass
 class MaskBundle:
-    #: additive attention mask, entries in {0, MASK_NEG}
+    #: additive float32 attention mask, entries in {0, MASK_NEG}
     M: np.ndarray
     #: relative distance matrix; > 0 only between <INST> tokens of distinct
     #: connected instructions

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -235,16 +238,16 @@ class TestBackward:
         state = EncoderState.init(cfg, 0)
         trace = encode(art.seq.tokens, art.bundle, state,
                        rng=np.random.default_rng(0), training=True)
-        before = [(c.probs.copy(), c.attn_drop if c.attn_drop is None else c.attn_drop.copy())
-                  for c in trace.caches]
+        before = copy.deepcopy(trace.caches)
         d_final = np.random.default_rng(1).standard_normal(trace.final.shape)
         first = backward(trace, d_final, state)
         second = backward(trace, d_final, state)
         assert all(np.array_equal(first[name], second[name]) for name in first)
-        for c, (probs, attn_drop) in zip(trace.caches, before):
-            assert np.array_equal(c.probs, probs)
+        for c, saved in zip(trace.caches, before):
             assert (c.attn_drop is None) == (dropout == 0.0)
-            assert attn_drop is None or np.array_equal(c.attn_drop, attn_drop)
+            for f in dataclasses.fields(c):
+                now, then = getattr(c, f.name), getattr(saved, f.name)
+                assert now is then is None or np.array_equal(now, then), f.name
 
 
 class TestCheckpoint:
