@@ -78,6 +78,10 @@ def overlap(a: AbstractLocation, b: AbstractLocation) -> bool:
     return True  # slot/frame/memory_all always may-overlap each other
 
 
+def _is_memory(loc: AbstractLocation) -> bool:
+    return loc.kind not in ("register", "flags")
+
+
 def _is_precise(loc: AbstractLocation) -> bool:
     """Precise locations admit strong updates (their defs kill earlier defs)."""
     return loc.kind in ("register", "flags", "stack_slot")
@@ -242,32 +246,41 @@ def data_dependences(instrs: list[Instruction], cfg: Cfg, flags_channel: bool = 
 
     Edges are recorded in the same block walk that computes OUT.  IN only
     grows from empty, so every edge an earlier pass records is recorded again
-    by the last pass, in which no OUT changes.
+    by the last pass, in which no OUT changes.  Registers and the flags are
+    kept apart from memory: a register or flags use overlaps only its own
+    location, so it is looked up, and a memory use scans only memory.
     """
     frames = frame_offsets(instrs)
     du = [def_use(i, frames[i.index], flags_channel, on_unknown) for i in instrs]
     preds = cfg.preds()
-    outs: list[dict[AbstractLocation, frozenset[int]]] = [{} for _ in cfg.blocks]
+    # OUT of each block: reaching defs of (registers and flags, memory locations)
+    outs: list[tuple[dict, dict]] = [({}, {}) for _ in cfg.blocks]
     edges: set[tuple[int, int]] = set()
     changed = True
     while changed:
         changed = False
         for b, (lo, hi) in enumerate(cfg.blocks):
-            reach: dict[AbstractLocation, frozenset[int]] = {}
+            regs: dict[AbstractLocation, frozenset[int]] = {}
+            mem: dict[AbstractLocation, frozenset[int]] = {}
             for p in preds[b]:
-                for loc, sites in outs[p].items():
-                    reach[loc] = reach.get(loc, frozenset()) | sites
+                for into, out in zip((regs, mem), outs[p]):
+                    for loc, sites in out.items():
+                        into[loc] = into.get(loc, frozenset()) | sites
             for i in range(lo, hi):
                 defs, uses = du[i]
                 for use in uses:
-                    for loc, sites in reach.items():
-                        if overlap(use, loc):
-                            edges.update((i, j) for j in sites if j != i)
+                    if _is_memory(use):
+                        for loc, sites in mem.items():
+                            if overlap(use, loc):
+                                edges.update((i, j) for j in sites if j != i)
+                    else:
+                        edges.update((i, j) for j in regs.get(use, ()) if j != i)
                 for d in defs:
-                    kept = frozenset() if _is_precise(d) else reach.get(d, frozenset())
-                    reach[d] = kept | {i}
-            if reach != outs[b]:
-                outs[b] = reach
+                    into = mem if _is_memory(d) else regs
+                    kept = frozenset() if _is_precise(d) else into.get(d, frozenset())
+                    into[d] = kept | {i}
+            if (regs, mem) != outs[b]:
+                outs[b] = (regs, mem)
                 changed = True
     return edges
 

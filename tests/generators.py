@@ -4,7 +4,8 @@ Loop-free programs keep every block reachable (branches are built from
 structured if-then / if-then-else patterns), so exhaustive path enumeration
 from the entry covers the whole function.  Looping programs jump forward and
 backward to random labels, so they also hold unreachable blocks.  Random CFGs
-are fabricated directly as block graphs, cycles allowed.
+are fabricated directly as block graphs, cycles allowed.  Random dependence
+edges draw their pairs uniformly, so cycles and self-loops occur.
 """
 
 from __future__ import annotations
@@ -133,3 +134,15 @@ def random_digraph(rng: np.random.Generator, max_nodes: int = 64, p: float = 0.0
     edges = {(u, v) for u in range(n) for v in range(n)
              if u != v and rng.random() < p}
     return n, edges
+
+
+def random_dependence_edges(rng: np.random.Generator, n: int,
+                            out_degree: float) -> set[tuple[int, int, str]]:
+    """(u, v, kind) edges over n nodes, about ``out_degree`` pairs per node;
+    a third of the pairs carry both kinds."""
+    edges = set()
+    for _ in range(int(out_degree * n)):
+        u, v = rng.integers(0, n, 2).tolist()
+        for kind in (("data",), ("control",), ("data", "control"))[int(rng.integers(3))]:
+            edges.add((u, v, kind))
+    return edges

@@ -2,9 +2,10 @@
 
 Each routine deliberately takes a different computational path from the
 library code it checks: path enumeration instead of a dataflow fixpoint,
-post-dominance by reachability instead of post-dominator sets, BFS
-instead of Floyd-Warshall, per-pair definition evaluation instead of matrix
-composition, explicit loops instead of vectorized metrics.
+post-dominance by reachability instead of post-dominator sets, distances
+per ordered pair folded pair by pair instead of BFS rows folded as matrices,
+per-pair definition evaluation instead of matrix composition, explicit loops
+instead of vectorized metrics.
 """
 
 from __future__ import annotations

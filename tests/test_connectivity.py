@@ -71,6 +71,23 @@ def test_triangle_bound_on_directed_distances():
                     assert dist[(u, v)] <= duw + dist[(w, v)]
 
 
+def test_chain_at_the_cap_has_every_distance():
+    n = NODE_CAP
+    con = connectivity(graph(n, [(u + 1, u) for u in range(n - 1)]))
+    u, v = np.indices((n, n))
+    assert con.dist.dtype == np.int32
+    assert np.array_equal(con.dist, np.abs(u - v))
+
+
+def test_cycle_at_the_cap_takes_the_shorter_way_round():
+    n = NODE_CAP
+    con = connectivity(graph(n, [(u, (u + 1) % n) for u in range(n)]))
+    u, v = np.indices((n, n))
+    k = (v - u) % n
+    assert con.dist.dtype == np.int32
+    assert np.array_equal(con.dist, np.minimum(k, n - k))
+
+
 def test_node_cap():
     with pytest.raises(ClosureError, match="closure cap.*truncate"):
         connectivity(graph(NODE_CAP + 1, []))

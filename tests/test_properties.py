@@ -7,6 +7,10 @@ from the entry visits).  Their control dependences are compared with the
 definition through post-dominance by reachability, on the CFGs ``build_cfg``
 builds: back edges, self-loops, and infinite loops that need the exit edge.
 
+The closure examples draw dependence graphs of up to 150 nodes with cycles,
+self-loops and pairs that carry both kinds, and compare ``connectivity`` with
+breadth-first search per ordered pair.
+
 The mask examples draw a function from ``synth.generate_function`` and a
 token budget that often truncates it, so the kept-instruction gather in
 ``build_bundle`` is exercised on prefixes as well as whole functions.
@@ -23,17 +27,18 @@ from hypothesis import strategies as st
 
 from depcoder.cfg import build_cfg
 from depcoder.config import RunConfig
+from depcoder.connectivity import connectivity
 from depcoder.corpus import Corpus
-from depcoder.dependence import block_control_dependences, data_dependences
+from depcoder.dependence import DependenceGraph, block_control_dependences, data_dependences
 from depcoder.encoder import EncoderConfig, EncoderState, backward, encode, rma_attention
 from depcoder.frontend import parse_listing
 from depcoder.masks import build_bundle, global_enabled, local_enabled, sparse_masks
 from depcoder.pretrain import mdm_sample, perturb_bundle
 from depcoder.synth import generate_function
 
-from generators import random_looping_program
+from generators import random_dependence_edges, random_looping_program
 from oracles import (dense_attention, naive_mask_bundle, naive_sparse_masks,
-                     oracle_block_control_deps, path_enum_data_deps)
+                     oracle_block_control_deps, oracle_connectivity, path_enum_data_deps)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -75,6 +80,18 @@ def test_control_dependences_of_built_cfgs_match_the_definition(seed):
     fn = parse_listing(random_looping_program(np.random.default_rng(seed), 16))[0]
     cfg = build_cfg(fn)
     assert block_control_dependences(cfg) == oracle_block_control_deps(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(0, 150), out_degree=st.floats(0, 4))
+def test_closure_matches_bfs_per_pair(seed, n, out_degree):
+    edges = random_dependence_edges(np.random.default_rng(seed), n, out_degree)
+    con = connectivity(DependenceGraph(n_nodes=n, edges=edges))
+    assert con.dist.dtype == np.int32 and con.dist.shape == (n, n)
+    assert np.array_equal(con.dist, con.dist.T)
+    assert not np.diagonal(con.dist).any()
+    want = oracle_connectivity(n, {(u, v) for u, v, _ in edges})
+    assert {(u, v): d for u, v, d in con.edges()} == want
 
 
 @SETTINGS
