@@ -5,47 +5,8 @@ and control dependences, close them into an undirected connectivity graph,
 build attention masks and a dependence-distance matrix, and pre-train /
 evaluate a small masked-attention encoder on top.
 
-Exports resolve lazily so the CLI can pin BLAS thread pools before numpy
-loads.
+Import the submodules by name.  The package itself loads nothing, so the CLI
+can pin BLAS thread pools before numpy loads.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_EXPORTS = {
-    "RunConfig": ".config",
-    "ConnectivityGraph": ".connectivity",
-    "connectivity": ".connectivity",
-    "Corpus": ".corpus",
-    "DependenceGraph": ".dependence",
-    "dependence_graph": ".dependence",
-    "EncoderConfig": ".encoder",
-    "EncoderState": ".encoder",
-    "ForwardTrace": ".encoder",
-    "backward": ".encoder",
-    "encode": ".encoder",
-    "Instruction": ".frontend",
-    "Operand": ".frontend",
-    "ParsedFunction": ".frontend",
-    "TokenSequence": ".frontend",
-    "Vocabulary": ".frontend",
-    "build_vocab": ".frontend",
-    "parse_listing": ".frontend",
-    "tokenize": ".frontend",
-    "MaskBundle": ".masks",
-    "build_bundle": ".masks",
-}
-
-__all__ = sorted(_EXPORTS) + ["__version__"]
-
-
-def __getattr__(name):
-    if name in _EXPORTS:
-        module = importlib.import_module(_EXPORTS[name], __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return __all__

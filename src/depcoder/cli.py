@@ -37,11 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="mask")
     p.add_argument("--cache-dir")
 
-    p = sub.add_parser("build-mask", parents=[common],
-                       help="emit sparse attention masks for a listing")
-    p.add_argument("listing")
-    p.add_argument("--out", required=True)
-
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--functions", type=int, default=200)
@@ -153,7 +148,6 @@ def main(argv=None) -> int:
 def _dispatch(args, cfg) -> int:
     handler = {
         "pipeline": cmd_pipeline,
-        "build-mask": cmd_build_mask,
         "synth": cmd_synth,
         "pretrain": cmd_pretrain,
         "embed": cmd_embed,
@@ -249,12 +243,6 @@ def cmd_pipeline(args, cfg) -> int:
         for key, suffix in outputs[:upto + 1]:
             _write_json(os.path.join(args.out, f"{fn.name}.{suffix}.json"), art[key])
     return 0
-
-
-def cmd_build_mask(args, cfg) -> int:
-    args.stage = "mask"
-    args.cache_dir = None
-    return cmd_pipeline(args, cfg)
 
 
 def cmd_synth(args, cfg) -> int:

@@ -26,13 +26,11 @@ class ConnectivityGraph:
     #: dense symmetric distance matrix; 0 means "not connected" (D >= 1 on edges)
     dist: np.ndarray
 
-    def edges(self) -> list[tuple[int, int, int]]:
-        """(u, v, distance) for every connected pair u < v, in row-major order."""
-        u, v = np.nonzero(np.triu(self.dist, 1))
-        return list(zip(u.tolist(), v.tolist(), self.dist[u, v].tolist()))
-
     def to_dict(self) -> dict:
-        return {"nodes": self.n_nodes, "edges": [[u, v, d] for u, v, d in self.edges()]}
+        """``edges`` holds [u, v, distance] for every connected pair u < v, in row-major order."""
+        u, v = np.nonzero(np.triu(self.dist, 1))
+        return {"nodes": self.n_nodes,
+                "edges": np.stack([u, v, self.dist[u, v]], axis=1).tolist()}
 
 
 def connectivity(dep: DependenceGraph) -> ConnectivityGraph:

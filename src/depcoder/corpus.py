@@ -73,7 +73,6 @@ def compute_artifacts(fn: ParsedFunction, vocab: Vocabulary,
 class Corpus:
     functions: list[FunctionArtifacts]
     vocab: Vocabulary
-    config: RunConfig
     by_name: dict[str, FunctionArtifacts] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -89,7 +88,7 @@ class Corpus:
         if vocab is None:
             vocab = build_vocab(parsed, min_freq=cfg.vocab_min_freq)
         arts = [compute_artifacts(fn, vocab, cfg) for fn in parsed]
-        return cls(functions=arts, vocab=vocab, config=cfg)
+        return cls(functions=arts, vocab=vocab)
 
     @classmethod
     def from_file(cls, path, cfg: RunConfig, vocab: Vocabulary | None = None) -> "Corpus":

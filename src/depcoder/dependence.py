@@ -8,6 +8,11 @@ over-approximate the memory an expression can touch:
     stack frame
   * any other memory expression -> the whole memory space
 
+A location is a ``(kind, key)`` named tuple whose key is the canonical
+register name or the slot's frame offset, and ``None`` for the flags, the
+whole frame and the whole memory.  Two memory regions may overlap unless they
+are two different stack slots; a register or the flags overlaps only itself.
+
 Reaching definitions are kept per location: a def of a register, the flags or
 a stack slot replaces the location's reaching set, a def of the whole frame or
 the whole memory adds to it, and a use depends on every def that reaches a
@@ -23,6 +28,7 @@ blocks to instructions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cfg import EXIT, JCC_MNEMONICS, Cfg, CfgError, build_cfg
 from .frontend import CANONICAL_REG, Instruction, Operand, ParsedFunction
@@ -39,18 +45,10 @@ class UnsupportedInstruction(DependenceError):
 # ---------------------------------------------------------------------------
 # Abstract locations
 
-@dataclass(frozen=True)
-class AbstractLocation:
+class AbstractLocation(NamedTuple):
     kind: str  # register | flags | stack_slot | stack_frame_all | memory_all
-    name: str | None = None  # canonical 64-bit register name
-    offset: int | None = None  # frame-relative byte offset for stack slots
-
-    def __repr__(self):
-        if self.kind == "register":
-            return f"reg({self.name})"
-        if self.kind == "stack_slot":
-            return f"slot({self.offset})"
-        return self.kind
+    #: canonical 64-bit register name, or frame-relative byte offset of a stack slot
+    key: str | int | None = None
 
 
 FLAGS = AbstractLocation("flags")
@@ -59,23 +57,19 @@ MEMORY_ALL = AbstractLocation("memory_all")
 
 
 def reg_loc(name: str) -> AbstractLocation:
-    return AbstractLocation("register", name=CANONICAL_REG[name])
+    return AbstractLocation("register", CANONICAL_REG[name])
 
 
 def slot_loc(offset: int) -> AbstractLocation:
-    return AbstractLocation("stack_slot", offset=offset)
+    return AbstractLocation("stack_slot", offset)
 
 
 def overlap(a: AbstractLocation, b: AbstractLocation) -> bool:
-    """May the two locations denote the same storage?"""
-    if a.kind == "register" or b.kind == "register":
-        return a == b
-    if a.kind == "flags" or b.kind == "flags":
-        return a == b
-    # both are memory regions
-    if a.kind == "stack_slot" and b.kind == "stack_slot":
-        return a.offset == b.offset
-    return True  # slot/frame/memory_all always may-overlap each other
+    """May the two locations denote the same storage?  Two memory regions may,
+    unless they are two different stack slots; anything else overlaps only itself."""
+    if _is_memory(a) and _is_memory(b):
+        return not (a.kind == b.kind == "stack_slot") or a.key == b.key
+    return a == b
 
 
 def _is_memory(loc: AbstractLocation) -> bool:

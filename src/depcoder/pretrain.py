@@ -224,7 +224,7 @@ class StepMetrics:
 
 def train_step(items: list[FunctionArtifacts], state: EncoderState, opt: AdamW,
                rng: np.random.Generator, mlm_rate: float = 0.15,
-               node_frac: float = 0.4, training: bool = True) -> StepMetrics:
+               node_frac: float = 0.4) -> StepMetrics:
     """One optimization step over a batch of functions.
 
     Reported losses are means (per masked token / per sampled edge); the total
@@ -235,7 +235,7 @@ def train_step(items: list[FunctionArtifacts], state: EncoderState, opt: AdamW,
         ids, pert = mlm_perturb(item.seq, state.config.vocab_size, rng, mlm_rate)
         sample = mdm_sample(item.con, item.seq.n_instructions, rng, node_frac)
         bundle = perturb_bundle(item.seq, item.con.dist, sample)
-        trace = encode(ids, bundle, state, rng=rng, training=training)
+        trace = encode(ids, bundle, state, rng=rng, training=True)
         prepared.append((item, pert, sample, trace))
 
     n_masked = sum(len(p) for _, p, _, _ in prepared)

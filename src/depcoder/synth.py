@@ -14,7 +14,7 @@ These variant pairs drive the zero-shot similarity evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,7 +269,6 @@ class SynthCorpus:
     triplets: list[dict]
     type_labels: list[dict]
     mlc_samples: list[dict]
-    permutations: dict[str, list[int]] = field(default_factory=dict)
 
 
 def build_corpus(n_functions: int, seed: int, pool_size: int = 10,
@@ -284,7 +283,6 @@ def build_corpus(n_functions: int, seed: int, pool_size: int = 10,
 
     all_lines: list[str] = []
     pairs: list[tuple[str, str, str]] = []
-    permutations: dict[str, list[int]] = {}
     for lines in base_lines:
         all_lines.extend(lines)
     if with_variants:
@@ -293,8 +291,7 @@ def build_corpus(n_functions: int, seed: int, pool_size: int = 10,
             kind = "reorder" if i % 2 == 0 else "rename"
             vname = f"{name}__v"
             if kind == "reorder":
-                variant, perm = reorder_variant(parsed[name], rng, vname)
-                permutations[vname] = perm
+                variant, _ = reorder_variant(parsed[name], rng, vname)
             else:
                 variant = rename_variant(parsed[name], rng, vname)
             all_lines.extend(render_function(variant))
@@ -354,4 +351,4 @@ def build_corpus(n_functions: int, seed: int, pool_size: int = 10,
 
     return SynthCorpus(listing=listing, pairs=pairs, eval_spec=eval_spec,
                        triplets=triplets, type_labels=type_labels,
-                       mlc_samples=mlc_samples, permutations=permutations)
+                       mlc_samples=mlc_samples)

@@ -1,7 +1,8 @@
 """Independent oracle implementations for the test suite.
 
 Each routine deliberately takes a different computational path from the
-library code it checks: path enumeration instead of a dataflow fixpoint,
+library code it checks: location rules written from the ``dependence``
+module docstring, path enumeration instead of a dataflow fixpoint,
 post-dominance by reachability instead of post-dominator sets, distances
 per ordered pair folded pair by pair instead of BFS rows folded as matrices,
 per-pair definition evaluation instead of matrix composition, explicit loops
@@ -15,8 +16,30 @@ from collections import deque
 import numpy as np
 
 from depcoder.cfg import EXIT, Cfg
-from depcoder.dependence import def_use, frame_offsets, _is_precise, overlap
+from depcoder.dependence import def_use, frame_offsets
 from depcoder.frontend import INST, TokenSequence
+
+
+# ---------------------------------------------------------------------------
+# Abstract locations, by the rules the dependence module documents
+
+MEMORY_KINDS = ("stack_slot", "stack_frame_all", "memory_all")
+
+
+def oracle_overlap(a, b) -> bool:
+    """Two memory regions may overlap unless they are two different stack
+    slots; a register or the flags overlaps only itself."""
+    if a.kind in MEMORY_KINDS and b.kind in MEMORY_KINDS:
+        if a.kind == "stack_slot" and b.kind == "stack_slot":
+            return a.key == b.key
+        return True
+    return (a.kind, a.key) == (b.kind, b.key)
+
+
+def oracle_strong_update(loc) -> bool:
+    """A def of the whole frame or the whole memory adds to the reaching
+    defs; a def of anything else replaces them."""
+    return loc.kind not in ("stack_frame_all", "memory_all")
 
 
 # ---------------------------------------------------------------------------
@@ -50,11 +73,11 @@ def path_enum_data_deps(instrs, cfg: Cfg, flags_channel=False, max_len=None):
         defs, uses = du[i]
         for use in uses:
             for (j, d) in live:
-                if j != i and overlap(use, d):
+                if j != i and oracle_overlap(use, d):
                     pairs.add((i, j))
         new_live = set(live)
         for d in defs:
-            if _is_precise(d):
+            if oracle_strong_update(d):
                 new_live = {(j, L) for (j, L) in new_live if L != d}
             new_live.add((i, d))
         for nxt in succ[i]:

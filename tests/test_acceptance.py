@@ -87,7 +87,7 @@ def test_criterion_02_closure_oracle():
     for _ in range(500):
         n, edges = random_digraph(rng, max_nodes=64)
         dep = DependenceGraph(n_nodes=n, edges={(u, v, "data") for u, v in edges})
-        got = {(u, v): d for u, v, d in connectivity(dep).edges()}
+        got = {(u, v): d for u, v, d in connectivity(dep).to_dict()["edges"]}
         if got != oracle_connectivity(n, edges):
             ok = False
             break

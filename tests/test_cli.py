@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import depcoder
 from depcoder.cli import _THREAD_VARS, main
 
 POINTER_CHAIN = """.func chain
@@ -158,9 +161,9 @@ class TestPipeline:
         assert main(["pipeline", str(tmp_path / "nope.asm"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_build_mask_emits_sparse_files(self, tmp_path, chain_listing):
+    def test_mask_stage_emits_sparse_files(self, tmp_path, chain_listing):
         out = tmp_path / "masks"
-        assert main(["build-mask", chain_listing, "--out", str(out)]) == 0
+        assert main(["pipeline", chain_listing, "--out", str(out)]) == 0
         with open(out / "chain.mask.json") as fh:
             sp = json.load(fh)
         assert set(sp) == {"n", "global", "local", "dependence", "r"}
@@ -205,6 +208,14 @@ class TestThreads:
 
     def test_non_positive_rejected(self, tmp_path):
         assert self.synth(tmp_path, {"threads": 0}) == (4, dict.fromkeys(_THREAD_VARS))
+
+    def test_package_and_cli_load_no_numpy(self):
+        # BLAS reads its thread count once, when numpy loads
+        src = os.path.dirname(os.path.dirname(os.path.abspath(depcoder.__file__)))
+        code = "import sys, depcoder, depcoder.cli; print('numpy' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert run.stdout == "False\n"
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ def graph(n, pairs):
 
 def test_chain_composes_distances():
     con = connectivity(graph(3, [(0, 1), (1, 2)]))
-    assert con.edges() == [(0, 1, 1), (0, 2, 2), (1, 2, 1)]
+    assert con.to_dict()["edges"] == [[0, 1, 1], [0, 2, 2], [1, 2, 1]]
 
 
 def test_worked_example_six_instructions():
@@ -31,7 +31,7 @@ def test_worked_example_six_instructions():
 
 
 def test_empty_edge_set():
-    assert connectivity(graph(4, [])).edges() == []
+    assert connectivity(graph(4, [])).to_dict()["edges"] == []
 
 
 def test_mixed_direction_takes_minimum():
@@ -47,7 +47,7 @@ def test_matches_bfs_oracle_on_random_digraphs():
         n, edges = random_digraph(rng, max_nodes=64)
         con = connectivity(graph(n, edges))
         want = oracle_connectivity(n, edges)
-        got = {(u, v): d for u, v, d in con.edges()}
+        got = {(u, v): d for u, v, d in con.to_dict()["edges"]}
         assert got == want, f"trial {trial}"
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from depcoder.dependence import (CALL_DEFS, CALL_USES, MEMORY_ALL,
 from depcoder.frontend import parse_listing
 
 from generators import random_cfg, random_loopfree_function
-from oracles import oracle_block_control_deps, path_enum_data_deps
+from oracles import oracle_block_control_deps, oracle_overlap, path_enum_data_deps
 
 
 def fn_of(body: str):
@@ -120,6 +122,12 @@ class TestOverlap:
         assert not overlap(reg_loc("rax"), MEMORY_ALL)
         assert not overlap(FLAGS, MEMORY_ALL)
 
+    def test_every_pair_matches_the_documented_rule(self):
+        locs = [reg_loc("rax"), reg_loc("rbx"), reg_loc("eax"), FLAGS, slot_loc(8),
+                slot_loc(16), STACK_FRAME_ALL, MEMORY_ALL]
+        for a, b in itertools.product(locs, repeat=2):
+            assert overlap(a, b) == overlap(b, a) == oracle_overlap(a, b), (a, b)
+
 
 class TestDataDependences:
     def test_store_load_pointer_chain(self):
@@ -143,6 +151,12 @@ class TestDataDependences:
         fn = fn_of("mov rax, 1\nmov rax, 2\nmov rbx, rax")
         edges = data_dependences(fn.instructions, build_cfg(fn))
         assert (2, 1) in edges and (2, 0) not in edges
+
+    def test_whole_frame_store_kills_nothing(self):
+        # rsp is untracked after the mov, so both stores write the whole frame
+        fn = fn_of("mov rsp, rbp\nmov [rsp + 8], rax\nmov [rsp + 16], rbx\nmov rcx, [rsp]")
+        edges = data_dependences(fn.instructions, build_cfg(fn))
+        assert edges == {(3, 1), (3, 2)}
 
     def test_loop_carried_dependence_without_self_loop(self):
         fn = fn_of("mov rax, 0\n.loop:\nadd rax, rbx\nmov rcx, rax\n"

@@ -91,7 +91,7 @@ def test_closure_matches_bfs_per_pair(seed, n, out_degree):
     assert np.array_equal(con.dist, con.dist.T)
     assert not np.diagonal(con.dist).any()
     want = oracle_connectivity(n, {(u, v) for u, v, _ in edges})
-    assert {(u, v): d for u, v, d in con.edges()} == want
+    assert {(u, v): d for u, v, d in con.to_dict()["edges"]} == want
 
 
 @SETTINGS
