@@ -11,16 +11,22 @@ between the ``<INST>`` tokens of connected instructions and an additive
     head_i = softmax((Q_i K_i^T + B_i) / sqrt(d_k) + M) V_i
     B_i[u, v] = beta_i[min(R[u, v], r_max)]   where R[u, v] > 0, else 0
 
-B is never built: ``beta`` is looked up and added only at the nonzero
-entries of R (the connected ``<INST>`` pairs), and the reverse pass scatters
-their logit gradients back into ``beta`` in one ``np.add.at``.
+Neither M nor B is built.  ``encode`` turns the bundle into its
+``AttentionPairs``, the P entries where M is 0, and each layer gathers
+Q_i K_i^T at those pairs into a (heads, P) array.  ``beta`` is added at the
+pairs where R > 0, and the softmax runs per row segment of the pair list,
+so a disabled entry gets exactly zero weight.  Dropout draws one value per
+head and pair.  The two products, Q K^T and weights times V, stay dense
+BLAS matmuls: the weights are scattered into a zero (heads, N, N) array
+for the second.  The reverse pass gathers and scatters the same way and
+adds the logit gradients at the biased pairs into ``beta`` in one
+``np.add.at``.
 
-A float32 model computes in float32 throughout: the mask is float32, so
-adding it casts nothing.  The projections are batched matmuls on the
-(heads, d, dk) weights, and the softmax and its reverse run in place on
-arrays the step has just made, never on the trace.  Everything runs on numpy
-with an explicit reverse pass so gradients can be checked against central
-finite differences in 64-bit mode.
+A float32 model computes in float32 throughout.  The projections are
+batched matmuls on the (heads, d, dk) weights, and the softmax and its
+reverse run in place on arrays the step has just made, never on the trace.
+Everything runs on numpy with an explicit reverse pass so gradients can be
+checked against central finite differences in 64-bit mode.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import ModelShape
-from .masks import MaskBundle
+from .masks import AttentionPairs, MaskBundle
 
 CHECKPOINT_VERSION = 1
 
@@ -159,8 +165,8 @@ class _LayerCache:
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    probs: np.ndarray       # post-softmax, pre-dropout (heads, N, N)
-    attn_drop: np.ndarray | None
+    probs: np.ndarray       # post-softmax, pre-dropout (heads, P), in pair order
+    attn_drop: np.ndarray | None  # (heads, P)
     z_cat: np.ndarray
     xhat1: np.ndarray
     inv_std1: np.ndarray
@@ -175,11 +181,11 @@ class _LayerCache:
 @dataclass
 class ForwardTrace:
     token_ids: np.ndarray
-    bundle: MaskBundle
+    pairs: AttentionPairs
     #: hidden states after the last layer
     final: np.ndarray
     #: per-layer reverse-pass cache; ``caches[l].h_in`` is H^(l) and
-    #: ``caches[l].probs`` the layer's attention weights
+    #: ``caches[l].probs`` the layer's attention weights at ``pairs``
     caches: list[_LayerCache] = field(repr=False)
 
     @property
@@ -212,10 +218,10 @@ def _layer_norm_backward(dy, xhat, inv_std, g):
     return dx, dg, db
 
 
-def rma_attention(h: np.ndarray, bundle: MaskBundle, layer: int, state: EncoderState,
+def rma_attention(h: np.ndarray, pairs: AttentionPairs, layer: int, state: EncoderState,
                   rng: np.random.Generator | None = None, training: bool = False):
-    """One regularized multi-head attention application; returns the output
-    and the cache needed for the reverse pass."""
+    """One regularized multi-head attention application over the enabled
+    ``pairs``; returns the output and the cache needed for the reverse pass."""
     cfg = state.config
     p = state.params
     dk = cfg.head_dim
@@ -223,17 +229,14 @@ def rma_attention(h: np.ndarray, bundle: MaskBundle, layer: int, state: EncoderS
     q = h @ p[f"l{layer}.wq"]  # (heads, N, dk)
     k = h @ p[f"l{layer}.wk"]
     v = h @ p[f"l{layer}.wv"]
+    scores = pairs.gather(q @ k.transpose(0, 2, 1))  # (heads, P)
     # the distance bias applies only between connected <INST> tokens (R > 0)
-    i, j = np.nonzero(bundle.R)
-    r = np.minimum(bundle.R[i, j], cfg.r_max)
-    scores = q @ k.transpose(0, 2, 1)
-    scores[:, i, j] += p["beta"][:, r]
+    scores[:, pairs.biased] += p["beta"][:, np.minimum(pairs.r, cfg.r_max)]
     scores /= math.sqrt(dk)  # a Python float keeps float32 scores float32
-    scores += bundle.M
-    # softmax in place: ``scores`` is a fresh array and becomes ``probs``
-    scores -= scores.max(axis=-1, keepdims=True)
+    # row-segment softmax in place: ``scores`` is fresh and becomes ``probs``
+    scores -= pairs.row_max(scores)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= pairs.row_sum(scores)
     probs = scores
 
     attn_drop = None
@@ -245,18 +248,18 @@ def rma_attention(h: np.ndarray, bundle: MaskBundle, layer: int, state: EncoderS
         attn_drop = (rng.random(probs.shape) < keep).astype(cfg.np_dtype) / keep
         used = probs * attn_drop
 
-    z = used @ v  # (heads, N, dk)
+    z = pairs.scatter(used) @ v  # (heads, N, dk)
     z_cat = z.transpose(1, 0, 2).reshape(h.shape[0], cfg.hidden)
     out = z_cat @ p[f"l{layer}.wo"]
     return out, (q, k, v, probs, attn_drop, z_cat)
 
 
-def transformer_block(h: np.ndarray, bundle: MaskBundle, layer: int, state: EncoderState,
+def transformer_block(h: np.ndarray, pairs: AttentionPairs, layer: int, state: EncoderState,
                       rng: np.random.Generator | None = None, training: bool = False):
     cfg = state.config
     p = state.params
     attn_out, (q, k, v, probs, attn_drop, z_cat) = rma_attention(
-        h, bundle, layer, state, rng, training)
+        h, pairs, layer, state, rng, training)
     z1, xhat1, inv_std1 = _layer_norm(attn_out + h, p[f"l{layer}.ln1_g"], p[f"l{layer}.ln1_b"])
     ffn_pre = z1 @ p[f"l{layer}.w1"] + p[f"l{layer}.b1"]
     ffn_act = _gelu(ffn_pre)
@@ -279,26 +282,28 @@ def encode(token_ids, bundle: MaskBundle, state: EncoderState,
     """Run the full encoder; the trace keeps what the reverse pass needs."""
     ids = np.asarray(token_ids, dtype=np.int64)
     h = embed_inputs(ids, state).astype(state.config.np_dtype)
+    pairs = AttentionPairs(bundle)
     caches = []
     for layer in range(state.config.layers):
-        h, cache = transformer_block(h, bundle, layer, state, rng, training)
+        h, cache = transformer_block(h, pairs, layer, state, rng, training)
         if not np.all(np.isfinite(h)):
             raise NumericsError(f"non-finite activations after layer {layer}")
         caches.append(cache)
-    return ForwardTrace(token_ids=ids, bundle=bundle, final=h, caches=caches)
+    return ForwardTrace(token_ids=ids, pairs=pairs, final=h, caches=caches)
 
 
 def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
              grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Reverse-mode gradients of every encoder parameter given the gradient of
     the loss w.r.t. the final hidden states.  Head parameters (mlm/type) are
-    left for the loss functions that own them."""
+    left for the loss functions that own them, and the optimizer checks that
+    the gradients are finite."""
     cfg = state.config
     p = state.params
     if grads is None:
         grads = state.zero_grads()
-    i, j = np.nonzero(trace.bundle.R)
-    r = np.minimum(trace.bundle.R[i, j], cfg.r_max)
+    pairs = trace.pairs
+    r = np.minimum(pairs.r, cfg.r_max)
     dk = cfg.head_dim
     dh_out = d_final.astype(cfg.np_dtype)
 
@@ -328,16 +333,17 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
         dz = dz_cat.reshape(n, cfg.heads, dk).transpose(1, 0, 2)  # (heads, N, dk)
 
         used = c.probs if c.attn_drop is None else c.probs * c.attn_drop
-        dv = used.transpose(0, 2, 1) @ dz
+        dv = pairs.scatter(used).transpose(0, 2, 1) @ dz
         # softmax reverse in place on the fresh ``dprobs``; the cache is read only
-        dprobs = dz @ c.v.transpose(0, 2, 1)
+        dprobs = pairs.gather(dz @ c.v.transpose(0, 2, 1))  # (heads, P)
         if c.attn_drop is not None:
             dprobs *= c.attn_drop
-        dprobs -= (dprobs * c.probs).sum(axis=-1, keepdims=True)
+        dprobs -= pairs.row_sum(dprobs * c.probs)
         dprobs *= c.probs
         dprobs /= math.sqrt(dk)
-        draw = dprobs  # grad w.r.t. (QK^T + B)
-        np.add.at(grads["beta"], (np.arange(cfg.heads)[:, None], r), draw[:, i, j])
+        # grad w.r.t. (QK^T + B) at the pairs
+        np.add.at(grads["beta"], (np.arange(cfg.heads)[:, None], r), dprobs[:, pairs.biased])
+        draw = pairs.scatter(dprobs)
         dq = draw @ c.k
         dkk = draw.transpose(0, 2, 1) @ c.q
         for name, dproj in (("wq", dq), ("wk", dkk), ("wv", dv)):
@@ -347,10 +353,6 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
 
     np.add.at(grads["tok_emb"], trace.token_ids, dh_out)
     grads["pos_emb"][:len(trace.token_ids)] += dh_out
-
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite gradient for parameter {name!r}")
     return grads
 
 

@@ -5,11 +5,14 @@ through ``[CLS]``, a local part confining attention to tokens of the same
 instruction, and a dependence part enabling bidirectional attention between
 the ``<INST>`` delimiters of connected instructions.  The dependence part is
 exactly ``R > 0``, so the distance matrix ``R`` is its only source.
-"Disabled" entries of the additive mask ``M`` hold ``MASK_NEG``, added to the
-attention logits before softmax.  ``M`` is float32: 0 and ``MASK_NEG`` are
-exact in it, so a float32 model adds it without a cast and a float64 model
-widens it exactly.  ``build_bundle`` is the only code that
-builds a bundle; callers build one from the distances where they use it.
+"Disabled" entries of the float32 mask ``M`` hold ``MASK_NEG`` and enabled
+ones 0.  ``build_bundle`` is the only code that builds a bundle; callers
+build one from the distances where they use it.
+
+The encoder does not add ``M`` to its logits.  It reads the bundle as
+``AttentionPairs``: the enabled entries in row-major order, each row's
+segment of them, and ``R`` at them, so the softmax, the distance bias and
+dropout run on those entries only.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .frontend import TokenSequence
 
-#: additive stand-in for -inf; post-softmax weight at such entries is < 1e-12
+#: the mask's stand-in for -inf at disabled entries
 MASK_NEG = -1.0e9
 
 
@@ -39,7 +42,7 @@ def local_enabled(seq: TokenSequence) -> np.ndarray:
 
 @dataclass
 class MaskBundle:
-    #: additive float32 attention mask, entries in {0, MASK_NEG}
+    #: float32 attention mask, entries in {0, MASK_NEG}
     M: np.ndarray
     #: relative distance matrix; > 0 only between <INST> tokens of distinct
     #: connected instructions
@@ -80,3 +83,49 @@ def sparse_masks(seq: TokenSequence, bundle: MaskBundle) -> dict:
         "dependence": pairs(bundle.R > 0),
         "r": np.stack([ru, rv, bundle.R[ru, rv]], axis=1).tolist(),
     }
+
+
+class AttentionPairs:
+    """The enabled entries of a bundle's mask as a row-major pair list.
+
+    ``flat`` holds their flat indices ``i * n + j``, row ``i``'s pairs are
+    ``flat[starts[i]:starts[i] + counts[i]]``, and ``biased`` / ``r`` are the
+    positions in the list where ``R > 0`` and ``R`` there.  Every row needs
+    an enabled entry (the global part gives every real row one): a segment
+    reduction over an empty row would read its neighbour's first entry.
+    """
+
+    def __init__(self, bundle: MaskBundle):
+        self.n = n = bundle.n
+        self.flat = np.flatnonzero(bundle.M == 0)
+        self.counts = np.bincount(self.flat // n, minlength=n)
+        if not self.counts.all():
+            rows = np.flatnonzero(self.counts == 0).tolist()
+            raise ValueError(f"attention rows {rows} have no enabled entry")
+        self.starts = np.cumsum(self.counts) - self.counts
+        r = np.take(bundle.R, self.flat)
+        self.biased = np.flatnonzero(r)
+        self.r = r[self.biased]
+
+    def __len__(self) -> int:
+        return len(self.flat)
+
+    def gather(self, dense: np.ndarray) -> np.ndarray:
+        """(heads, n, n) -> (heads, P): the entries at the pairs."""
+        return np.take(dense.reshape(len(dense), -1), self.flat, axis=1)
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """(heads, P) -> (heads, n, n), zero off the pairs."""
+        out = np.zeros((len(values), self.n * self.n), dtype=values.dtype)
+        out[:, self.flat] = values
+        return out.reshape(len(values), self.n, self.n)
+
+    def row_max(self, values: np.ndarray) -> np.ndarray:
+        """(heads, P) -> (heads, P): each pair's row maximum."""
+        return np.repeat(np.maximum.reduceat(values, self.starts, axis=1),
+                         self.counts, axis=1)
+
+    def row_sum(self, values: np.ndarray) -> np.ndarray:
+        """(heads, P) -> (heads, P): each pair's row sum."""
+        return np.repeat(np.add.reduceat(values, self.starts, axis=1),
+                         self.counts, axis=1)

@@ -187,6 +187,11 @@ class AdamW:
         return self.lr * max(0.0, frac)
 
     def apply(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> float:
+        """One update from the step's summed gradients.  A non-finite gradient
+        raises ``NumericsError`` before any parameter or moment changes."""
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise NumericsError(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
         lr = self.schedule(self.step_count)
         if self.clip_norm > 0:

@@ -3,7 +3,10 @@
 Loop-free programs keep every block reachable (branches are built from
 structured if-then / if-then-else patterns), so exhaustive path enumeration
 from the entry covers the whole function.  Looping programs jump forward and
-backward to random labels, so they also hold unreachable blocks.  Random CFGs
+backward to random labels, so they also hold unreachable blocks.  Both kinds
+often write ``mov rsp, rbp`` and then store to and load from the stack: with
+rsp untracked those accesses touch the whole frame, whose stores must not
+kill earlier ones, so a load after two of them depends on both.  Random CFGs
 are fabricated directly as block graphs, cycles allowed.  Random dependence
 edges draw their pairs uniformly, so cycles and self-loops occur.
 """
@@ -39,6 +42,12 @@ def _simple_instr(rng: np.random.Generator) -> str:
     return choices[int(rng.integers(len(choices)))]
 
 
+def _frame_access(rng: np.random.Generator) -> str:
+    r = _REGS[int(rng.integers(len(_REGS)))]
+    slot = int(rng.integers(4)) * 8
+    return f"mov [rsp + {slot}], {r}" if rng.random() < 0.5 else f"mov {r}, [rsp + {slot}]"
+
+
 def random_loopfree_program(rng: np.random.Generator, max_instr: int = 10) -> str:
     """Listing text for one random loop-free function (every block reachable).
 
@@ -47,6 +56,11 @@ def random_loopfree_program(rng: np.random.Generator, max_instr: int = 10) -> st
     """
     n_body = int(rng.integers(2, max(3, max_instr - 3)))
     body = [_simple_instr(rng) for _ in range(n_body)]
+    if rng.random() < 0.4:
+        # untrack rsp, then mostly whole-frame stores and loads
+        at = int(rng.integers(n_body - 1))
+        body[at:] = ["mov rsp, rbp"] + [_frame_access(rng) if rng.random() < 0.6 else instr
+                                        for instr in body[at + 1:]]
     label_id = 0
     shape = rng.random()
     if shape > 0.45 and len(body) >= 2 and n_body + 2 <= max_instr:
@@ -86,6 +100,7 @@ def random_looping_program(rng: np.random.Generator, max_instr: int = 9) -> str:
     label_at = [int(rng.integers(n + 1)) for _ in range(n_labels)]
     r = lambda: _REGS[int(rng.integers(len(_REGS)))]
     lines = []
+    untracked = False
     for i in range(n + 1):
         lines.extend(f".L{k}:" for k, at in enumerate(label_at) if at == i)
         if i == n:
@@ -101,6 +116,11 @@ def random_looping_program(rng: np.random.Generator, max_instr: int = 9) -> str:
         elif u < 0.5:
             lines.append(("call g", f"pop {r()}", "sub rsp, 16", "add rsp, 8",
                           "mov rsp, rbp", "ret")[int(rng.integers(6))])
+        elif u < 0.6 and not untracked:
+            lines.append("mov rsp, rbp")
+            untracked = True
+        elif u < 0.8 and untracked:
+            lines.append(_frame_access(rng))
         else:
             lines.append(_simple_instr(rng))
     return ".func f\n" + "\n".join(lines) + "\n"

@@ -138,6 +138,7 @@ def test_criterion_04_masking_invariant():
     worst_weight = 0.0
     worst_rowsum = 0.0
     ok_clamp = True
+    ok_pairs = True
     from depcoder.synth import generate_function
     for seed in range(10):
         listing = "\n".join(generate_function(f"a{seed}", rng)) + "\n"
@@ -149,11 +150,14 @@ def test_criterion_04_masking_invariant():
         state.params["beta"][:] = rng.standard_normal(state.params["beta"].shape)
         trace = encode(art.seq.tokens, art.bundle, state)
         masked = art.bundle.M < -1e8
+        pair_ij = np.stack(np.divmod(trace.pairs.flat, len(art.seq)), axis=1)
+        ok_pairs = ok_pairs and np.array_equal(pair_ij, np.argwhere(art.bundle.M == 0))
         for c in trace.caches:
+            probs = trace.pairs.scatter(c.probs)
             if masked.any():
-                worst_weight = max(worst_weight, float(c.probs[:, masked].max()))
+                worst_weight = max(worst_weight, float(probs[:, masked].max()))
             worst_rowsum = max(worst_rowsum,
-                               float(np.abs(c.probs.sum(axis=-1) - 1.0).max()))
+                               float(np.abs(probs.sum(axis=-1) - 1.0).max()))
         big = art.bundle
         big.R[big.R > 0] += ec.r_max + 3
         sat = art.bundle
@@ -161,11 +165,12 @@ def test_criterion_04_masking_invariant():
         if not np.array_equal(encode(art.seq.tokens, big, state).final,
                               encode(art.seq.tokens, sat, state).final):
             ok_clamp = False
-    ok = worst_weight < 1e-12 and worst_rowsum < 1e-6 and ok_clamp
+    ok = worst_weight < 1e-12 and worst_rowsum < 1e-6 and ok_clamp and ok_pairs
     record("4", ok,
            f"max masked weight {worst_weight:.2e} (< 1e-12); max row-sum error "
            f"{worst_rowsum:.2e} (< 1e-6); clamp saturation "
-           f"{'bitwise equal' if ok_clamp else 'DIFFERS'}")
+           f"{'bitwise equal' if ok_clamp else 'DIFFERS'}; pair list "
+           f"{'is' if ok_pairs else 'is NOT'} argwhere(M == 0)")
 
 
 # ---------------------------------------------------------------------------

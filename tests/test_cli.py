@@ -245,8 +245,10 @@ class TestTrainingCommands:
         assert lines[0] == "step,mlm_loss,mdm_loss,total,lr"
         assert len(lines) == 13
         first = lines[1].split(",")
+        # each value is rounded to 6 decimals on its own, so the three
+        # rounding errors of up to 0.5e-6 add up to at most 1.5e-6
         assert float(first[3]) == pytest.approx(float(first[1]) + float(first[2]),
-                                                abs=1e-6)
+                                                abs=1.5e-6)
 
     def test_embed_and_eval_sim(self, trained, capsys):
         data, run = trained["data"], trained["run"]
@@ -317,6 +319,24 @@ class TestTrainingCommands:
         with np.errstate(all="ignore"):
             code = main(["pretrain", "--config", cfg_path])
         assert code == 3
+
+    def test_nonfinite_gradient_exit_code(self, trained, tmp_path, capsys, monkeypatch):
+        from depcoder import pretrain
+
+        original = pretrain.backward
+
+        def poisoned(trace, d_final, state, grads):
+            out = original(trace, d_final, state, grads)
+            out["beta"][0, 1] = float("nan")
+            return out
+
+        monkeypatch.setattr(pretrain, "backward", poisoned)
+        cfg = dict(json.loads(open(trained["cfg"]).read()))
+        cfg.update({"steps": 2, "out_dir": str(tmp_path / "nan")})
+        assert main(["pretrain", "--config", write(tmp_path / "nan.json",
+                                                   json.dumps(cfg))]) == 3
+        assert "non-finite gradient for parameter 'beta'" in capsys.readouterr().err
+        assert not (tmp_path / "nan" / "model.ckpt").exists()
 
 
 class TestGradcheckCommand:

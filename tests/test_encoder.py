@@ -8,7 +8,7 @@ from depcoder.config import RunConfig
 from depcoder.corpus import Corpus
 from depcoder.encoder import (EncoderConfig, EncoderState, NumericsError,
                               backward, embed_inputs, encode, rma_attention)
-from depcoder.masks import MaskBundle, build_bundle
+from depcoder.masks import MASK_NEG, AttentionPairs, MaskBundle, build_bundle
 from depcoder.synth import generate_function, reorder_variant
 
 LISTING = """\
@@ -74,10 +74,11 @@ class TestAttention:
         n = len(art.seq)
         m = np.full((n, n), -1e9)
         np.fill_diagonal(m, 0.0)
-        bundle = MaskBundle(M=m, R=np.zeros((n, n), dtype=np.int32))
+        pairs = AttentionPairs(MaskBundle(M=m, R=np.zeros((n, n), dtype=np.int32)))
         h = np.asarray(np.random.default_rng(0).standard_normal((n, 16)))
-        _, (q, k, v, probs, _, z_cat) = rma_attention(h, bundle, 0, state)
-        assert np.allclose(probs, np.eye(n)[None, :, :])
+        _, (q, k, v, probs, _, z_cat) = rma_attention(h, pairs, 0, state)
+        assert probs.shape == (state.config.heads, n)
+        assert np.allclose(pairs.scatter(probs), np.eye(n)[None, :, :])
         dk = state.config.head_dim
         for head in range(state.config.heads):
             assert np.allclose(z_cat[:, head * dk:(head + 1) * dk], v[head])
@@ -110,9 +111,12 @@ class TestAttention:
             state.params["beta"][:] = 0.1 * seed
             trace = encode(art.seq.tokens, art.bundle, state)
             masked = art.bundle.M < -1e8
+            pair_ij = np.stack(np.divmod(trace.pairs.flat, len(art.seq)), axis=1)
+            assert np.array_equal(pair_ij, np.argwhere(art.bundle.M == 0))
             for c in trace.caches:
-                assert c.probs[:, masked].max() < 1e-12
-                assert np.allclose(c.probs.sum(axis=-1), 1.0, atol=1e-6)
+                probs = trace.pairs.scatter(c.probs)
+                assert probs[:, masked].max() < 1e-12
+                assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_float32_mask_gives_the_float64_mask_result(self, corpus, art, dtype):
@@ -122,11 +126,28 @@ class TestAttention:
         state = make_state(corpus, dtype=dtype)
         state.params["beta"][:] = 0.3
         h = np.random.default_rng(0).standard_normal((len(art.seq), 16)).astype(dtype)
-        out, (*_, probs, _, _) = rma_attention(h, bundle, 0, state)
-        out_wide, (*_, probs_wide, _, _) = rma_attention(h, wide, 0, state)
+        out, (*_, probs, _, _) = rma_attention(h, AttentionPairs(bundle), 0, state)
+        out_wide, (*_, probs_wide, _, _) = rma_attention(h, AttentionPairs(wide), 0, state)
         assert out.dtype == np.dtype(dtype)
         assert np.array_equal(out, out_wide)
         assert np.array_equal(probs, probs_wide)
+
+    def test_pairs_reject_a_row_with_no_enabled_entry(self, art):
+        bundle = art.bundle
+        bundle.M[2, :] = MASK_NEG
+        with pytest.raises(ValueError, match=r"rows \[2\]"):
+            AttentionPairs(bundle)
+
+    def test_pairs_hold_the_distances_at_the_enabled_entries(self, art):
+        bundle = art.bundle
+        pairs = AttentionPairs(bundle)
+        r = bundle.R.ravel()[pairs.flat]
+        assert np.array_equal(pairs.biased, np.flatnonzero(r))
+        assert np.array_equal(pairs.r, r[r > 0])
+        assert np.array_equal(np.sort(pairs.r), np.sort(bundle.R[bundle.R > 0]))
+        assert np.array_equal(pairs.counts, (bundle.M == 0).sum(axis=1))
+        assert np.array_equal(pairs.flat[pairs.starts], np.arange(bundle.n) * bundle.n
+                              + np.argmax(bundle.M == 0, axis=1))
 
     def test_bias_locality(self, corpus, art):
         state = make_state(corpus)
@@ -162,7 +183,25 @@ class TestBlockAndEncode:
         assert len(trace.caches) == 3
         assert np.array_equal(trace.caches[0].h_in,
                               embed_inputs(np.array(art.seq.tokens), state))
-        assert all(c.probs.shape == (2, len(art.seq), len(art.seq)) for c in trace.caches)
+        assert all(c.probs.shape == (2, len(trace.pairs)) for c in trace.caches)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_no_cache_field_is_dense_in_the_sequence(self, corpus, art, dropout):
+        # dk = 8 and N = 41, so only an (heads, N, N) array has a trailing (N, N)
+        cfg = EncoderConfig(layers=2, heads=2, hidden=16, ffn=32,
+                            vocab_size=len(corpus.vocab), max_len=128,
+                            dropout=dropout, dtype="float64")
+        state = EncoderState.init(cfg, 0)
+        trace = encode(art.seq.tokens, art.bundle, state,
+                       rng=np.random.default_rng(0), training=True)
+        n = len(art.seq)
+        assert len(trace.pairs) < n * n
+        for c in trace.caches:
+            for f in dataclasses.fields(c):
+                value = getattr(c, f.name)
+                assert value is None or value.shape[-2:] != (n, n), f.name
+            assert c.probs.shape == (2, len(trace.pairs))
+            assert c.attn_drop is None or c.attn_drop.shape == c.probs.shape
 
     def test_reordered_program_same_cls_without_positions(self):
         rng = np.random.default_rng(8)

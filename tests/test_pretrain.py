@@ -4,7 +4,7 @@ import pytest
 from depcoder.config import RunConfig
 from depcoder.connectivity import ConnectivityGraph
 from depcoder.corpus import Corpus
-from depcoder.encoder import EncoderConfig, EncoderState, ForwardTrace, encode
+from depcoder.encoder import EncoderConfig, EncoderState, ForwardTrace, NumericsError, encode
 from depcoder.frontend import (CLS_ID, FIRST_REGULAR_ID, INST_ID, MASK_ID,
                                TokenSequence)
 from depcoder.pretrain import (AdamW, EdgeSample, edge_probabilities,
@@ -186,7 +186,7 @@ class TestPerturbBundle:
 
 
 def fake_trace(final):
-    return ForwardTrace(token_ids=np.zeros(len(final), dtype=int), bundle=None,
+    return ForwardTrace(token_ids=np.zeros(len(final), dtype=int), pairs=None,
                         final=np.asarray(final), caches=[])
 
 
@@ -295,10 +295,14 @@ class TestTrainStep:
         sample = EdgeSample(nodes=[t], positives=[(t, s)], negatives=[])
         perturbed = perturb_bundle(art.seq, art.con.dist, sample)
         trace = encode(art.seq.tokens, perturbed, state)
+        pair_ij = np.stack(np.divmod(trace.pairs.flat, len(art.seq)), axis=1)
+        assert np.array_equal(pair_ij, np.argwhere(perturbed.M == 0))
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
         for c in trace.caches:
-            assert c.probs[:, pt, ps].max() < 1e-12
-            assert c.probs[:, ps, pt].max() < 1e-12
+            probs = trace.pairs.scatter(c.probs)
+            assert probs[:, pt, ps].max() < 1e-12
+            assert probs[:, ps, pt].max() < 1e-12
+            assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
 
 class TestSchedule:
@@ -316,3 +320,21 @@ class TestSchedule:
         big = {"w": np.full(4, 100.0)}
         opt.apply(params, big)
         assert np.isfinite(params["w"]).all()
+
+
+class TestAdamW:
+    def test_nonfinite_gradient_raises_before_any_update(self):
+        params = {"a": np.ones(3), "b": np.ones((2, 2))}
+        opt = AdamW(lr=0.1, warmup_steps=0, total_steps=10)
+        opt.apply(params, {"a": np.full(3, 0.5), "b": np.full((2, 2), 0.5)})
+        before = {k: v.copy() for k, v in params.items()}
+        m, v = ({k: a.copy() for k, a in d.items()} for d in (opt.m, opt.v))
+        for bad in (np.nan, np.inf):
+            grads = {"a": np.full(3, 0.5), "b": np.array([[0.5, 0.5], [bad, 0.5]])}
+            with pytest.raises(NumericsError, match="parameter 'b'"):
+                opt.apply(params, grads)
+            assert opt.step_count == 1
+            for name in params:
+                assert np.array_equal(params[name], before[name])
+                assert np.array_equal(opt.m[name], m[name])
+                assert np.array_equal(opt.v[name], v[name])

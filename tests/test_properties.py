@@ -17,8 +17,9 @@ token budget that often truncates it, so the kept-instruction gather in
 
 The attention examples take such a bundle, raise some of its distances above
 ``r_max`` so that many pairs share the clamped bucket, and compare
-``rma_attention`` with a dense per-head evaluation of the formula and the
-bucket's ``beta`` gradient with central differences, in float64.
+``rma_attention`` over the bundle's pair list with a dense per-head
+evaluation of the formula and the bucket's ``beta`` gradient with central
+differences, in float64.
 """
 
 import numpy as np
@@ -32,7 +33,8 @@ from depcoder.corpus import Corpus
 from depcoder.dependence import DependenceGraph, block_control_dependences, data_dependences
 from depcoder.encoder import EncoderConfig, EncoderState, backward, encode, rma_attention
 from depcoder.frontend import parse_listing
-from depcoder.masks import build_bundle, global_enabled, local_enabled, sparse_masks
+from depcoder.masks import (AttentionPairs, build_bundle, global_enabled, local_enabled,
+                            sparse_masks)
 from depcoder.pretrain import mdm_sample, perturb_bundle
 from depcoder.synth import generate_function
 
@@ -148,9 +150,10 @@ def attention_setup(seed: int, max_len: int, model_seed: int, layers: int = 1):
 def test_attention_matches_the_dense_formula(seed, max_len, model_seed):
     art, state, bundle, rng = attention_setup(seed, max_len, model_seed)
     h = rng.standard_normal((len(art.seq), state.config.hidden))
-    out, (_, _, _, probs, _, _) = rma_attention(h, bundle, 0, state)
+    pairs = AttentionPairs(bundle)
+    out, (_, _, _, probs, _, _) = rma_attention(h, pairs, 0, state)
     want_out, want_probs = dense_attention(h, bundle, 0, state)
-    np.testing.assert_allclose(probs, want_probs, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(pairs.scatter(probs), want_probs, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(out, want_out, rtol=1e-10, atol=1e-10)
 
 
