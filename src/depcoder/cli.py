@@ -173,12 +173,13 @@ def _write_text(path, text: str) -> None:
 
 
 def _write_json(path, payload) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    from .corpus import dumps
+    _write_text(path, dumps(payload) + "\n")
 
 
 def _write_jsonl(path, rows) -> None:
-    _write_text(path, "".join(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
-                              for row in rows))
+    from .corpus import dumps
+    _write_text(path, "".join(dumps(row) + "\n" for row in rows))
 
 
 def _read_jsonl(path) -> list:
@@ -241,7 +242,7 @@ def cmd_pipeline(args, cfg) -> int:
     for fn in functions:
         art = cached_artifact_dict(fn, vocab, cfg, args.cache_dir)
         for key, suffix in outputs[:upto + 1]:
-            _write_json(os.path.join(args.out, f"{fn.name}.{suffix}.json"), art[key])
+            _write_text(os.path.join(args.out, f"{fn.name}.{suffix}.json"), art.texts[key] + "\n")
     return 0
 
 

@@ -11,7 +11,11 @@ sparse mask view.  It is keyed (``sha``) by the hash of the function's text,
 the analysis settings that shape those artifacts (``max_len``, ``flags_dep``,
 ``on_unknown``) and the entry format, so a stale entry is recomputed, never
 silently reused; so is an entry that cannot be read or parsed, or that is not
-an object.  Token ids are looked up from the surface on every call.
+an object.  Token ids are looked up from the surface on every call.  A
+computed section is JSON-encoded once: the entry is assembled from the
+section texts that the command also writes to its output files.
+``ANALYSIS_DIGEST`` pins the analysis output of a fixed listing, so an
+analysis change that does not bump ``CACHE_FORMAT`` fails a test.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ from .masks import MaskBundle, build_bundle, sparse_masks
 
 #: layout version of a cache entry; part of every entry's key
 CACHE_FORMAT = 2
+#: sha256 of the ``pipeline --stage mask`` output of ``synth --functions 8
+#: --seed 0`` without and with ``--flags-dep``; moving it means bumping
+#: ``CACHE_FORMAT``
+ANALYSIS_DIGEST = "e9eecd0d9535c9182b4e786e88e53c354d037c4a18bc8e59dab88f41b2754fe9"
 
 
 def function_text(fn: ParsedFunction) -> str:
@@ -99,12 +107,27 @@ class Corpus:
 # ---------------------------------------------------------------------------
 # On-disk artifact cache (used by the pipeline command)
 
+def dumps(obj) -> str:
+    """Compact JSON with sorted keys, the form of every artifact file and
+    cache entry."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+class ArtifactDict(dict):
+    """A function's artifacts; ``texts`` maps each section to its ``dumps``
+    text, the token ids included."""
+
+    texts: dict[str, str]
+
+
 def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
-                         cache_dir: str | None = None) -> dict:
+                         cache_dir: str | None = None) -> ArtifactDict:
     """Artifacts of one function as a JSON-ready dict, going through the cache
     when one is configured; an entry that is unreadable, not a JSON object or
     keyed differently is recomputed and overwritten.  The token
-    ids are looked up in ``vocab`` on every call, cached or not."""
+    ids are looked up in ``vocab`` on every call, cached or not.  Each section
+    is encoded once; a computed entry is assembled from those texts, and the
+    caller writes them out."""
     out = cache_path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
@@ -118,7 +141,8 @@ def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
             entry = None
         if isinstance(entry, dict) and entry.get("sha") == sha:
             out = entry["artifacts"]
-    if out is None:
+    computed = out is None
+    if computed:
         arts = compute_artifacts(fn, vocab, cfg)
         out = {
             "function": fn.name,
@@ -129,12 +153,19 @@ def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
             },
             "deps": arts.deps.to_dict(),
             "connectivity": arts.con.to_dict(),
-            "mask": sparse_masks(arts.seq, arts.bundle),
+            "mask": sparse_masks(arts.seq, arts.con.dist),
         }
-        if cache_path:
-            tmp = cache_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps({"sha": sha, "artifacts": out}, sort_keys=True))
-            os.replace(tmp, cache_path)
-    out["tokens"]["ids"] = [vocab.id(t) for t in out["tokens"]["surface"]]
-    return out
+    texts = {k: dumps(v) for k, v in out.items()}
+    if computed and cache_path:  # == dumps({"artifacts": out, "sha": sha})
+        body = ",".join(f"{dumps(k)}:{texts[k]}" for k in sorted(texts))
+        tmp = cache_path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(f'{{"artifacts":{{{body}}},"sha":{dumps(sha)}}}')
+        os.replace(tmp, cache_path)
+    ids = [vocab.id(t) for t in out["tokens"]["surface"]]
+    out["tokens"]["ids"] = ids
+    # "ids" sorts before the other token keys, so it opens the object
+    texts["tokens"] = f'{{"ids":{dumps(ids)},{texts["tokens"][1:]}'
+    result = ArtifactDict(out)
+    result.texts = texts
+    return result

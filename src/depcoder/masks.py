@@ -7,7 +7,9 @@ the ``<INST>`` delimiters of connected instructions.  The dependence part is
 exactly ``R > 0``, so the distance matrix ``R`` is its only source.
 "Disabled" entries of the float32 mask ``M`` hold ``MASK_NEG`` and enabled
 ones 0.  ``build_bundle`` is the only code that builds a bundle; callers
-build one from the distances where they use it.
+build one from the distances where they use it.  ``sparse_masks``, the view
+the ``pipeline`` command writes, builds no bundle: it reads the pairs off
+the token blocks and the kept instructions' distances.
 
 The encoder does not add ``M`` to its logits.  It reads the bundle as
 ``AttentionPairs``: the enabled entries in row-major order, each row's
@@ -68,20 +70,29 @@ def build_bundle(seq: TokenSequence, dist: np.ndarray) -> MaskBundle:
     return MaskBundle(M=M, R=R)
 
 
-def sparse_masks(seq: TokenSequence, bundle: MaskBundle) -> dict:
-    """Serializable view of a bundle: enabled (i, j) pairs (i <= j) per mask
-    part plus distance triples for the <INST> pairs, all in row-major order."""
-
-    def pairs(en: np.ndarray) -> list[list[int]]:
-        return np.argwhere(np.triu(en)).tolist()
-
-    ru, rv = np.nonzero(np.triu(bundle.R, 1))
+def sparse_masks(seq: TokenSequence, dist: np.ndarray) -> dict:
+    """Serializable view of the mask of ``seq`` under the instruction distance
+    matrix ``dist``: enabled (i, j) pairs (i <= j) per mask part plus distance
+    triples for the <INST> pairs, all in row-major order.  It is read off the
+    token blocks and the kept instructions' block of ``dist``; the <INST>
+    positions increase with the instruction index, so that block's upper
+    triangle is already in row-major order."""
+    n = len(seq)
+    starts = list(seq.inst_positions.values())
+    local = []
+    for s, e in zip(starts, starts[1:] + [n]):  # each instruction's token block
+        local.extend([i, j] for i in range(s, e) for j in range(i, e))
+    kept = np.fromiter(seq.inst_positions, dtype=np.int64, count=len(starts))
+    pos = np.array(starts, dtype=np.int64)
+    block = dist[np.ix_(kept, kept)]
+    u, v = np.nonzero(np.triu(block, 1))
+    r = np.stack([pos[u], pos[v], block[u, v]], axis=1)
     return {
-        "n": len(seq),
-        "global": pairs(global_enabled(seq)),
-        "local": pairs(local_enabled(seq)),
-        "dependence": pairs(bundle.R > 0),
-        "r": np.stack([ru, rv, bundle.R[ru, rv]], axis=1).tolist(),
+        "n": n,
+        "global": [[0, j] for j in range(n)],
+        "local": local,
+        "dependence": r[:, :2].tolist(),
+        "r": r.tolist(),
     }
 
 

@@ -169,6 +169,58 @@ class TestPipeline:
         assert set(sp) == {"n", "global", "local", "dependence", "r"}
         assert sp["r"]  # the example has connected instructions
 
+    @pytest.mark.parametrize("stage", ["tokenize", "deps", "connectivity", "mask"])
+    def test_no_cache_cold_and_warm_write_the_same_bytes(self, tmp_path, stage):
+        listing = write(tmp_path / "f.asm", FLAGS_FN + POINTER_CHAIN)
+        trees = {}
+        for run, extra in (("none", []), ("cold", ["--cache-dir", str(tmp_path / "c")]),
+                           ("warm", ["--cache-dir", str(tmp_path / "c")])):
+            out = tmp_path / run
+            assert main(["pipeline", listing, "--out", str(out), "--stage", stage] + extra) == 0
+            trees[run] = {f: (out / f).read_bytes() for f in os.listdir(out)}
+        assert "f.tokens.json" in trees["none"] and "chain.tokens.json" in trees["none"]
+        assert trees["cold"] == trees["none"] and trees["warm"] == trees["none"]
+
+    def test_entry_and_files_are_the_section_texts(self, tmp_path):
+        from depcoder.config import RunConfig
+        from depcoder.corpus import cached_artifact_dict, dumps
+        from depcoder.frontend import build_vocab, parse_listing
+
+        functions = parse_listing(FLAGS_FN)
+        vocab = build_vocab(functions)
+        art = cached_artifact_dict(functions[0], vocab, RunConfig(), str(tmp_path / "c"))
+        text = (tmp_path / "c" / "f.json").read_text(encoding="utf-8")
+        entry = json.loads(text)
+        assert set(entry) == {"artifacts", "sha"}
+        assert text == dumps(entry)
+        tokens = dict(entry["artifacts"]["tokens"], ids=art["tokens"]["ids"])
+        assert dict(entry["artifacts"], tokens=tokens) == art
+        assert art.texts == {k: dumps(v) for k, v in art.items()}
+
+        listing = write(tmp_path / "f.asm", FLAGS_FN)
+        assert main(["pipeline", listing, "--out", str(tmp_path / "out")]) == 0
+        for key, suffix in (("tokens", "tokens"), ("deps", "deps"),
+                            ("connectivity", "conn"), ("mask", "mask")):
+            written = (tmp_path / "out" / f"f.{suffix}.json").read_text(encoding="utf-8")
+            assert written == art.texts[key] + "\n"
+
+    def test_analysis_digest_is_pinned(self, tmp_path):
+        # the analysis output of a fixed listing: an analysis change that moves
+        # it must bump CACHE_FORMAT with it, so no warm cache serves old entries
+        from depcoder.corpus import ANALYSIS_DIGEST
+
+        assert main(["synth", "--out", str(tmp_path / "s"), "--functions", "8",
+                     "--seed", "0"]) == 0
+        tree = tmp_path / "tree"
+        for name, extra in (("plain", []), ("flags-dep", ["--flags-dep"])):
+            assert main(["pipeline", str(tmp_path / "s" / "corpus.asm"), "--out",
+                         str(tree / name), "--stage", "mask"] + extra) == 0
+        digest = hashlib.sha256()
+        for path in sorted(p for p in tree.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(tree).as_posix().encode() + b"\0")
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
+        assert digest.hexdigest() == ANALYSIS_DIGEST
+
 
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):

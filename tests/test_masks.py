@@ -168,7 +168,7 @@ class TestBundle:
 class TestSparseSerialization:
     def test_pairs_sorted_and_consistent(self):
         seq, con = con_of("mov rax, 1\nmov rbx, rax")
-        sp = sparse_masks(seq, build_bundle(seq, con.dist))
+        sp = sparse_masks(seq, con.dist)
         assert sp["n"] == len(seq)
         for kind in ("global", "local", "dependence"):
             assert sp[kind] == sorted(sp[kind])

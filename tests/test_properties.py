@@ -23,6 +23,7 @@ differences, in float64.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -96,15 +97,28 @@ def test_closure_matches_bfs_per_pair(seed, n, out_degree):
     assert {(u, v): d for u, v, d in con.to_dict()["edges"]} == want
 
 
-@SETTINGS
-@given(seed=seeds, max_len=max_lens)
-def test_bundle_and_sparse_view_match_the_oracle(seed, max_len):
-    art = artifact(seed, max_len)
+def assert_mask_views_match_the_oracle(art):
     want_m, want_r = naive_mask_bundle(art.seq, art.con)
     bundle = build_bundle(art.seq, art.con.dist)
     assert np.array_equal(bundle.M, want_m)
     assert np.array_equal(bundle.R, want_r)
-    assert sparse_masks(art.seq, bundle) == naive_sparse_masks(art.seq, art.con)
+    assert sparse_masks(art.seq, art.con.dist) == naive_sparse_masks(art.seq, art.con)
+
+
+@SETTINGS
+@given(seed=seeds, max_len=max_lens)
+def test_bundle_and_sparse_view_match_the_oracle(seed, max_len):
+    assert_mask_views_match_the_oracle(artifact(seed, max_len))
+
+
+@pytest.mark.parametrize("listing, max_len", [
+    (".func p\n", 512),  # no instructions at all
+    ("\n".join(generate_function("p", np.random.default_rng(0))) + "\n", 2),  # none kept
+], ids=["no-instructions", "max-len-2"])
+def test_bundle_and_sparse_view_match_the_oracle_with_no_kept_instruction(listing, max_len):
+    art = Corpus.from_text(listing, RunConfig(max_len=max_len)).functions[0]
+    assert art.seq.n_instructions == 0 and len(art.seq) == 1
+    assert_mask_views_match_the_oracle(art)
 
 
 @SETTINGS
