@@ -72,6 +72,10 @@ class RunConfig(ModelShape):
             raise ConfigError("on_unknown must be 'error' or 'conservative'")
         if not 0.0 < self.mlm_rate < 1.0:
             raise ConfigError("mlm_rate must be in (0, 1)")
+        if not 0.0 <= self.mdm_node_frac <= 1.0:
+            raise ConfigError("mdm_node_frac must be in [0, 1]")
+        if self.pool_k < 1:
+            raise ConfigError("pool_k must be >= 1")
         if self.steps < 1 or self.batch_size < 1:
             raise ConfigError("steps and batch_size must be positive")
         if self.warmup < 0:

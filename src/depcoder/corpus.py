@@ -2,7 +2,7 @@
 
 A corpus binds every function of a listing to its tokenization, dependence
 graph and connectivity graph, each derived once per function.  It keeps no
-dense mask: ``FunctionArtifacts.bundle`` builds one on each access.
+mask: ``FunctionArtifacts.bundle`` builds the pair list on each access.
 
 The ``pipeline`` command goes through an optional on-disk cache of one JSON
 entry per function.  An entry holds everything the vocabulary does not
@@ -29,7 +29,7 @@ from .config import RunConfig
 from .connectivity import ConnectivityGraph, connectivity
 from .dependence import DependenceGraph, dependence_graph
 from .frontend import ParsedFunction, TokenSequence, Vocabulary, build_vocab, parse_listing, tokenize
-from .masks import MaskBundle, build_bundle, sparse_masks
+from .masks import AttentionPairs, build_bundle, sparse_masks
 
 #: layout version of a cache entry; part of every entry's key
 CACHE_FORMAT = 2
@@ -65,8 +65,8 @@ class FunctionArtifacts:
         return self.fn.name
 
     @property
-    def bundle(self) -> MaskBundle:
-        """The function's unperturbed mask bundle, built afresh on each access."""
+    def bundle(self) -> AttentionPairs:
+        """The function's unperturbed mask, built afresh on each access."""
         return build_bundle(self.seq, self.con.dist)
 
 
@@ -153,7 +153,7 @@ def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
             },
             "deps": arts.deps.to_dict(),
             "connectivity": arts.con.to_dict(),
-            "mask": sparse_masks(arts.seq, arts.con.dist),
+            "mask": sparse_masks(arts.bundle),
         }
     texts = {k: dumps(v) for k, v in out.items()}
     if computed and cache_path:  # == dumps({"artifacts": out, "sha": sha})

@@ -11,7 +11,7 @@ between the ``<INST>`` tokens of connected instructions and an additive
     head_i = softmax((Q_i K_i^T + B_i) / sqrt(d_k) + M) V_i
     B_i[u, v] = beta_i[min(R[u, v], r_max)]   where R[u, v] > 0, else 0
 
-Neither M nor B is built.  ``encode`` turns the bundle into its
+Neither M nor B is built.  ``encode`` takes the mask as its
 ``AttentionPairs``, the P entries where M is 0, and each layer gathers
 Q_i K_i^T at those pairs into a (heads, P) array.  ``beta`` is added at the
 pairs where R > 0, and the softmax runs per row segment of the pair list,
@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import ModelShape
-from .masks import AttentionPairs, MaskBundle
+from .masks import AttentionPairs
 
 CHECKPOINT_VERSION = 1
 
@@ -277,12 +277,12 @@ def transformer_block(h: np.ndarray, pairs: AttentionPairs, layer: int, state: E
     return h_out, cache
 
 
-def encode(token_ids, bundle: MaskBundle, state: EncoderState,
+def encode(token_ids, pairs: AttentionPairs, state: EncoderState,
            rng: np.random.Generator | None = None, training: bool = False) -> ForwardTrace:
-    """Run the full encoder; the trace keeps what the reverse pass needs."""
+    """Run the full encoder over the mask ``pairs``; the trace keeps what the
+    reverse pass needs."""
     ids = np.asarray(token_ids, dtype=np.int64)
     h = embed_inputs(ids, state).astype(state.config.np_dtype)
-    pairs = AttentionPairs(bundle)
     caches = []
     for layer in range(state.config.layers):
         h, cache = transformer_block(h, pairs, layer, state, rng, training)

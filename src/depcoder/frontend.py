@@ -8,8 +8,8 @@ Input format (one listing may hold many functions):
     # comment           comments run to end of line
 
 Memory operands are written ``[base + scale*index + disp]`` with any subset
-of the three parts present; displacements may be decimal or 0x-hex, and
-either ``scale*index`` or ``index*scale`` is accepted.
+of the three parts present; numbers may be decimal (``010`` is ten) or
+0x-hex, and either ``scale*index`` or ``index*scale`` is accepted.
 """
 
 from __future__ import annotations
@@ -108,7 +108,8 @@ _NUM_RE = re.compile(r"^[+-]?(0x[0-9a-fA-F]+|\d+)$")
 
 
 def _parse_int(text: str) -> int:
-    return int(text, 0)
+    # base 0 would reject a decimal with a leading zero, such as 08
+    return int(text, 16 if "0x" in text else 10)
 
 
 def _parse_memory(inner: str, line_no: int, raw: str) -> Operand:

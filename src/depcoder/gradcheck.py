@@ -44,7 +44,7 @@ _LISTING = """\
 @dataclass
 class GradcheckSetup:
     state: EncoderState
-    cases: list  # (ids, bundle, perturbation, sample, seq, type_labels)
+    cases: list  # (ids, pairs, perturbation, sample, seq, type_labels)
 
 
 def build_setup(seed: int = 0, layers: int = 2, hidden: int = 16,
@@ -58,18 +58,18 @@ def build_setup(seed: int = 0, layers: int = 2, hidden: int = 16,
     for art in corpus.functions:
         ids, pert = mlm_perturb(art.seq, len(corpus.vocab), rng, rate=0.3)
         sample = mdm_sample(art.con, art.seq.n_instructions, rng)
-        bundle = perturb_bundle(art.seq, art.con.dist, sample)
+        pairs = perturb_bundle(art.seq, art.con.dist, sample)
         # a couple of labelled token positions for the type head
         positions = [p for p in range(1, len(art.seq)) if p % 3 == 0]
         labels = [(p, p % state.config.n_type_labels) for p in positions]
-        cases.append((ids, bundle, pert, sample, art.seq, labels))
+        cases.append((ids, pairs, pert, sample, art.seq, labels))
     return GradcheckSetup(state=state, cases=cases)
 
 
 def total_loss(setup: GradcheckSetup) -> float:
     loss = 0.0
-    for ids, bundle, pert, sample, seq, labels in setup.cases:
-        trace = encode(ids, bundle, setup.state, training=False)
+    for ids, pairs, pert, sample, seq, labels in setup.cases:
+        trace = encode(ids, pairs, setup.state, training=False)
         l_mlm, _, _ = mlm_loss(trace, pert, setup.state)
         l_mdm, _ = mdm_loss(trace, sample, seq)
         l_type, _, _ = type_inference_loss(trace, labels, setup.state)
@@ -79,8 +79,8 @@ def total_loss(setup: GradcheckSetup) -> float:
 
 def analytic_grads(setup: GradcheckSetup) -> dict[str, np.ndarray]:
     grads = setup.state.zero_grads()
-    for ids, bundle, pert, sample, seq, labels in setup.cases:
-        trace = encode(ids, bundle, setup.state, training=False)
+    for ids, pairs, pert, sample, seq, labels in setup.cases:
+        trace = encode(ids, pairs, setup.state, training=False)
         _, dh_mlm, mlm_head = mlm_loss(trace, pert, setup.state)
         _, dh_mdm = mdm_loss(trace, sample, seq)
         _, dh_type, type_head = type_inference_loss(trace, labels, setup.state)

@@ -1,125 +1,67 @@
-"""Attention mask and relative distance matrix for one token sequence.
+"""The attention mask of one token sequence, as a row-major pair list.
 
 The mask is the union of three parts: a global part routing everything
 through ``[CLS]``, a local part confining attention to tokens of the same
 instruction, and a dependence part enabling bidirectional attention between
-the ``<INST>`` delimiters of connected instructions.  The dependence part is
-exactly ``R > 0``, so the distance matrix ``R`` is its only source.
-"Disabled" entries of the float32 mask ``M`` hold ``MASK_NEG`` and enabled
-ones 0.  ``build_bundle`` is the only code that builds a bundle; callers
-build one from the distances where they use it.  ``sparse_masks``, the view
-the ``pipeline`` command writes, builds no bundle: it reads the pairs off
-the token blocks and the kept instructions' distances.
-
-The encoder does not add ``M`` to its logits.  It reads the bundle as
-``AttentionPairs``: the enabled entries in row-major order, each row's
-segment of them, and ``R`` at them, so the softmax, the distance bias and
-dropout run on those entries only.
+the ``<INST>`` delimiters of connected instructions, each pair carrying the
+instructions' distance.  ``build_bundle``, the only code that builds a mask,
+reads the pairs off the token blocks and the kept instructions' block
+``dist[:k, :k]`` of the distances (``tokenize`` keeps a prefix), with no
+N×N array.  The encoder runs on the ``AttentionPairs`` it returns, and
+``sparse_masks``, the view the ``pipeline`` command writes, reads them too.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .frontend import TokenSequence
 
-#: the mask's stand-in for -inf at disabled entries
+#: the dense ``AttentionPairs.M`` view's stand-in for -inf at disabled entries
 MASK_NEG = -1.0e9
 
 
-def global_enabled(seq: TokenSequence) -> np.ndarray:
-    n = len(seq)
-    en = np.zeros((n, n), dtype=bool)
-    en[0, :] = True
-    en[:, 0] = True
-    return en
-
-
-def local_enabled(seq: TokenSequence) -> np.ndarray:
-    inst = np.asarray(seq.inst_of, dtype=np.int64)
-    return (inst[:, None] == inst[None, :]) & (inst[:, None] != -1)
-
-
-@dataclass
-class MaskBundle:
-    #: float32 attention mask, entries in {0, MASK_NEG}
-    M: np.ndarray
-    #: relative distance matrix; > 0 only between <INST> tokens of distinct
-    #: connected instructions
-    R: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.M.shape[0]
-
-
-def build_bundle(seq: TokenSequence, dist: np.ndarray) -> MaskBundle:
-    """Distance matrix gathered from the kept instructions' block of the
-    instruction distance matrix ``dist``, and the union of the three mask
-    parts."""
-    n = len(seq)
-    insts = np.fromiter(seq.inst_positions, dtype=np.int64, count=seq.n_instructions)
-    pos = np.fromiter(seq.inst_positions.values(), dtype=np.int64,
-                      count=seq.n_instructions)
-    R = np.zeros((n, n), dtype=np.int32)
-    R[np.ix_(pos, pos)] = dist[np.ix_(insts, insts)]
-    M = np.where(global_enabled(seq) | local_enabled(seq) | (R > 0),
-                 np.float32(0.0), np.float32(MASK_NEG))
-    return MaskBundle(M=M, R=R)
-
-
-def sparse_masks(seq: TokenSequence, dist: np.ndarray) -> dict:
-    """Serializable view of the mask of ``seq`` under the instruction distance
-    matrix ``dist``: enabled (i, j) pairs (i <= j) per mask part plus distance
-    triples for the <INST> pairs, all in row-major order.  It is read off the
-    token blocks and the kept instructions' block of ``dist``; the <INST>
-    positions increase with the instruction index, so that block's upper
-    triangle is already in row-major order."""
-    n = len(seq)
-    starts = list(seq.inst_positions.values())
-    local = []
-    for s, e in zip(starts, starts[1:] + [n]):  # each instruction's token block
-        local.extend([i, j] for i in range(s, e) for j in range(i, e))
-    kept = np.fromiter(seq.inst_positions, dtype=np.int64, count=len(starts))
-    pos = np.array(starts, dtype=np.int64)
-    block = dist[np.ix_(kept, kept)]
-    u, v = np.nonzero(np.triu(block, 1))
-    r = np.stack([pos[u], pos[v], block[u, v]], axis=1)
-    return {
-        "n": n,
-        "global": [[0, j] for j in range(n)],
-        "local": local,
-        "dependence": r[:, :2].tolist(),
-        "r": r.tolist(),
-    }
-
-
 class AttentionPairs:
-    """The enabled entries of a bundle's mask as a row-major pair list.
+    """The enabled entries of a mask as a row-major pair list.
 
-    ``flat`` holds their flat indices ``i * n + j``, row ``i``'s pairs are
-    ``flat[starts[i]:starts[i] + counts[i]]``, and ``biased`` / ``r`` are the
-    positions in the list where ``R > 0`` and ``R`` there.  Every row needs
-    an enabled entry (the global part gives every real row one): a segment
-    reduction over an empty row would read its neighbour's first entry.
+    ``flat`` holds their flat indices ``i * n + j`` in increasing order, row
+    ``i``'s pairs are ``flat[starts[i]:starts[i] + counts[i]]``, and
+    ``biased`` / ``r`` are the positions in the list that carry a distance
+    and that distance.  The constructor takes the distance at every pair
+    (0 for none).  Every row needs an enabled entry (the global part gives
+    every real row one): a segment reduction over an empty row would read its
+    neighbour's first entry.
     """
 
-    def __init__(self, bundle: MaskBundle):
-        self.n = n = bundle.n
-        self.flat = np.flatnonzero(bundle.M == 0)
-        self.counts = np.bincount(self.flat // n, minlength=n)
+    def __init__(self, n: int, flat: np.ndarray, r: np.ndarray):
+        self.n = n
+        self.flat = flat
+        self.counts = np.bincount(flat // n, minlength=n)
         if not self.counts.all():
             rows = np.flatnonzero(self.counts == 0).tolist()
             raise ValueError(f"attention rows {rows} have no enabled entry")
         self.starts = np.cumsum(self.counts) - self.counts
-        r = np.take(bundle.R, self.flat)
         self.biased = np.flatnonzero(r)
         self.r = r[self.biased]
 
     def __len__(self) -> int:
         return len(self.flat)
+
+    @property
+    def M(self) -> np.ndarray:
+        """Dense float32 mask, 0 at the pairs and ``MASK_NEG`` elsewhere, built
+        on each access for the benchmark's tracer and the tests' dense oracle
+        comparisons only.  ROADMAP item 1 deletes it, ``R`` and ``MASK_NEG``."""
+        m = np.full(self.n * self.n, MASK_NEG, dtype=np.float32)
+        m[self.flat] = 0.0
+        return m.reshape(self.n, self.n)
+
+    @property
+    def R(self) -> np.ndarray:
+        """Dense distance matrix, 0 off the biased pairs; a view like ``M``."""
+        out = np.zeros(self.n * self.n, dtype=self.r.dtype)
+        out[self.flat[self.biased]] = self.r
+        return out.reshape(self.n, self.n)
 
     def gather(self, dense: np.ndarray) -> np.ndarray:
         """(heads, n, n) -> (heads, P): the entries at the pairs."""
@@ -140,3 +82,45 @@ class AttentionPairs:
         """(heads, P) -> (heads, P): each pair's row sum."""
         return np.repeat(np.add.reduceat(values, self.starts, axis=1),
                          self.counts, axis=1)
+
+
+def build_bundle(seq: TokenSequence, dist: np.ndarray) -> AttentionPairs:
+    """The mask of ``seq`` under the instruction distance matrix ``dist``:
+    the ``[CLS]`` row, the ``[CLS]`` column below it, each instruction's token
+    block crossed with itself, and the ``<INST>`` pairs of the kept
+    instructions that ``dist[:k, :k]`` connects.  The parts share no entry,
+    so one sort puts them in row-major order."""
+    n, k = len(seq), seq.n_instructions
+    bounds = np.fromiter([*seq.inst_positions.values(), n], dtype=np.int64, count=k + 1)
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    # row i >= 1 of the local part is the range of c flat indices from the
+    # first, f, of its instruction's block: arange(f, f + c) for every row
+    first, c = np.arange(1, n) * n + np.repeat(starts, sizes), np.repeat(sizes, sizes)
+    local = np.arange(c.sum()) + np.repeat(first - (np.cumsum(c) - c), c)
+    block = dist[:k, :k]
+    u, v = np.nonzero(block)
+    dep = starts[u] * n + starts[v]
+    flat = np.sort(np.concatenate([np.arange(n), np.arange(1, n) * n, local, dep]))
+    r = np.zeros(len(flat), dtype=dist.dtype)
+    r[np.searchsorted(flat, dep)] = block[u, v]
+    return AttentionPairs(n, flat, r)
+
+
+def sparse_masks(pairs: AttentionPairs) -> dict:
+    """Serializable view of a mask: enabled (i, j) pairs (i <= j) per mask
+    part plus distance triples for the <INST> pairs, all in row-major order.
+    ``global`` is row 0, ``dependence`` the pairs that carry a distance and
+    ``local`` the rest of rows 1 and up."""
+    i, j = np.divmod(pairs.flat, pairs.n)
+    r = np.zeros(len(pairs), dtype=np.int64)
+    r[pairs.biased] = pairs.r
+    upper = i <= j
+    dep = upper & (r > 0)
+    ij = np.stack([i, j], axis=1)
+    return {
+        "n": pairs.n,
+        "global": ij[i == 0].tolist(),
+        "local": ij[upper & (i > 0) & (r == 0)].tolist(),
+        "dependence": ij[dep].tolist(),
+        "r": np.column_stack([ij[dep], r[dep]]).tolist(),
+    }

@@ -6,8 +6,8 @@ masking (positive connectivity edges touching a 40% node sample are deleted
 from the attention mask while an equal number of spurious edges is injected).
 Both losses are computed on the same perturbed forward pass; the model must
 recover the masked tokens and classify true-vs-injected edges from the
-``<INST>`` hidden states.  Edge masking edits a copy of the instruction
-distances and builds the step's mask bundle from it.
+``<INST>`` hidden states.  Edge masking edits a copy of the kept
+instructions' distances and builds the step's mask from it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .corpus import FunctionArtifacts
 from .encoder import (EncoderState, ForwardTrace, NumericsError, backward, encode,
                       head_cross_entropy)
 from .frontend import CLS_ID, FIRST_REGULAR_ID, INST_ID, MASK_ID, PAD_ID, TokenSequence
-from .masks import MaskBundle, build_bundle
+from .masks import AttentionPairs, build_bundle
 
 
 @dataclass
@@ -98,11 +98,11 @@ def mdm_sample(con: ConnectivityGraph, n_nodes: int, rng: np.random.Generator,
 
 
 def perturb_bundle(seq: TokenSequence, dist: np.ndarray,
-                   sample: EdgeSample) -> MaskBundle:
-    """The bundle of ``seq`` over a copy of the instruction distances in which
-    the sampled positive edges are deleted (distance 0) and the negatives
-    injected (distance 1).  ``dist`` itself is never modified."""
-    d = dist.copy()
+                   sample: EdgeSample) -> AttentionPairs:
+    """The mask of ``seq`` over a copy of the kept instructions' distances in
+    which the sampled positive edges are deleted (distance 0) and the
+    negatives injected (distance 1).  ``dist`` itself is never modified."""
+    d = dist[:seq.n_instructions, :seq.n_instructions].copy()
     for t, s in sample.positives:
         d[t, s] = d[s, t] = 0
     for t, s in sample.negatives:
@@ -239,8 +239,8 @@ def train_step(items: list[FunctionArtifacts], state: EncoderState, opt: AdamW,
     for item in items:
         ids, pert = mlm_perturb(item.seq, state.config.vocab_size, rng, mlm_rate)
         sample = mdm_sample(item.con, item.seq.n_instructions, rng, node_frac)
-        bundle = perturb_bundle(item.seq, item.con.dist, sample)
-        trace = encode(ids, bundle, state, rng=rng, training=True)
+        pairs = perturb_bundle(item.seq, item.con.dist, sample)
+        trace = encode(ids, pairs, state, rng=rng, training=True)
         prepared.append((item, pert, sample, trace))
 
     n_masked = sum(len(p) for _, p, _, _ in prepared)

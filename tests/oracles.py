@@ -175,19 +175,19 @@ def naive_mask_bundle(seq: TokenSequence, con, neg=-1.0e9):
 # ---------------------------------------------------------------------------
 # Dense per-head attention, straight from the encoder docstring's formula
 
-def dense_attention(h: np.ndarray, bundle, layer: int, state):
+def dense_attention(h: np.ndarray, pairs, layer: int, state):
     """softmax((Q_i K_i^T + B_i) / sqrt(d_k) + M) V_i per head, with the full
     (N, N) bias B_i = where(R > 0, beta_i[min(R, r_max)], 0); returns the
     output projection of the concatenated heads and the (heads, N, N) weights."""
     p, cfg = state.params, state.config
-    r = np.minimum(bundle.R, cfg.r_max)
+    r = np.minimum(pairs.R, cfg.r_max)
     outs, probs = [], []
     for i in range(cfg.heads):
         q = h @ p[f"l{layer}.wq"][i]
         k = h @ p[f"l{layer}.wk"][i]
         v = h @ p[f"l{layer}.wv"][i]
-        b = np.where(bundle.R > 0, p["beta"][i][r], 0.0)
-        s = (q @ k.T + b) / np.sqrt(cfg.head_dim) + bundle.M
+        b = np.where(pairs.R > 0, p["beta"][i][r], 0.0)
+        s = (q @ k.T + b) / np.sqrt(cfg.head_dim) + pairs.M
         e = np.exp(s - s.max(axis=1, keepdims=True))
         a = e / e.sum(axis=1, keepdims=True)
         outs.append(a @ v)

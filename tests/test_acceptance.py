@@ -24,6 +24,7 @@ from depcoder.downstream import (lrap, lrl, recall_at_k, type_prf)
 from depcoder.encoder import EncoderConfig, EncoderState, encode
 from depcoder.frontend import parse_listing
 from depcoder.gradcheck import run as run_gradcheck
+from depcoder.masks import build_bundle
 from depcoder.pretrain import (AdamW, edge_probabilities, mdm_sample,
                                mlm_perturb, perturb_bundle, train_step)
 from depcoder.synth import build_corpus
@@ -149,19 +150,21 @@ def test_criterion_04_masking_invariant():
         state = EncoderState.init(ec, seed)
         state.params["beta"][:] = rng.standard_normal(state.params["beta"].shape)
         trace = encode(art.seq.tokens, art.bundle, state)
-        masked = art.bundle.M < -1e8
+        want_m, _ = naive_mask_bundle(art.seq, art.con)
+        masked = want_m < -1e8
         pair_ij = np.stack(np.divmod(trace.pairs.flat, len(art.seq)), axis=1)
-        ok_pairs = ok_pairs and np.array_equal(pair_ij, np.argwhere(art.bundle.M == 0))
+        ok_pairs = ok_pairs and np.array_equal(pair_ij, np.argwhere(want_m == 0))
         for c in trace.caches:
             probs = trace.pairs.scatter(c.probs)
             if masked.any():
                 worst_weight = max(worst_weight, float(probs[:, masked].max()))
             worst_rowsum = max(worst_rowsum,
                                float(np.abs(probs.sum(axis=-1) - 1.0).max()))
-        big = art.bundle
-        big.R[big.R > 0] += ec.r_max + 3
-        sat = art.bundle
-        sat.R[sat.R > 0] = np.minimum(big.R[big.R > 0], ec.r_max)
+        k = art.seq.n_instructions
+        dist = art.con.dist[:k, :k]
+        far = np.where(dist > 0, dist + ec.r_max + 3, 0)
+        big = build_bundle(art.seq, far)
+        sat = build_bundle(art.seq, np.minimum(far, ec.r_max))
         if not np.array_equal(encode(art.seq.tokens, big, state).final,
                               encode(art.seq.tokens, sat, state).final):
             ok_clamp = False
@@ -288,8 +291,8 @@ def test_criterion_07_pretraining_smoke(smoke_run):
         sample = mdm_sample(art.con, art.seq.n_instructions, rng)
         if not sample.positives and not sample.negatives:
             continue
-        bundle = perturb_bundle(art.seq, art.con.dist, sample)
-        trace = encode(art.seq.tokens, bundle, state, training=False)
+        pairs = perturb_bundle(art.seq, art.con.dist, sample)
+        trace = encode(art.seq.tokens, pairs, state, training=False)
         for p, y in edge_probabilities(trace, sample, art.seq):
             correct += int((p > 0.5) == bool(y))
             total += 1

@@ -19,7 +19,9 @@ import pytest
 from depcoder.cli import main
 from depcoder.config import RunConfig
 from depcoder.corpus import Corpus
-from depcoder.masks import MASK_NEG, global_enabled, local_enabled
+from depcoder.masks import MASK_NEG
+
+from oracles import naive_mask_bundle
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -84,9 +86,11 @@ def test_cached_artifact_dict_returns_token_ids(tmp_path):
 def test_mask_is_zero_exactly_on_enabled_entries():
     # the tracer's density counter reads ``bundle.M == 0``
     for art in Corpus.from_text(LISTING, RunConfig()).functions:
-        enabled = global_enabled(art.seq) | local_enabled(art.seq) | (art.bundle.R > 0)
+        want_m, want_r = naive_mask_bundle(art.seq, art.con)
+        enabled = want_m == 0
         assert np.array_equal(art.bundle.M == 0, enabled)
         assert np.all(art.bundle.M[~enabled] == MASK_NEG)
+        assert np.array_equal(art.bundle.R, want_r)
 
 
 def test_config_keys_the_benchmark_writes_are_accepted():

@@ -231,6 +231,16 @@ class TestConfig:
         cfg = write(tmp_path / "cfg.json", '{"hidden": 10, "heads": 4}')
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize("config, argv", [
+        ('{"mdm_node_frac": 1.5}', ["pretrain"]),
+        ('{"pool_k": 0}', ["train-mlc", "x.asm", "--checkpoint", "m.ckpt",
+                           "--samples", "s.jsonl", "--out", "o"]),
+    ], ids=["mdm-node-frac", "pool-k"])
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys, config, argv):
+        cfg = write(tmp_path / "cfg.json", config)
+        assert main(argv + ["--config", cfg]) == 4
+        assert "config error" in capsys.readouterr().err
+
     def test_malformed_json_rejected(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", "{nope")
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 4

@@ -30,6 +30,19 @@ def test_invalid_values_rejected():
         RunConfig.from_dict({"dropout": 1.0})
 
 
+@pytest.mark.parametrize("key, value", [("mdm_node_frac", 1.5), ("mdm_node_frac", -0.2),
+                                        ("pool_k", 0)])
+def test_sampling_and_pooling_values_out_of_range_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict({key: value})
+
+
+def test_sampling_and_pooling_bounds_accepted():
+    for frac in (0.0, 1.0):
+        assert RunConfig.from_dict({"mdm_node_frac": frac}).mdm_node_frac == frac
+    assert RunConfig.from_dict({"pool_k": 1}).pool_k == 1
+
+
 def test_file_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"hidden": 32, "heads": 2, "seed": 9}))

@@ -8,8 +8,10 @@ from depcoder.config import RunConfig
 from depcoder.corpus import Corpus
 from depcoder.encoder import (EncoderConfig, EncoderState, NumericsError,
                               backward, embed_inputs, encode, rma_attention)
-from depcoder.masks import MASK_NEG, AttentionPairs, MaskBundle, build_bundle
+from depcoder.masks import AttentionPairs, build_bundle
 from depcoder.synth import generate_function, reorder_variant
+
+from oracles import naive_mask_bundle
 
 LISTING = """\
 .func f
@@ -72,9 +74,7 @@ class TestAttention:
     def test_self_only_mask_returns_value_rows(self, corpus, art):
         state = make_state(corpus)
         n = len(art.seq)
-        m = np.full((n, n), -1e9)
-        np.fill_diagonal(m, 0.0)
-        pairs = AttentionPairs(MaskBundle(M=m, R=np.zeros((n, n), dtype=np.int32)))
+        pairs = AttentionPairs(n, np.arange(n) * (n + 1), np.zeros(n, dtype=np.int32))
         h = np.asarray(np.random.default_rng(0).standard_normal((n, 16)))
         _, (q, k, v, probs, _, z_cat) = rma_attention(h, pairs, 0, state)
         assert probs.shape == (state.config.heads, n)
@@ -86,7 +86,9 @@ class TestAttention:
     def test_zero_bias_degeneracy(self, corpus, art):
         state = make_state(corpus)
         trace_with_r = encode(art.seq.tokens, art.bundle, state)
-        no_r = MaskBundle(M=art.bundle.M, R=np.zeros_like(art.bundle.R))
+        flat = art.bundle.flat
+        no_r = AttentionPairs(len(art.seq), flat, np.zeros(len(flat), dtype=np.int32))
+        assert len(art.bundle.r) and not len(no_r.r)
         trace_without = encode(art.seq.tokens, no_r, state)
         assert np.array_equal(trace_with_r.final, trace_without.final)
         state.params["beta"][:] = 0.3
@@ -97,10 +99,11 @@ class TestAttention:
         state = make_state(corpus)
         state.params["beta"][:] = np.random.default_rng(1).standard_normal(
             state.params["beta"].shape)
-        big = art.bundle
-        big.R[big.R > 0] = 12
-        clamped = art.bundle
-        clamped.R[clamped.R > 0] = state.config.r_max
+        k = art.seq.n_instructions
+        linked = art.con.dist[:k, :k] > 0
+        big = build_bundle(art.seq, np.where(linked, 12, 0))
+        clamped = build_bundle(art.seq, np.where(linked, state.config.r_max, 0))
+        assert np.array_equal(big.flat, art.bundle.flat) and np.all(big.r == 12)
         out_big = encode(art.seq.tokens, big, state).final
         out_clamped = encode(art.seq.tokens, clamped, state).final
         assert np.array_equal(out_big, out_clamped)
@@ -110,51 +113,38 @@ class TestAttention:
             state = make_state(corpus, seed=seed)
             state.params["beta"][:] = 0.1 * seed
             trace = encode(art.seq.tokens, art.bundle, state)
-            masked = art.bundle.M < -1e8
+            want_m, _ = naive_mask_bundle(art.seq, art.con)
+            masked = want_m < -1e8
             pair_ij = np.stack(np.divmod(trace.pairs.flat, len(art.seq)), axis=1)
-            assert np.array_equal(pair_ij, np.argwhere(art.bundle.M == 0))
+            assert np.array_equal(pair_ij, np.argwhere(want_m == 0))
             for c in trace.caches:
                 probs = trace.pairs.scatter(c.probs)
                 assert probs[:, masked].max() < 1e-12
                 assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_float32_mask_gives_the_float64_mask_result(self, corpus, art, dtype):
-        bundle = build_bundle(art.seq, art.con.dist)
-        assert bundle.M.dtype == np.float32
-        wide = MaskBundle(M=bundle.M.astype(np.float64), R=bundle.R)
-        state = make_state(corpus, dtype=dtype)
-        state.params["beta"][:] = 0.3
-        h = np.random.default_rng(0).standard_normal((len(art.seq), 16)).astype(dtype)
-        out, (*_, probs, _, _) = rma_attention(h, AttentionPairs(bundle), 0, state)
-        out_wide, (*_, probs_wide, _, _) = rma_attention(h, AttentionPairs(wide), 0, state)
-        assert out.dtype == np.dtype(dtype)
-        assert np.array_equal(out, out_wide)
-        assert np.array_equal(probs, probs_wide)
-
     def test_pairs_reject_a_row_with_no_enabled_entry(self, art):
-        bundle = art.bundle
-        bundle.M[2, :] = MASK_NEG
+        n, flat = len(art.seq), art.bundle.flat
+        keep = flat // n != 2
         with pytest.raises(ValueError, match=r"rows \[2\]"):
-            AttentionPairs(bundle)
+            AttentionPairs(n, flat[keep], np.zeros(np.count_nonzero(keep), dtype=np.int32))
 
     def test_pairs_hold_the_distances_at_the_enabled_entries(self, art):
-        bundle = art.bundle
-        pairs = AttentionPairs(bundle)
-        r = bundle.R.ravel()[pairs.flat]
+        pairs = art.bundle
+        want_m, want_r = naive_mask_bundle(art.seq, art.con)
+        r = want_r.ravel()[pairs.flat]
         assert np.array_equal(pairs.biased, np.flatnonzero(r))
         assert np.array_equal(pairs.r, r[r > 0])
-        assert np.array_equal(np.sort(pairs.r), np.sort(bundle.R[bundle.R > 0]))
-        assert np.array_equal(pairs.counts, (bundle.M == 0).sum(axis=1))
-        assert np.array_equal(pairs.flat[pairs.starts], np.arange(bundle.n) * bundle.n
-                              + np.argmax(bundle.M == 0, axis=1))
+        assert np.array_equal(np.sort(pairs.r), np.sort(want_r[want_r > 0]))
+        assert np.array_equal(pairs.counts, (want_m == 0).sum(axis=1))
+        assert np.array_equal(pairs.flat[pairs.starts], np.arange(pairs.n) * pairs.n
+                              + np.argmax(want_m == 0, axis=1))
 
     def test_bias_locality(self, corpus, art):
         state = make_state(corpus)
         state.params["beta"][:] = 0.05
         base = encode(art.seq.tokens, art.bundle, state).final
         # no pair sits at the clamped distance 7 -> bitwise identical output
-        assert not np.any(np.minimum(art.bundle.R, 8) == 7)
+        assert not np.any(np.minimum(art.bundle.r, 8) == 7)
         state.params["beta"][:, 7] += 3.0
         assert np.array_equal(encode(art.seq.tokens, art.bundle, state).final, base)
         # distance 1 pairs exist -> output must move

@@ -38,6 +38,14 @@ class TestParsing:
         op = parse_one("mov rax, [rsp + 0x20]").instructions[0].operands[1]
         assert op.disp == 0x20
 
+    def test_leading_zero_numbers_are_decimal(self):
+        instr = parse_one("mov rax, 08").instructions[0]
+        assert instr.operands[1] == Operand.immediate(8)
+        op = parse_one("mov rax, [rsp + 010]").instructions[0].operands[1]
+        assert op.base == "rsp" and op.disp == 10
+        op = parse_one("mov rax, [rbx + 08*rcx - 0x010]").instructions[0].operands[1]
+        assert (op.scale, op.disp) == (8, -0x10)
+
     def test_displacement_only_memory(self):
         op = parse_one("mov rax, [0x404000]").instructions[0].operands[1]
         assert op.base is None and op.index is None and op.disp == 0x404000

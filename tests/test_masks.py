@@ -5,13 +5,10 @@ from depcoder.connectivity import connectivity
 from depcoder.corpus import Corpus
 from depcoder.dependence import DependenceGraph
 from depcoder.frontend import build_vocab, parse_listing, tokenize
-from depcoder.masks import (MASK_NEG, build_bundle, global_enabled, local_enabled,
-                            sparse_masks)
+from depcoder.masks import build_bundle, sparse_masks
 from depcoder.synth import generate_function
 
 from oracles import naive_mask_bundle
-
-NEG = MASK_NEG
 
 
 def seq_of(body: str):
@@ -30,33 +27,50 @@ def dependence_enabled(seq, con):
     return build_bundle(seq, con.dist).R > 0
 
 
+def entries(pairs):
+    """The pair list as a set of (i, j)."""
+    return set(zip(*(x.tolist() for x in np.divmod(pairs.flat, pairs.n))))
+
+
+def distances(pairs):
+    """(i, j) -> distance at the pairs that carry one."""
+    i, j = np.divmod(pairs.flat[pairs.biased], pairs.n)
+    return dict(zip(zip(i.tolist(), j.tolist()), pairs.r.tolist()))
+
+
+def without_dependences(seq):
+    """The global and local parts only: no instruction pair is connected."""
+    k = seq.n_instructions
+    return build_bundle(seq, np.zeros((k, k), dtype=np.int32))
+
+
 class TestGlobalMask:
     def test_cls_only(self):
         _, seq = seq_of("")
-        assert global_enabled(seq).tolist() == [[True]]
+        assert entries(without_dependences(seq)) == {(0, 0)}
 
     def test_row_and_column_zero_enabled(self):
         _, seq = seq_of("ret")  # N = 3
-        m = global_enabled(seq)
-        assert m[0, :].all() and m[:, 0].all()
-        assert not m[1:, 1:].any()
+        got = entries(without_dependences(seq))
+        assert {(0, j) for j in range(3)} | {(i, 0) for i in range(3)} <= got
+        # past row and column 0 only the instruction's own block is enabled
+        assert {(i, j) for i, j in got if i and j} == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 class TestLocalMask:
     def test_two_diagonal_blocks(self):
         # instruction token blocks of sizes 3 (<INST> push rax) and 2 (<INST> ret)
         _, seq = seq_of("push rax\nret")
-        m = local_enabled(seq)
-        assert m[1:4, 1:4].all()
-        assert m[4:6, 4:6].all()
-        assert not m[1:4, 4:6].any()
-        assert not m[0, 0]  # [CLS] self-attention comes from the global mask
+        pairs = without_dependences(seq)
+        blocks = {(i, j) for b in (range(1, 4), range(4, 6)) for i in b for j in b}
+        assert {(i, j) for i, j in entries(pairs) if i and j} == blocks
+        # [CLS] self-attention comes from the global part
+        assert [0, 0] not in sparse_masks(pairs)["local"]
 
     def test_cross_instruction_blocked(self):
-        _, seq = seq_of("mov rax, 1\nmov rbx, rax")
-        m = local_enabled(seq)
+        seq, con = con_of("mov rax, 1\nmov rbx, rax")
         p0, p1 = seq.inst_positions[0], seq.inst_positions[1]
-        assert not m[p0 + 1, p1 + 1]
+        assert (p0 + 1, p1 + 1) not in entries(build_bundle(seq, con.dist))
 
 
 class TestDependenceMask:
@@ -96,22 +110,25 @@ class TestDependenceMask:
 class TestBundle:
     def test_single_instruction_all_enabled(self):
         seq, con = con_of("ret")
-        bundle = build_bundle(seq, con.dist)
-        assert np.all(bundle.M == 0)
+        pairs = build_bundle(seq, con.dist)
+        assert np.array_equal(pairs.flat, np.arange(len(seq) ** 2))
 
     def test_diagonal_and_symmetry(self):
         seq, con = con_of("mov rax, 1\nmov rbx, rax\nadd rbx, rax")
-        bundle = build_bundle(seq, con.dist)
-        assert np.all(np.diag(bundle.M) == 0)
-        assert np.array_equal(bundle.M, bundle.M.T)
-        assert np.array_equal(bundle.R, bundle.R.T)
-        assert all(np.any(row == 0) for row in bundle.M)
+        pairs = build_bundle(seq, con.dist)
+        got = entries(pairs)
+        assert {(i, i) for i in range(len(seq))} <= got
+        assert got == {(j, i) for i, j in got}
+        r = distances(pairs)
+        assert r and r == {(j, i): d for (i, j), d in r.items()}
+        assert pairs.counts.all()
 
     def test_r_only_between_connected_inst_pairs(self):
         seq, con = con_of("mov rax, 1\nmov rbx, rax\nadd rbx, rax")
-        bundle = build_bundle(seq, con.dist)
+        pairs = build_bundle(seq, con.dist)
         inst_positions = set(seq.inst_positions.values())
-        for u, v in zip(*np.nonzero(bundle.R)):
+        assert distances(pairs)
+        for u, v in distances(pairs):
             assert u in inst_positions and v in inst_positions
             t, s = seq.inst_of[u], seq.inst_of[v]
             assert t != s and con.dist[t, s] > 0
@@ -122,12 +139,13 @@ class TestBundle:
         con = connectivity(dep)
         body = "\n".join(f"mov rax, {i}" for i in range(6))
         _, seq = seq_of(body)
-        bundle = build_bundle(seq, con.dist)
+        r = distances(build_bundle(seq, con.dist))
         p = seq.inst_positions
-        assert bundle.R[p[4], p[0]] == 1
-        assert bundle.R[p[4], p[3]] == 1
-        assert bundle.R[p[4], p[5]] == 1
-        assert bundle.R[p[4], p[2]] == 2
+        assert r[p[4], p[0]] == 1
+        assert r[p[4], p[3]] == 1
+        assert r[p[4], p[5]] == 1
+        assert r[p[4], p[2]] == 2
+        assert (p[4], p[1]) not in r
 
     def test_matches_naive_oracle_on_random_programs(self):
         rng = np.random.default_rng(11)
@@ -141,10 +159,10 @@ class TestBundle:
             assert np.array_equal(art.bundle.R, want_r), f"trial {trial}"
 
     def test_artifact_bundle_is_fresh_on_each_access(self):
-        # tests that edit ``art.bundle`` in place rely on this
+        # a corpus keeps no mask, so editing one leaves the next untouched
         art = Corpus.from_text(".func f\nmov rax, 1\nmov rbx, rax\n", RunConfig()).functions[0]
-        art.bundle.R[:] = 7
-        assert not np.any(art.bundle.R == 7)
+        art.bundle.r[:] = 7
+        assert len(art.bundle.r) and not np.any(art.bundle.r == 7)
 
     def test_union_monotone_in_connectivity(self):
         seq, con = con_of("mov rax, 1\nmov rbx, 2\nmov rcx, 3")
@@ -152,23 +170,23 @@ class TestBundle:
         richer = con.dist.copy()
         richer[0, 1] = richer[1, 0] = 1
         extended = build_bundle(seq, richer)
-        assert np.all(extended.M >= base.M)
+        assert entries(extended) >= entries(base)
 
     def test_inst_mediated_two_hop_path(self):
         seq, con = con_of("mov rax, 1\nmov rbx, rax")
-        bundle = build_bundle(seq, con.dist)
+        got = entries(build_bundle(seq, con.dist))
         p0, p1 = seq.inst_positions[0], seq.inst_positions[1]
         i, j = p0 + 1, p1 + 1  # internal tokens of the two instructions
-        assert bundle.M[i, j] == NEG
-        assert bundle.M[i, p0] == 0
-        assert bundle.M[p0, p1] == 0
-        assert bundle.M[p1, j] == 0
+        assert (i, j) not in got
+        assert (i, p0) in got
+        assert (p0, p1) in got
+        assert (p1, j) in got
 
 
 class TestSparseSerialization:
     def test_pairs_sorted_and_consistent(self):
         seq, con = con_of("mov rax, 1\nmov rbx, rax")
-        sp = sparse_masks(seq, con.dist)
+        sp = sparse_masks(build_bundle(seq, con.dist))
         assert sp["n"] == len(seq)
         for kind in ("global", "local", "dependence"):
             assert sp[kind] == sorted(sp[kind])

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from depcoder.frontend import (CLS_ID, FIRST_REGULAR_ID, INST_ID, MASK_ID,
 from depcoder.pretrain import (AdamW, EdgeSample, edge_probabilities,
                                eligible_positions, mdm_loss, mdm_sample,
                                mlm_loss, mlm_perturb, perturb_bundle, train_step)
+
+from oracles import naive_mask_bundle
 
 
 def fabricated_seq(n_eligible=100):
@@ -139,22 +143,34 @@ ret
     return corpus, corpus.functions[0]
 
 
+def pair_distances(pairs):
+    """(i, j) -> distance (0 for none) at every enabled pair."""
+    i, j = np.divmod(pairs.flat, pairs.n)
+    r = np.zeros(len(pairs), dtype=np.int64)
+    r[pairs.biased] = pairs.r
+    return dict(zip(zip(i.tolist(), j.tolist()), r.tolist()))
+
+
 class TestPerturbBundle:
     def test_empty_sample_identity(self):
         _, art = small_artifact()
         sample = EdgeSample(nodes=[], positives=[], negatives=[])
         out = perturb_bundle(art.seq, art.con.dist, sample)
-        assert np.array_equal(out.M, art.bundle.M)
-        assert np.array_equal(out.R, art.bundle.R)
+        assert np.array_equal(out.flat, art.bundle.flat)
+        assert np.array_equal(out.biased, art.bundle.biased)
+        assert np.array_equal(out.r, art.bundle.r)
 
     def test_delete_is_symmetric(self):
         _, art = small_artifact()
         t, s = art.con.to_dict()["edges"][0][:2]
         sample = EdgeSample(nodes=[t], positives=[(t, s)], negatives=[])
-        out = perturb_bundle(art.seq, art.con.dist, sample)
+        out = pair_distances(perturb_bundle(art.seq, art.con.dist, sample))
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
-        assert out.M[pt, ps] == out.M[ps, pt] == -1e9
-        assert out.R[pt, ps] == out.R[ps, pt] == 0
+        assert (pt, ps) not in out and (ps, pt) not in out
+        # everything else untouched
+        base = pair_distances(art.bundle)
+        assert base[pt, ps] == base[ps, pt] > 0
+        assert out == {ij: d for ij, d in base.items() if ij not in {(pt, ps), (ps, pt)}}
 
     def test_inject_negative_distance_one(self):
         _, art = small_artifact()
@@ -163,16 +179,12 @@ class TestPerturbBundle:
                      if art.con.dist[u, v] == 0]
         t, s = non_edges[0]
         sample = EdgeSample(nodes=[t], positives=[], negatives=[(t, s)])
-        out = perturb_bundle(art.seq, art.con.dist, sample)
+        out = pair_distances(perturb_bundle(art.seq, art.con.dist, sample))
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
-        assert out.M[pt, ps] == out.M[ps, pt] == 0.0
-        assert out.R[pt, ps] == out.R[ps, pt] == 1
+        assert out[pt, ps] == out[ps, pt] == 1
         # everything else untouched
         touched = {(pt, ps), (ps, pt)}
-        mask = np.ones_like(out.M, dtype=bool)
-        for i, j in touched:
-            mask[i, j] = False
-        assert np.array_equal(out.M[mask], art.bundle.M[mask])
+        assert {ij: d for ij, d in out.items() if ij not in touched} == pair_distances(art.bundle)
 
     def test_original_bundle_immutable(self):
         _, art = small_artifact()
@@ -295,8 +307,11 @@ class TestTrainStep:
         sample = EdgeSample(nodes=[t], positives=[(t, s)], negatives=[])
         perturbed = perturb_bundle(art.seq, art.con.dist, sample)
         trace = encode(art.seq.tokens, perturbed, state)
+        dist = art.con.dist.copy()
+        dist[t, s] = dist[s, t] = 0
+        want_m, _ = naive_mask_bundle(art.seq, SimpleNamespace(dist=dist))
         pair_ij = np.stack(np.divmod(trace.pairs.flat, len(art.seq)), axis=1)
-        assert np.array_equal(pair_ij, np.argwhere(perturbed.M == 0))
+        assert np.array_equal(pair_ij, np.argwhere(want_m == 0))
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
         for c in trace.caches:
             probs = trace.pairs.scatter(c.probs)

@@ -12,15 +12,17 @@ self-loops and pairs that carry both kinds, and compare ``connectivity`` with
 breadth-first search per ordered pair.
 
 The mask examples draw a function from ``synth.generate_function`` and a
-token budget that often truncates it, so the kept-instruction gather in
-``build_bundle`` is exercised on prefixes as well as whole functions.
+token budget that often truncates it, so the kept-instruction block that
+``build_bundle`` reads is exercised on prefixes as well as whole functions.
 
-The attention examples take such a bundle, raise some of its distances above
-``r_max`` so that many pairs share the clamped bucket, and compare
-``rma_attention`` over the bundle's pair list with a dense per-head
-evaluation of the formula and the bucket's ``beta`` gradient with central
-differences, in float64.
+The attention examples take such a function, raise some of its distances
+above ``r_max`` in a copy of the distances so that many pairs share the
+clamped bucket, and compare ``rma_attention`` over the rebuilt pair list
+with a dense per-head evaluation of the formula and the bucket's ``beta``
+gradient with central differences, in float64.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,8 +36,7 @@ from depcoder.corpus import Corpus
 from depcoder.dependence import DependenceGraph, block_control_dependences, data_dependences
 from depcoder.encoder import EncoderConfig, EncoderState, backward, encode, rma_attention
 from depcoder.frontend import parse_listing
-from depcoder.masks import (AttentionPairs, build_bundle, global_enabled, local_enabled,
-                            sparse_masks)
+from depcoder.masks import build_bundle, sparse_masks
 from depcoder.pretrain import mdm_sample, perturb_bundle
 from depcoder.synth import generate_function
 
@@ -98,11 +99,19 @@ def test_closure_matches_bfs_per_pair(seed, n, out_degree):
 
 
 def assert_mask_views_match_the_oracle(art):
+    # build_bundle, mdm_sample and perturb_bundle read the kept instructions
+    # as the block dist[:k, :k]
+    assert list(art.seq.inst_positions) == list(range(art.seq.n_instructions))
     want_m, want_r = naive_mask_bundle(art.seq, art.con)
-    bundle = build_bundle(art.seq, art.con.dist)
-    assert np.array_equal(bundle.M, want_m)
-    assert np.array_equal(bundle.R, want_r)
-    assert sparse_masks(art.seq, art.con.dist) == naive_sparse_masks(art.seq, art.con)
+    pairs = build_bundle(art.seq, art.con.dist)
+    want_ij = np.argwhere(want_m == 0)
+    assert np.array_equal(pairs.flat, want_ij[:, 0] * len(art.seq) + want_ij[:, 1])
+    r = np.zeros(len(pairs), dtype=want_r.dtype)
+    r[pairs.biased] = pairs.r
+    assert np.array_equal(r, want_r[want_ij[:, 0], want_ij[:, 1]])
+    assert np.array_equal(pairs.M, want_m)
+    assert np.array_equal(pairs.R, want_r)
+    assert sparse_masks(pairs) == naive_sparse_masks(art.seq, art.con)
 
 
 @SETTINGS
@@ -130,8 +139,14 @@ def test_perturbed_mask_is_enabled_exactly_on_its_parts(seed, max_len, sample_se
     rng = np.random.default_rng(sample_seed)
     sample = mdm_sample(art.con, art.seq.n_instructions, rng, node_frac)
     out = perturb_bundle(art.seq, art.con.dist, sample)
-    enabled = global_enabled(art.seq) | local_enabled(art.seq) | (out.R > 0)
-    assert np.array_equal(out.M == 0, enabled)
+    want = art.con.dist.copy()
+    for t, s in sample.positives:
+        want[t, s] = want[s, t] = 0
+    for t, s in sample.negatives:
+        want[t, s] = want[s, t] = 1
+    want_m, want_r = naive_mask_bundle(art.seq, SimpleNamespace(dist=want))
+    assert np.array_equal(out.M, want_m)
+    assert np.array_equal(out.R, want_r)
     pos = art.seq.inst_positions
     for t, s in sample.positives:
         assert out.R[pos[t], pos[s]] == 0
@@ -143,7 +158,7 @@ R_MAX = 3
 
 
 def attention_setup(seed: int, max_len: int, model_seed: int, layers: int = 1):
-    """A float64 model with a random ``beta`` table and the bundle of a synth
+    """A float64 model with a random ``beta`` table and the mask of a synth
     function in which about half of the dependence pairs sit beyond ``r_max``."""
     art = artifact(seed, max_len)
     rng = np.random.default_rng(model_seed)
@@ -152,21 +167,21 @@ def attention_setup(seed: int, max_len: int, model_seed: int, layers: int = 1):
                         vocab_size=int(max(art.seq.tokens)) + 1)
     state = EncoderState.init(cfg, model_seed)
     state.params["beta"][:] = rng.standard_normal(state.params["beta"].shape)
-    bundle = art.bundle
-    far = np.triu(rng.random(bundle.R.shape) < 0.5, 1)
-    far = (far | far.T) & (bundle.R > 0)
-    bundle.R[far] += R_MAX + rng.integers(0, 4)
-    return art, state, bundle, rng
+    k = art.seq.n_instructions
+    dist = art.con.dist[:k, :k].copy()
+    far = np.triu(rng.random(dist.shape) < 0.5, 1)
+    far = (far | far.T) & (dist > 0)
+    dist[far] += R_MAX + rng.integers(0, 4)
+    return art, state, build_bundle(art.seq, dist), rng
 
 
 @SETTINGS
 @given(seed=seeds, max_len=max_lens, model_seed=seeds)
 def test_attention_matches_the_dense_formula(seed, max_len, model_seed):
-    art, state, bundle, rng = attention_setup(seed, max_len, model_seed)
+    art, state, pairs, rng = attention_setup(seed, max_len, model_seed)
     h = rng.standard_normal((len(art.seq), state.config.hidden))
-    pairs = AttentionPairs(bundle)
     out, (_, _, _, probs, _, _) = rma_attention(h, pairs, 0, state)
-    want_out, want_probs = dense_attention(h, bundle, 0, state)
+    want_out, want_probs = dense_attention(h, pairs, 0, state)
     np.testing.assert_allclose(pairs.scatter(probs), want_probs, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(out, want_out, rtol=1e-10, atol=1e-10)
 
@@ -174,14 +189,14 @@ def test_attention_matches_the_dense_formula(seed, max_len, model_seed):
 @settings(max_examples=10, deadline=None)
 @given(seed=seeds, max_len=st.integers(24, 96), model_seed=seeds)
 def test_clamped_bucket_gradient_matches_central_differences(seed, max_len, model_seed):
-    art, state, bundle, rng = attention_setup(seed, max_len, model_seed, layers=2)
-    assume(np.count_nonzero(bundle.R >= R_MAX) >= 2)
+    art, state, pairs, rng = attention_setup(seed, max_len, model_seed, layers=2)
+    assume(np.count_nonzero(pairs.r >= R_MAX) >= 2)
     d_final = rng.standard_normal((len(art.seq), state.config.hidden))
 
     def loss():
-        return float((encode(art.seq.tokens, bundle, state).final * d_final).sum())
+        return float((encode(art.seq.tokens, pairs, state).final * d_final).sum())
 
-    got = backward(encode(art.seq.tokens, bundle, state), d_final, state)["beta"][:, R_MAX]
+    got = backward(encode(art.seq.tokens, pairs, state), d_final, state)["beta"][:, R_MAX]
     beta, eps = state.params["beta"], 1e-5
     for i in range(state.config.heads):
         beta[i, R_MAX] += eps
