@@ -10,10 +10,12 @@ decide: the surface tokens, the dependence and connectivity graphs and the
 sparse mask view.  It is keyed (``sha``) by the hash of the function's text,
 the analysis settings that shape those artifacts (``max_len``, ``flags_dep``,
 ``on_unknown``) and the entry format, so a stale entry is recomputed, never
-silently reused; so is an entry that cannot be read or parsed, or that is not
-an object.  Token ids are looked up from the surface on every call.  A
-computed section is JSON-encoded once: the entry is assembled from the
-section texts that the command also writes to its output files.
+silently reused; so is an entry that cannot be read or parsed, that is not
+an object, or whose sections lack the shape a hit reads.  Token ids are
+looked up from the surface on every call.  A computed section is
+JSON-encoded once, the connectivity and mask sections as text written
+straight from their arrays: the entry is assembled from the section texts
+that the command also writes to its output files.
 ``ANALYSIS_DIGEST`` pins the analysis output of a fixed listing, so an
 analysis change that does not bump ``CACHE_FORMAT`` fails a test.
 """
@@ -113,21 +115,34 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _readable(arts) -> bool:
+    """Whether a cache entry's ``artifacts`` has the sections, and the
+    ``tokens`` keys and surface, that a hit reads."""
+    if not (isinstance(arts, dict)
+            and arts.keys() == {"connectivity", "deps", "function", "mask", "tokens"}):
+        return False
+    tokens = arts["tokens"]
+    return (isinstance(tokens, dict)
+            and tokens.keys() == {"inst_of", "inst_positions", "surface"}
+            and isinstance(tokens["surface"], list)
+            and all(isinstance(t, str) for t in tokens["surface"]))
+
+
 class ArtifactDict(dict):
-    """A function's artifacts; ``texts`` maps each section to its ``dumps``
-    text, the token ids included."""
+    """A function's decoded ``tokens`` section, token ids included; ``texts``
+    maps every section to its ``dumps`` text."""
 
     texts: dict[str, str]
 
 
 def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
                          cache_dir: str | None = None) -> ArtifactDict:
-    """Artifacts of one function as a JSON-ready dict, going through the cache
-    when one is configured; an entry that is unreadable, not a JSON object or
-    keyed differently is recomputed and overwritten.  The token
-    ids are looked up in ``vocab`` on every call, cached or not.  Each section
-    is encoded once; a computed entry is assembled from those texts, and the
-    caller writes them out."""
+    """Artifacts of one function as section texts, going through the cache
+    when one is configured; an entry that is unreadable, not a JSON object,
+    keyed differently or not shaped as a hit reads it is recomputed and
+    overwritten.  The token ids are looked up in ``vocab`` on every call,
+    cached or not.  Each section is encoded once; a computed entry is
+    assembled from those texts, and the caller writes them out."""
     out = cache_path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
@@ -139,10 +154,12 @@ def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
                 entry = json.load(fh)
         except (OSError, ValueError):  # missing, unreadable or not JSON: a miss
             entry = None
-        if isinstance(entry, dict) and entry.get("sha") == sha:
+        if (isinstance(entry, dict) and entry.get("sha") == sha
+                and _readable(entry.get("artifacts"))):
             out = entry["artifacts"]
-    computed = out is None
-    if computed:
+    if out is not None:
+        texts = {k: dumps(v) for k, v in out.items()}
+    else:
         arts = compute_artifacts(fn, vocab, cfg)
         out = {
             "function": fn.name,
@@ -152,20 +169,19 @@ def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
                 "inst_positions": {str(k): v for k, v in arts.seq.inst_positions.items()},
             },
             "deps": arts.deps.to_dict(),
-            "connectivity": arts.con.to_dict(),
-            "mask": sparse_masks(arts.bundle),
         }
-    texts = {k: dumps(v) for k, v in out.items()}
-    if computed and cache_path:  # == dumps({"artifacts": out, "sha": sha})
-        body = ",".join(f"{dumps(k)}:{texts[k]}" for k in sorted(texts))
-        tmp = cache_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f'{{"artifacts":{{{body}}},"sha":{dumps(sha)}}}')
-        os.replace(tmp, cache_path)
+        texts = {k: dumps(v) for k, v in out.items()}
+        texts["connectivity"] = arts.con.to_json()
+        texts["mask"] = sparse_masks(arts.bundle)
+        if cache_path:  # == dumps({"artifacts": <the sections>, "sha": sha})
+            body = ",".join(f"{dumps(k)}:{texts[k]}" for k in sorted(texts))
+            tmp = cache_path + ".tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(f'{{"artifacts":{{{body}}},"sha":{dumps(sha)}}}')
+            os.replace(tmp, cache_path)
     ids = [vocab.id(t) for t in out["tokens"]["surface"]]
-    out["tokens"]["ids"] = ids
     # "ids" sorts before the other token keys, so it opens the object
     texts["tokens"] = f'{{"ids":{dumps(ids)},{texts["tokens"][1:]}'
-    result = ArtifactDict(out)
+    result = ArtifactDict(tokens=dict(out["tokens"], ids=ids))
     result.texts = texts
     return result

@@ -8,7 +8,8 @@ instructions' distance.  ``build_bundle``, the only code that builds a mask,
 reads the pairs off the token blocks and the kept instructions' block
 ``dist[:k, :k]`` of the distances (``tokenize`` keeps a prefix), with no
 N×N array.  The encoder runs on the ``AttentionPairs`` it returns, and
-``sparse_masks``, the view the ``pipeline`` command writes, reads them too.
+``sparse_masks`` writes the JSON text of the view the ``pipeline`` command
+emits straight from them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frontend import TokenSequence
+from .jsontext import int_rows
 
 #: the dense ``AttentionPairs.M`` view's stand-in for -inf at disabled entries
 MASK_NEG = -1.0e9
@@ -106,9 +108,10 @@ def build_bundle(seq: TokenSequence, dist: np.ndarray) -> AttentionPairs:
     return AttentionPairs(n, flat, r)
 
 
-def sparse_masks(pairs: AttentionPairs) -> dict:
-    """Serializable view of a mask: enabled (i, j) pairs (i <= j) per mask
-    part plus distance triples for the <INST> pairs, all in row-major order.
+def sparse_masks(pairs: AttentionPairs) -> str:
+    """Compact JSON text, keys sorted, of the serializable view of a mask:
+    enabled [i, j] pairs (i <= j) per mask part plus [i, j, distance]
+    triples for the <INST> pairs, all in row-major order, and ``n``.
     ``global`` is row 0, ``dependence`` the pairs that carry a distance and
     ``local`` the rest of rows 1 and up."""
     i, j = np.divmod(pairs.flat, pairs.n)
@@ -117,10 +120,6 @@ def sparse_masks(pairs: AttentionPairs) -> dict:
     upper = i <= j
     dep = upper & (r > 0)
     ij = np.stack([i, j], axis=1)
-    return {
-        "n": pairs.n,
-        "global": ij[i == 0].tolist(),
-        "local": ij[upper & (i > 0) & (r == 0)].tolist(),
-        "dependence": ij[dep].tolist(),
-        "r": np.column_stack([ij[dep], r[dep]]).tolist(),
-    }
+    return (f'{{"dependence":{int_rows(ij[dep])},"global":{int_rows(ij[i == 0])},'
+            f'"local":{int_rows(ij[upper & (i > 0) & (r == 0)])},"n":{pairs.n},'
+            f'"r":{int_rows(np.column_stack([ij[dep], r[dep]]))}}}')

@@ -11,6 +11,7 @@ instead of vectorized metrics.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 
 import numpy as np
@@ -149,6 +150,13 @@ def oracle_connectivity(n: int, edges: set[tuple[int, int]]):
             if ds:
                 out[(u, v)] = min(ds)
     return out
+
+
+def oracle_connectivity_text(n: int, edges: set[tuple[int, int]]) -> str:
+    """The connectivity artifact text: compact JSON, keys sorted, of the
+    oracle's edges as [u, v, distance] in row-major order."""
+    triples = [[u, v, d] for (u, v), d in sorted(oracle_connectivity(n, edges).items())]
+    return json.dumps({"nodes": n, "edges": triples}, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

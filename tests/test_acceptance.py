@@ -31,7 +31,7 @@ from depcoder.synth import build_corpus
 
 from generators import random_cfg, random_digraph, random_loopfree_function
 from oracles import (naive_lrap, naive_lrl, naive_mask_bundle,
-                     oracle_block_control_deps, oracle_connectivity,
+                     oracle_block_control_deps, oracle_connectivity_text,
                      path_enum_data_deps)
 
 
@@ -88,8 +88,7 @@ def test_criterion_02_closure_oracle():
     for _ in range(500):
         n, edges = random_digraph(rng, max_nodes=64)
         dep = DependenceGraph(n_nodes=n, edges={(u, v, "data") for u, v in edges})
-        got = {(u, v): d for u, v, d in connectivity(dep).to_dict()["edges"]}
-        if got != oracle_connectivity(n, edges):
+        if connectivity(dep).to_json() != oracle_connectivity_text(n, edges):
             ok = False
             break
     elapsed = time.monotonic() - t0

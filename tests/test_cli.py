@@ -40,6 +40,15 @@ def write(path, text):
     return str(path)
 
 
+def edited_entry(edit):
+    """A cache entry corruption: ``edit`` applied to the decoded entry."""
+    def corrupt(text):
+        entry = json.loads(text)
+        edit(entry)
+        return json.dumps(entry)
+    return corrupt
+
+
 @pytest.fixture()
 def chain_listing(tmp_path):
     return write(tmp_path / "chain.asm", POINTER_CHAIN)
@@ -103,8 +112,15 @@ class TestPipeline:
         with open(out / "chain.deps.json") as fh:
             assert json.load(fh)["edges"] == [[3, 0, "data"]]
 
-    @pytest.mark.parametrize("corrupt", [lambda text: text[:20], lambda text: "[]"],
-                             ids=["truncated", "not-an-object"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text[:20],
+        lambda text: "[]",
+        # a matching hash over a body a hit cannot read
+        edited_entry(lambda entry: entry.update(artifacts={})),
+        edited_entry(lambda entry: entry.update(artifacts=[])),
+        edited_entry(lambda entry: entry["artifacts"]["tokens"].update(surface=5)),
+    ], ids=["truncated", "not-an-object", "no-sections", "sections-not-an-object",
+            "surface-not-a-list"])
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path, chain_listing, corrupt):
         fresh, out, cache = (str(tmp_path / d) for d in ("fresh", "out", "cache"))
         assert main(["pipeline", chain_listing, "--out", fresh]) == 0
@@ -194,8 +210,9 @@ class TestPipeline:
         assert set(entry) == {"artifacts", "sha"}
         assert text == dumps(entry)
         tokens = dict(entry["artifacts"]["tokens"], ids=art["tokens"]["ids"])
-        assert dict(entry["artifacts"], tokens=tokens) == art
-        assert art.texts == {k: dumps(v) for k, v in art.items()}
+        assert art == {"tokens": tokens}
+        sections = dict(entry["artifacts"], tokens=tokens)
+        assert art.texts == {k: dumps(v) for k, v in sections.items()}
 
         listing = write(tmp_path / "f.asm", FLAGS_FN)
         assert main(["pipeline", listing, "--out", str(tmp_path / "out")]) == 0

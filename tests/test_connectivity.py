@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from depcoder.connectivity import NODE_CAP, ClosureError, connectivity
+from depcoder.corpus import dumps
 from depcoder.dependence import DependenceGraph
 
 from generators import random_digraph
-from oracles import oracle_connectivity
+from oracles import oracle_connectivity_text
 
 
 def graph(n, pairs):
@@ -14,7 +17,7 @@ def graph(n, pairs):
 
 def test_chain_composes_distances():
     con = connectivity(graph(3, [(0, 1), (1, 2)]))
-    assert con.to_dict()["edges"] == [[0, 1, 1], [0, 2, 2], [1, 2, 1]]
+    assert con.to_json() == dumps({"nodes": 3, "edges": [[0, 1, 1], [0, 2, 2], [1, 2, 1]]})
 
 
 def test_worked_example_six_instructions():
@@ -31,7 +34,7 @@ def test_worked_example_six_instructions():
 
 
 def test_empty_edge_set():
-    assert connectivity(graph(4, [])).to_dict()["edges"] == []
+    assert connectivity(graph(4, [])).to_json() == dumps({"nodes": 4, "edges": []})
 
 
 def test_mixed_direction_takes_minimum():
@@ -46,9 +49,7 @@ def test_matches_bfs_oracle_on_random_digraphs():
     for trial in range(500):
         n, edges = random_digraph(rng, max_nodes=64)
         con = connectivity(graph(n, edges))
-        want = oracle_connectivity(n, edges)
-        got = {(u, v): d for u, v, d in con.to_dict()["edges"]}
-        assert got == want, f"trial {trial}"
+        assert con.to_json() == oracle_connectivity_text(n, edges), f"trial {trial}"
 
 
 def test_symmetry():
@@ -77,6 +78,9 @@ def test_chain_at_the_cap_has_every_distance():
     u, v = np.indices((n, n))
     assert con.dist.dtype == np.int32
     assert np.array_equal(con.dist, np.abs(u - v))
+    # 3-digit indices and distances in the text
+    edges = [[u, v, v - u] for u in range(n) for v in range(u + 1, n)]
+    assert con.to_json() == dumps({"nodes": n, "edges": edges})
 
 
 def test_cycle_at_the_cap_takes_the_shorter_way_round():
@@ -95,7 +99,7 @@ def test_node_cap():
 
 def test_serialization_roundtrip():
     con = connectivity(graph(5, [(0, 1), (1, 2), (4, 2)]))
-    d = con.to_dict()
+    d = json.loads(con.to_json())
     back = np.zeros((d["nodes"], d["nodes"]), dtype=np.int32)
     for u, v, w in d["edges"]:
         back[u, v] = back[v, u] = w

@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
+import pytest
 
 from depcoder.config import RunConfig
 from depcoder.connectivity import connectivity
-from depcoder.corpus import Corpus
+from depcoder.corpus import Corpus, dumps
 from depcoder.dependence import DependenceGraph
 from depcoder.frontend import build_vocab, parse_listing, tokenize
 from depcoder.masks import build_bundle, sparse_masks
 from depcoder.synth import generate_function
 
-from oracles import naive_mask_bundle
+from oracles import naive_mask_bundle, naive_sparse_masks, oracle_connectivity_text
 
 
 def seq_of(body: str):
@@ -65,7 +68,7 @@ class TestLocalMask:
         blocks = {(i, j) for b in (range(1, 4), range(4, 6)) for i in b for j in b}
         assert {(i, j) for i, j in entries(pairs) if i and j} == blocks
         # [CLS] self-attention comes from the global part
-        assert [0, 0] not in sparse_masks(pairs)["local"]
+        assert [0, 0] not in json.loads(sparse_masks(pairs))["local"]
 
     def test_cross_instruction_blocked(self):
         seq, con = con_of("mov rax, 1\nmov rbx, rax")
@@ -186,7 +189,7 @@ class TestBundle:
 class TestSparseSerialization:
     def test_pairs_sorted_and_consistent(self):
         seq, con = con_of("mov rax, 1\nmov rbx, rax")
-        sp = sparse_masks(build_bundle(seq, con.dist))
+        sp = json.loads(sparse_masks(build_bundle(seq, con.dist)))
         assert sp["n"] == len(seq)
         for kind in ("global", "local", "dependence"):
             assert sp[kind] == sorted(sp[kind])
@@ -194,3 +197,19 @@ class TestSparseSerialization:
         p0, p1 = seq.inst_positions[0], seq.inst_positions[1]
         assert [p0, p1] in sp["dependence"]
         assert [p0, p1, 1] in sp["r"]
+
+    @pytest.mark.parametrize("body, farthest", [
+        # 120 chained instructions over 511 tokens, 102 instructions kept:
+        # 3-digit token indices, instruction indices and distances
+        ("add rax, 1\n" * 120, 119),
+        ("mov rax, 1\nmov rbx, 2\nnop", 0),  # no dependence: empty lists
+    ], ids=["long-chain", "no-dependence"])
+    def test_texts_match_the_oracles(self, body, farthest):
+        from depcoder.dependence import dependence_graph
+        fn, seq = seq_of(body)
+        dep = dependence_graph(fn)
+        con = connectivity(dep)
+        assert con.dist.max() == farthest
+        edges = {(u, v) for u, v, _ in dep.edges}
+        assert con.to_json() == oracle_connectivity_text(dep.n_nodes, edges)
+        assert sparse_masks(build_bundle(seq, con.dist)) == dumps(naive_sparse_masks(seq, con))

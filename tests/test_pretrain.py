@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -162,7 +163,7 @@ class TestPerturbBundle:
 
     def test_delete_is_symmetric(self):
         _, art = small_artifact()
-        t, s = art.con.to_dict()["edges"][0][:2]
+        t, s = json.loads(art.con.to_json())["edges"][0][:2]
         sample = EdgeSample(nodes=[t], positives=[(t, s)], negatives=[])
         out = pair_distances(perturb_bundle(art.seq, art.con.dist, sample))
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
@@ -189,7 +190,7 @@ class TestPerturbBundle:
     def test_original_bundle_immutable(self):
         _, art = small_artifact()
         before = art.con.dist.copy()
-        t, s = art.con.to_dict()["edges"][0][:2]
+        t, s = json.loads(art.con.to_json())["edges"][0][:2]
         non_edge = next((u, v) for u in range(art.seq.n_instructions)
                         for v in range(u + 1, art.seq.n_instructions)
                         if art.con.dist[u, v] == 0)
@@ -303,7 +304,7 @@ class TestTrainStep:
         cfg = EncoderConfig(layers=2, heads=2, hidden=16, ffn=32,
                             vocab_size=len(corpus.vocab), dtype="float64")
         state = EncoderState.init(cfg, 0)
-        t, s = art.con.to_dict()["edges"][0][:2]
+        t, s = json.loads(art.con.to_json())["edges"][0][:2]
         sample = EdgeSample(nodes=[t], positives=[(t, s)], negatives=[])
         perturbed = perturb_bundle(art.seq, art.con.dist, sample)
         trace = encode(art.seq.tokens, perturbed, state)

@@ -8,8 +8,8 @@ definition through post-dominance by reachability, on the CFGs ``build_cfg``
 builds: back edges, self-loops, and infinite loops that need the exit edge.
 
 The closure examples draw dependence graphs of up to 150 nodes with cycles,
-self-loops and pairs that carry both kinds, and compare ``connectivity`` with
-breadth-first search per ordered pair.
+self-loops and pairs that carry both kinds, and compare ``connectivity`` and
+its artifact text with breadth-first search per ordered pair.
 
 The mask examples draw a function from ``synth.generate_function`` and a
 token budget that often truncates it, so the kept-instruction block that
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from depcoder.cfg import build_cfg
 from depcoder.config import RunConfig
 from depcoder.connectivity import connectivity
-from depcoder.corpus import Corpus
+from depcoder.corpus import Corpus, dumps
 from depcoder.dependence import DependenceGraph, block_control_dependences, data_dependences
 from depcoder.encoder import EncoderConfig, EncoderState, backward, encode, rma_attention
 from depcoder.frontend import parse_listing
@@ -42,7 +42,8 @@ from depcoder.synth import generate_function
 
 from generators import random_dependence_edges, random_looping_program
 from oracles import (dense_attention, naive_mask_bundle, naive_sparse_masks,
-                     oracle_block_control_deps, oracle_connectivity, path_enum_data_deps)
+                     oracle_block_control_deps, oracle_connectivity_text,
+                     path_enum_data_deps)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -94,8 +95,7 @@ def test_closure_matches_bfs_per_pair(seed, n, out_degree):
     assert con.dist.dtype == np.int32 and con.dist.shape == (n, n)
     assert np.array_equal(con.dist, con.dist.T)
     assert not np.diagonal(con.dist).any()
-    want = oracle_connectivity(n, {(u, v) for u, v, _ in edges})
-    assert {(u, v): d for u, v, d in con.to_dict()["edges"]} == want
+    assert con.to_json() == oracle_connectivity_text(n, {(u, v) for u, v, _ in edges})
 
 
 def assert_mask_views_match_the_oracle(art):
@@ -111,7 +111,7 @@ def assert_mask_views_match_the_oracle(art):
     assert np.array_equal(r, want_r[want_ij[:, 0], want_ij[:, 1]])
     assert np.array_equal(pairs.M, want_m)
     assert np.array_equal(pairs.R, want_r)
-    assert sparse_masks(pairs) == naive_sparse_masks(art.seq, art.con)
+    assert sparse_masks(pairs) == dumps(naive_sparse_masks(art.seq, art.con))
 
 
 @SETTINGS
