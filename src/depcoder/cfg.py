@@ -107,17 +107,25 @@ def build_cfg(fn: ParsedFunction) -> Cfg:
 
 def _augment_exit_reachability(blocks, succ) -> None:
     """Add block->EXIT edges until EXIT is reachable from every block
-    (handles infinite loops)."""
-    while True:
-        reaches = {EXIT}
-        changed = True
-        while changed:
-            changed = False
-            for b in range(len(blocks)):
-                if b not in reaches and any(v in reaches for v in succ[b]):
-                    reaches.add(b)
-                    changed = True
-        stuck = [b for b in range(len(blocks)) if b not in reaches]
-        if not stuck:
-            return
-        succ[stuck[0]].append(EXIT)
+    (handles infinite loops): while some block cannot reach EXIT, the first
+    such block gets the edge.
+
+    The blocks that reach EXIT are found by walking predecessor lists
+    backward from it; each added edge extends that walk from its block.
+    """
+    preds = Cfg(blocks, succ).preds()
+    reaches: set[int] = set()
+
+    def walk_back(b: int) -> None:
+        todo = [b]
+        while todo:
+            b = todo.pop()
+            if b not in reaches:
+                reaches.add(b)
+                todo.extend(preds[b])
+
+    walk_back(EXIT)
+    for b in range(len(blocks)):  # every block before b reaches EXIT by now
+        if b not in reaches:
+            succ[b].append(EXIT)
+            walk_back(b)

@@ -1,7 +1,12 @@
 """Undirected connectivity graph with dependence distances.
 
-A breadth-first search from every instruction closes the dependence graph in
-O(n·(n+E)); two nodes are connected at the shortest directed path between them.
+One level-synchronous breadth-first search from every instruction at once
+closes the dependence graph: each node holds the set of sources that reach
+it as a Python-int bitset, and a level pushes only the bits that arrived at
+the level before.  That costs O(D·E) bitset operations, where D is the
+longest shortest path, so it is fast on the short, bushy graphs of real
+functions and slower than one BFS per source on long chains and cycles.  Two
+nodes are connected at the shortest directed path between them.
 ``ConnectivityGraph.to_json`` writes the graph's artifact text straight from
 the distance matrix.
 """
@@ -44,16 +49,47 @@ def connectivity(dep: DependenceGraph) -> ConnectivityGraph:
     if n > NODE_CAP:
         raise ClosureError(f"{n} nodes exceed the closure cap of {NODE_CAP}; truncate the "
                            "function upstream (tokenizer max_len) before building masks")
-    succ = [[] for _ in range(n)]
-    for u, v in dep.directed_pairs():
-        succ[u].append(v)
-    d = np.zeros((n, n), dtype=np.int32)
-    for src in range(n):  # row[v]: BFS level of v from src, 0 while unreached
-        row, queue = [0] * n, [src]
-        for u in queue:  # the queue grows while it is walked
-            for v in succ[u]:
-                if not row[v] and v != src:  # also drops self-loops
-                    row[v] = row[u] + 1
-                    queue.append(v)
-        d[src] = row
+    d = _levels(n, dep.directed_pairs()).T  # d[s, v]: BFS level of v from s, 0 while unreached
     return ConnectivityGraph(n, np.where(d * d.T > 0, np.minimum(d, d.T), np.maximum(d, d.T)))
+
+
+def _levels(n: int, pairs: set[tuple[int, int]]) -> np.ndarray:
+    """int32 ``d[v, s]``: the BFS level at which source s first reaches v, and 0
+    where it never does and on the diagonal.
+
+    One level-synchronous BFS from every source at once: bit s of ``reach[v]``
+    is set once source s has reached v, and the level at which it does is
+    ORed into ``planes[k]``, which holds bit k of every such level.  The bit
+    sets are freed on return, before the caller folds the levels.
+    """
+    succ = [[] for _ in range(n)]
+    for u, v in pairs:
+        succ[u].append(v)
+    reach = [1 << v for v in range(n)]  # level 0: each source reaches itself
+    frontier = list(enumerate(reach))  # (node, sources that first reached it last level)
+    planes: list[list[int]] = []
+    level = 0
+    while frontier:
+        level += 1
+        if level.bit_length() > len(planes):
+            planes.append([0] * n)
+        level_planes = [planes[k] for k in range(level.bit_length()) if level >> k & 1]
+        pushed: dict[int, int] = {}
+        for u, bits in frontier:
+            for v in succ[u]:
+                pushed[v] = pushed.get(v, 0) | bits
+        frontier = []
+        for v, bits in pushed.items():
+            bits &= ~reach[v]  # also drops self-loops, since reach[v] holds bit v
+            if bits:
+                reach[v] |= bits
+                frontier.append((v, bits))
+                for plane in level_planes:
+                    plane[v] |= bits
+    d = np.zeros((n, n), dtype=np.int32)
+    nb = (n + 7) // 8
+    for k, plane in enumerate(planes):
+        raw = np.frombuffer(b"".join(x.to_bytes(nb, "little") for x in plane), dtype=np.uint8)
+        bits = np.unpackbits(raw.reshape(n, nb), axis=1, count=n, bitorder="little")
+        d |= bits.astype(np.int32) << k
+    return d

@@ -16,9 +16,10 @@ are two different stack slots; a register or the flags overlaps only itself.
 Reaching definitions are kept per location: a def of a register, the flags or
 a stack slot replaces the location's reaching set, a def of the whole frame or
 the whole memory adds to it, and a use depends on every def that reaches a
-location it may overlap.  Each block is walked once per pass of the fixed
-point, and edges are collected in that walk.  Every block is analysed whether
-the entry reaches it or not.
+location it may overlap.  A worklist solver walks the blocks lowest id first
+and queues a block again when the result of one of its predecessors changes;
+edges are collected in each walk.  Every block starts on the worklist, so
+every block is analysed whether the entry reaches it or not.
 
 Control dependences are read off the post-dominator sets of the blocks by
 the definition of Ferrante, Ottenstein and Warren, then lifted from basic
@@ -27,6 +28,7 @@ blocks to instructions.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -238,11 +240,13 @@ def data_dependences(instrs: list[Instruction], cfg: Cfg, flags_channel: bool = 
                      on_unknown: str = "error") -> set[tuple[int, int]]:
     """Edges (u, v): instruction u may use a value defined at v.
 
-    Edges are recorded in the same block walk that computes OUT.  IN only
-    grows from empty, so every edge an earlier pass records is recorded again
-    by the last pass, in which no OUT changes.  Registers and the flags are
-    kept apart from memory: a register or flags use overlaps only its own
-    location, so it is looked up, and a memory use scans only memory.
+    Edges are recorded in the same block walk that computes OUT.  Blocks
+    are taken from a worklist, lowest id first, and a block whose OUT
+    changes queues its successors again, so a block's last walk sees its
+    final IN.  IN only grows from empty, so every edge an earlier walk
+    records is recorded again by the block's last walk.  Registers and the
+    flags are kept apart from memory: a register or flags use overlaps only
+    its own location, so it is looked up, and a memory use scans only memory.
     """
     frames = frame_offsets(instrs)
     du = [def_use(i, frames[i.index], flags_channel, on_unknown) for i in instrs]
@@ -250,32 +254,37 @@ def data_dependences(instrs: list[Instruction], cfg: Cfg, flags_channel: bool = 
     # OUT of each block: reaching defs of (registers and flags, memory locations)
     outs: list[tuple[dict, dict]] = [({}, {}) for _ in cfg.blocks]
     edges: set[tuple[int, int]] = set()
-    changed = True
-    while changed:
-        changed = False
-        for b, (lo, hi) in enumerate(cfg.blocks):
-            regs: dict[AbstractLocation, frozenset[int]] = {}
-            mem: dict[AbstractLocation, frozenset[int]] = {}
-            for p in preds[b]:
-                for into, out in zip((regs, mem), outs[p]):
-                    for loc, sites in out.items():
-                        into[loc] = into.get(loc, frozenset()) | sites
-            for i in range(lo, hi):
-                defs, uses = du[i]
-                for use in uses:
-                    if _is_memory(use):
-                        for loc, sites in mem.items():
-                            if overlap(use, loc):
-                                edges.update((i, j) for j in sites if j != i)
-                    else:
-                        edges.update((i, j) for j in regs.get(use, ()) if j != i)
-                for d in defs:
-                    into = mem if _is_memory(d) else regs
-                    kept = frozenset() if _is_precise(d) else into.get(d, frozenset())
-                    into[d] = kept | {i}
-            if (regs, mem) != outs[b]:
-                outs[b] = (regs, mem)
-                changed = True
+    work = list(range(len(cfg.blocks)))  # sorted, so already a heap
+    queued = [True] * len(cfg.blocks)
+    while work:
+        b = heapq.heappop(work)
+        queued[b] = False
+        lo, hi = cfg.blocks[b]
+        regs: dict[AbstractLocation, frozenset[int]] = {}
+        mem: dict[AbstractLocation, frozenset[int]] = {}
+        for p in preds[b]:
+            for into, out in zip((regs, mem), outs[p]):
+                for loc, sites in out.items():
+                    into[loc] = into.get(loc, frozenset()) | sites
+        for i in range(lo, hi):
+            defs, uses = du[i]
+            for use in uses:
+                if _is_memory(use):
+                    for loc, sites in mem.items():
+                        if overlap(use, loc):
+                            edges.update((i, j) for j in sites if j != i)
+                else:
+                    edges.update((i, j) for j in regs.get(use, ()) if j != i)
+            for d in defs:
+                into = mem if _is_memory(d) else regs
+                kept = frozenset() if _is_precise(d) else into.get(d, frozenset())
+                into[d] = kept | {i}
+        if (regs, mem) != outs[b]:
+            outs[b] = (regs, mem)
+            for s in cfg.succ[b]:
+                if s != EXIT and not queued[s]:
+                    queued[s] = True
+                    heapq.heappush(work, s)
     return edges
 
 

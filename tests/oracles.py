@@ -3,10 +3,12 @@
 Each routine deliberately takes a different computational path from the
 library code it checks: location rules written from the ``dependence``
 module docstring, path enumeration instead of a dataflow fixpoint,
-post-dominance by reachability instead of post-dominator sets, distances
-per ordered pair folded pair by pair instead of BFS rows folded as matrices,
-per-pair definition evaluation instead of matrix composition, explicit loops
-instead of vectorized metrics.
+post-dominance by reachability instead of post-dominator sets, exit
+reachability by a forward-scanning fixed point instead of a backward walk,
+distances per ordered pair by one BFS per source and folded pair by pair
+instead of one sweep over all sources folded as matrices, per-pair
+definition evaluation instead of matrix composition, explicit loops instead
+of vectorized metrics.
 """
 
 from __future__ import annotations
@@ -115,6 +117,28 @@ def oracle_block_control_deps(cfg: Cfg) -> set[tuple[int, int]]:
     return {(b, a) for a in blocks if len(cfg.succ[a]) > 1 for b in blocks
             if (b == a or not postdominates(cfg, b, a))
             and any(s != EXIT and postdominates(cfg, b, s) for s in cfg.succ[a])}
+
+
+# ---------------------------------------------------------------------------
+# Exit reachability by a forward-scanning fixed point
+
+def oracle_augment_exit_reachability(blocks, succ) -> None:
+    """Add block->EXIT edges in place until EXIT is reachable from every
+    block.  Each round rescans the blocks in order until no more of them
+    reach EXIT, then gives the first block that does not an edge to EXIT."""
+    while True:
+        reaches = {EXIT}
+        changed = True
+        while changed:
+            changed = False
+            for b in range(len(blocks)):
+                if b not in reaches and any(v in reaches for v in succ[b]):
+                    reaches.add(b)
+                    changed = True
+        stuck = [b for b in range(len(blocks)) if b not in reaches]
+        if not stuck:
+            return
+        succ[stuck[0]].append(EXIT)
 
 
 # ---------------------------------------------------------------------------

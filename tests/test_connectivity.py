@@ -92,6 +92,45 @@ def test_cycle_at_the_cap_takes_the_shorter_way_round():
     assert np.array_equal(con.dist, np.minimum(k, n - k))
 
 
+# sizes on either side of the byte and 64-bit boundaries where the bitsets are padded
+BOUNDARY_SIZES = [1, 7, 8, 9, 63, 64, 65, 129]
+
+
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
+def test_chain_across_bitset_boundaries(n):
+    con = connectivity(graph(n, [(u + 1, u) for u in range(n - 1)]))
+    u, v = np.indices((n, n))
+    assert con.dist.dtype == np.int32
+    assert np.array_equal(con.dist, np.abs(u - v))
+
+
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
+def test_cycle_across_bitset_boundaries(n):
+    con = connectivity(graph(n, [(u, (u + 1) % n) for u in range(n)]))
+    u, v = np.indices((n, n))
+    k = (v - u) % n
+    assert con.dist.dtype == np.int32
+    assert np.array_equal(con.dist, np.minimum(k, n - k))
+
+
+@pytest.mark.parametrize("n", [3, 9, 65])
+@pytest.mark.parametrize("acyclic", [False, True], ids=["complete", "acyclic"])
+def test_every_pair_one_hop_apart(n, acyclic):
+    # acyclic: u -> v for every u > v, so longer paths reach every pair
+    # again at each later level
+    pairs = [(u, v) for u in range(n) for v in range(u if acyclic else n) if u != v]
+    con = connectivity(graph(n, pairs))
+    assert np.array_equal(con.dist, 1 - np.eye(n, dtype=np.int32))
+
+
+def test_self_loops_leave_the_diagonal_empty():
+    n = 10
+    edges = {(u, u) for u in range(n)} | {(0, 3), (3, 7), (7, 0), (9, 8)}
+    con = connectivity(graph(n, edges))
+    assert not np.diagonal(con.dist).any()
+    assert con.to_json() == oracle_connectivity_text(n, edges)
+
+
 def test_node_cap():
     with pytest.raises(ClosureError, match="closure cap.*truncate"):
         connectivity(graph(NODE_CAP + 1, []))

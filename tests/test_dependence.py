@@ -166,6 +166,22 @@ class TestDataDependences:
         assert (1, 1) not in edges  # self-dependences dropped
         assert (1, 0) in edges      # add still sees the init on iteration 1
 
+    def test_loop_block_is_walked_again_with_its_own_definitions(self):
+        # the loop block's first walk sees only the entry's rax; the rax it
+        # defines itself reaches its first instruction on the next walk
+        fn = fn_of("mov rax, 0\n.l:\nmov rbx, rax\nmov rax, rcx\njl .l")
+        edges = data_dependences(fn.instructions, build_cfg(fn))
+        assert edges == {(1, 0), (1, 2)}
+
+    def test_unreachable_blocks_are_analysed(self):
+        # nothing jumps to the second and third blocks; the third is reached
+        # only from the second
+        fn = fn_of("ret\nmov rax, 1\njmp .b\n.b:\nmov rbx, rax\nmov rcx, rbx\nret")
+        cfg = build_cfg(fn)
+        assert cfg.preds()[1] == []
+        edges = data_dependences(fn.instructions, cfg)
+        assert edges == {(3, 1), (4, 3), (5, 1)}  # (5, 1): ret uses rax
+
     def test_matches_path_enumeration_oracle(self):
         rng = np.random.default_rng(42)
         for trial in range(200):
