@@ -242,7 +242,7 @@ def cmd_pipeline(args, cfg) -> int:
     for fn in functions:
         art = cached_artifact_dict(fn, vocab, cfg, args.cache_dir)
         for key, suffix in outputs[:upto + 1]:
-            _write_text(os.path.join(args.out, f"{fn.name}.{suffix}.json"), art.texts[key] + "\n")
+            _write_text(os.path.join(args.out, f"{fn.name}.{suffix}.json"), art["texts"][key] + "\n")
     return 0
 
 

@@ -4,18 +4,16 @@ A corpus binds every function of a listing to its tokenization, dependence
 graph and connectivity graph, each derived once per function.  It keeps no
 mask: ``FunctionArtifacts.bundle`` builds the pair list on each access.
 
-The ``pipeline`` command goes through an optional on-disk cache of one JSON
-entry per function.  An entry holds everything the vocabulary does not
-decide: the surface tokens, the dependence and connectivity graphs and the
-sparse mask view.  It is keyed (``sha``) by the hash of the function's text,
-the analysis settings that shape those artifacts (``max_len``, ``flags_dep``,
-``on_unknown``) and the entry format, so a stale entry is recomputed, never
-silently reused; so is an entry that cannot be read or parsed, that is not
-an object, or whose sections lack the shape a hit reads.  Token ids are
-looked up from the surface on every call.  A computed section is
-JSON-encoded once, the connectivity and mask sections as text written
-straight from their arrays: the entry is assembled from the section texts
-that the command also writes to its output files.
+The ``pipeline`` command goes through an optional on-disk cache of one entry
+per function, holding everything the vocabulary does not decide.  Line 1 of
+an entry is its digest; after it come the compact JSON texts of the
+``SECTIONS``, one per line, exactly as the command writes them to its output
+files.  The digest is the sha256 of the entry's key (the function's text, the
+analysis settings ``max_len``, ``flags_dep`` and ``on_unknown``, and
+``CACHE_FORMAT``) followed by the section lines, so an entry that is stale,
+unreadable or changed in any byte is recomputed, never served; a hit serves
+the section texts as they are and decodes only ``tokens``.  Token ids are
+looked up from the surface on every call.
 ``ANALYSIS_DIGEST`` pins the analysis output of a fixed listing, so an
 analysis change that does not bump ``CACHE_FORMAT`` fails a test.
 """
@@ -34,7 +32,7 @@ from .frontend import ParsedFunction, TokenSequence, Vocabulary, build_vocab, pa
 from .masks import AttentionPairs, build_bundle, sparse_masks
 
 #: layout version of a cache entry; part of every entry's key
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 #: sha256 of the ``pipeline --stage mask`` output of ``synth --functions 8
 #: --seed 0`` without and with ``--flags-dep``; moving it means bumping
 #: ``CACHE_FORMAT``
@@ -109,79 +107,53 @@ class Corpus:
 # ---------------------------------------------------------------------------
 # On-disk artifact cache (used by the pipeline command)
 
+#: the sections of a cache entry, one text per line, in this order
+SECTIONS = ("tokens", "deps", "connectivity", "mask")
+
+
 def dumps(obj) -> str:
     """Compact JSON with sorted keys, the form of every artifact file and
-    cache entry."""
+    cache entry section."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _readable(arts) -> bool:
-    """Whether a cache entry's ``artifacts`` has the sections, and the
-    ``tokens`` keys and surface, that a hit reads."""
-    if not (isinstance(arts, dict)
-            and arts.keys() == {"connectivity", "deps", "function", "mask", "tokens"}):
-        return False
-    tokens = arts["tokens"]
-    return (isinstance(tokens, dict)
-            and tokens.keys() == {"inst_of", "inst_positions", "surface"}
-            and isinstance(tokens["surface"], list)
-            and all(isinstance(t, str) for t in tokens["surface"]))
-
-
-class ArtifactDict(dict):
-    """A function's decoded ``tokens`` section, token ids included; ``texts``
-    maps every section to its ``dumps`` text."""
-
-    texts: dict[str, str]
-
-
 def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
-                         cache_dir: str | None = None) -> ArtifactDict:
-    """Artifacts of one function as section texts, going through the cache
-    when one is configured; an entry that is unreadable, not a JSON object,
-    keyed differently or not shaped as a hit reads it is recomputed and
-    overwritten.  The token ids are looked up in ``vocab`` on every call,
-    cached or not.  Each section is encoded once; a computed entry is
-    assembled from those texts, and the caller writes them out."""
-    out = cache_path = None
+                         cache_dir: str | None = None) -> dict:
+    """``{"tokens": <the decoded tokens section, ids included>, "texts":
+    <every section's text>}`` for one function, going through the cache when
+    one is configured.  A hit serves the entry's section texts as written and
+    decodes only ``tokens``; any other entry is recomputed and overwritten.
+    The token ids are looked up in ``vocab`` on every call, cached or not."""
+    tokens = cache_path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         cache_path = os.path.join(cache_dir, f"{fn.name}.json")
-        key = [CACHE_FORMAT, function_text(fn), cfg.max_len, cfg.flags_dep, cfg.on_unknown]
-        sha = hashlib.sha256(json.dumps(key).encode("utf-8")).hexdigest()
+        key = json.dumps([CACHE_FORMAT, function_text(fn), cfg.max_len, cfg.flags_dep,
+                          cfg.on_unknown]) + "\n"
         try:
-            with open(cache_path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):  # missing, unreadable or not JSON: a miss
-            entry = None
-        if (isinstance(entry, dict) and entry.get("sha") == sha
-                and _readable(entry.get("artifacts"))):
-            out = entry["artifacts"]
-    if out is not None:
-        texts = {k: dumps(v) for k, v in out.items()}
-    else:
+            with open(cache_path, encoding="utf-8", newline="") as fh:
+                digest, _, body = fh.read().partition("\n")
+        except (OSError, ValueError):  # missing, unreadable or not UTF-8: a miss
+            digest = body = ""
+        if digest == hashlib.sha256((key + body).encode("utf-8")).hexdigest():
+            texts = dict(zip(SECTIONS, body.split("\n")))
+            tokens = json.loads(texts["tokens"])
+    if tokens is None:
         arts = compute_artifacts(fn, vocab, cfg)
-        out = {
-            "function": fn.name,
-            "tokens": {
-                "surface": arts.seq.surface,
-                "inst_of": arts.seq.inst_of,
-                "inst_positions": {str(k): v for k, v in arts.seq.inst_positions.items()},
-            },
-            "deps": arts.deps.to_dict(),
+        tokens = {
+            "surface": arts.seq.surface,
+            "inst_of": arts.seq.inst_of,
+            "inst_positions": {str(k): v for k, v in arts.seq.inst_positions.items()},
         }
-        texts = {k: dumps(v) for k, v in out.items()}
-        texts["connectivity"] = arts.con.to_json()
-        texts["mask"] = sparse_masks(arts.bundle)
-        if cache_path:  # == dumps({"artifacts": <the sections>, "sha": sha})
-            body = ",".join(f"{dumps(k)}:{texts[k]}" for k in sorted(texts))
+        texts = {"tokens": dumps(tokens), "deps": dumps(arts.deps.to_dict()),
+                 "connectivity": arts.con.to_json(), "mask": sparse_masks(arts.bundle)}
+        if cache_path:
+            body = "\n".join(texts[k] for k in SECTIONS)
             tmp = cache_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(f'{{"artifacts":{{{body}}},"sha":{dumps(sha)}}}')
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(hashlib.sha256((key + body).encode("utf-8")).hexdigest() + "\n" + body)
             os.replace(tmp, cache_path)
-    ids = [vocab.id(t) for t in out["tokens"]["surface"]]
+    ids = [vocab.id(t) for t in tokens["surface"]]
     # "ids" sorts before the other token keys, so it opens the object
     texts["tokens"] = f'{{"ids":{dumps(ids)},{texts["tokens"][1:]}'
-    result = ArtifactDict(tokens=dict(out["tokens"], ids=ids))
-    result.texts = texts
-    return result
+    return {"tokens": dict(tokens, ids=ids), "texts": texts}

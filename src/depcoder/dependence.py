@@ -58,8 +58,8 @@ STACK_FRAME_ALL = AbstractLocation("stack_frame_all")
 MEMORY_ALL = AbstractLocation("memory_all")
 
 
-def reg_loc(name: str) -> AbstractLocation:
-    return AbstractLocation("register", CANONICAL_REG[name])
+#: surface register name -> its location, built once for every name
+reg_loc = {r: AbstractLocation("register", c) for r, c in CANONICAL_REG.items()}.__getitem__
 
 
 def slot_loc(offset: int) -> AbstractLocation:

@@ -32,7 +32,8 @@ class AttentionPairs:
     and that distance.  The constructor takes the distance at every pair
     (0 for none).  Every row needs an enabled entry (the global part gives
     every real row one): a segment reduction over an empty row would read its
-    neighbour's first entry.
+    neighbour's first entry, so an empty row is a bug and raises
+    ``RuntimeError``.
     """
 
     def __init__(self, n: int, flat: np.ndarray, r: np.ndarray):
@@ -41,7 +42,7 @@ class AttentionPairs:
         self.counts = np.bincount(flat // n, minlength=n)
         if not self.counts.all():
             rows = np.flatnonzero(self.counts == 0).tolist()
-            raise ValueError(f"attention rows {rows} have no enabled entry")
+            raise RuntimeError(f"attention rows {rows} have no enabled entry")
         self.starts = np.cumsum(self.counts) - self.counts
         self.biased = np.flatnonzero(r)
         self.r = r[self.biased]

@@ -5,9 +5,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import depcoder
 from depcoder.cli import _THREAD_VARS, main
+from depcoder.config import RunConfig
+from depcoder.corpus import CACHE_FORMAT, SECTIONS, dumps, function_text
+from depcoder.frontend import parse_listing
 
 POINTER_CHAIN = """.func chain
 mov rax, rbx
@@ -40,13 +45,46 @@ def write(path, text):
     return str(path)
 
 
+def tree(path):
+    return {f: (path / f).read_bytes() for f in os.listdir(path)}
+
+
+def entry_key(source, fmt=CACHE_FORMAT):
+    """The key of the only function of ``source`` under the default settings."""
+    cfg = RunConfig()
+    fn = parse_listing(source)[0]
+    return json.dumps([fmt, function_text(fn), cfg.max_len, cfg.flags_dep, cfg.on_unknown])
+
+
+def entry_body(sections):
+    return "\n".join(dumps(sections[k]) for k in SECTIONS if k in sections)
+
+
+def signed_entry(source, sections):
+    """A cache entry of ``source``'s function: its digest, then the sections."""
+    body = entry_body(sections)
+    return hashlib.sha256(f"{entry_key(source)}\n{body}".encode()).hexdigest() + "\n" + body
+
+
+def entry_sections(text):
+    return dict(zip(SECTIONS, map(json.loads, text.split("\n")[1:])))
+
+
 def edited_entry(edit):
-    """A cache entry corruption: ``edit`` applied to the decoded entry."""
+    """A cache entry corruption: ``edit`` applied to the decoded sections,
+    kept under the entry's digest line."""
     def corrupt(text):
-        entry = json.loads(text)
-        edit(entry)
-        return json.dumps(entry)
+        sections = entry_sections(text)
+        edit(sections)
+        return text.partition("\n")[0] + "\n" + entry_body(sections)
     return corrupt
+
+
+def format_2_entry(text):
+    """The entry of the chain function as the previous entry format wrote it:
+    one JSON object holding the sections and the hash of its key."""
+    sha = hashlib.sha256(entry_key(POINTER_CHAIN, fmt=2).encode()).hexdigest()
+    return dumps({"artifacts": dict(entry_sections(text), function="chain"), "sha": sha})
 
 
 @pytest.fixture()
@@ -89,50 +127,89 @@ class TestPipeline:
         cache = tmp_path / "cache"
         main(["pipeline", chain_listing, "--out", str(out), "--cache-dir", str(cache)])
         good = sha(out / "chain.deps.json")
-        # poison the cache entry: wrong artifacts under a stale hash
+        # poison the cache entry: wrong artifacts under a stale digest
         entry_path = cache / "chain.json"
-        with open(entry_path) as fh:
-            entry = json.load(fh)
-        entry["sha"] = "0" * 64
-        entry["artifacts"]["deps"]["edges"] = []
-        write(entry_path, json.dumps(entry))
+        text = edited_entry(lambda s: s["deps"].update(edges=[]))(entry_path.read_text())
+        write(entry_path, "0" * 64 + text[64:])
         main(["pipeline", chain_listing, "--out", str(out), "--cache-dir", str(cache)])
         assert sha(out / "chain.deps.json") == good
 
     def test_poisoned_cache_with_matching_hash_is_reused(self, tmp_path, chain_listing):
-        # hash match means reuse: this is the cache-hit path
+        # a digest over the key and the body means reuse: a hit serves the
+        # section texts as written, with no further check
         out = tmp_path / "out"
         cache = tmp_path / "cache"
         main(["pipeline", chain_listing, "--out", str(out), "--cache-dir", str(cache)])
-        with open(cache / "chain.json") as fh:
-            entry = json.load(fh)
-        entry["artifacts"]["deps"]["edges"] = [[3, 0, "data"]]
-        write(cache / "chain.json", json.dumps(entry))
+        sections = entry_sections((cache / "chain.json").read_text())
+        sections["deps"]["edges"] = [[3, 0, "data"]]
+        write(cache / "chain.json", signed_entry(POINTER_CHAIN, sections))
         main(["pipeline", chain_listing, "--out", str(out), "--cache-dir", str(cache)])
         with open(out / "chain.deps.json") as fh:
             assert json.load(fh)["edges"] == [[3, 0, "data"]]
 
+    def test_warm_pass_recomputes_nothing(self, tmp_path, monkeypatch):
+        from depcoder import corpus
+
+        listing = write(tmp_path / "f.asm", FLAGS_FN + POINTER_CHAIN)
+        cache = str(tmp_path / "cache")
+        assert main(["pipeline", listing, "--out", str(tmp_path / "cold"),
+                     "--cache-dir", cache]) == 0
+        entries = tree(tmp_path / "cache")
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("a cache hit recomputed a function")
+        monkeypatch.setattr(corpus, "compute_artifacts", recompute)
+        assert main(["pipeline", listing, "--out", str(tmp_path / "warm"),
+                     "--cache-dir", cache]) == 0
+        assert tree(tmp_path / "warm") == tree(tmp_path / "cold")
+        assert tree(tmp_path / "cache") == entries
+
+    def expect_recomputed(self, tmp_path, listing, corrupt):
+        """Corrupt the cold entry of ``listing``'s function ``chain``: the
+        next run writes the no-cache bytes and the good entry again."""
+        fresh, out, cache = (tmp_path / d for d in ("fresh", "out", "cache"))
+        assert main(["pipeline", listing, "--out", str(fresh)]) == 0
+        assert main(["pipeline", listing, "--out", str(out), "--cache-dir", str(cache)]) == 0
+        entry_path = cache / "chain.json"
+        good_entry = entry_path.read_bytes()
+        entry_path.write_bytes(corrupt(good_entry))
+        assert main(["pipeline", listing, "--out", str(out), "--cache-dir", str(cache)]) == 0
+        assert tree(out) == tree(fresh)
+        assert entry_path.read_bytes() == good_entry
+
     @pytest.mark.parametrize("corrupt", [
         lambda text: text[:20],
         lambda text: "[]",
-        # a matching hash over a body a hit cannot read
-        edited_entry(lambda entry: entry.update(artifacts={})),
-        edited_entry(lambda entry: entry.update(artifacts=[])),
-        edited_entry(lambda entry: entry["artifacts"]["tokens"].update(surface=5)),
+        # a body a hit could not read, under the digest of the good one
+        edited_entry(lambda sections: sections.clear()),
+        edited_entry(lambda sections: sections.update(tokens=[])),
+        edited_entry(lambda sections: sections["tokens"].update(surface=5)),
+        format_2_entry,
+        lambda text: text + "\n",
+        lambda text: ("1" if text[0] == "0" else "0") + text[1:],
+        lambda text: text.replace("\n", "\r"),
     ], ids=["truncated", "not-an-object", "no-sections", "sections-not-an-object",
-            "surface-not-a-list"])
+            "surface-not-a-list", "format-2", "trailing-newline", "digest-changed",
+            "newline-to-cr"])
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path, chain_listing, corrupt):
-        fresh, out, cache = (str(tmp_path / d) for d in ("fresh", "out", "cache"))
-        assert main(["pipeline", chain_listing, "--out", fresh]) == 0
-        assert main(["pipeline", chain_listing, "--out", out, "--cache-dir", cache]) == 0
-        entry_path = os.path.join(cache, "chain.json")
-        with open(entry_path, encoding="utf-8") as fh:
-            good_entry = fh.read()
-        write(entry_path, corrupt(good_entry))
-        assert main(["pipeline", chain_listing, "--out", out, "--cache-dir", cache]) == 0
-        assert {f: sha(os.path.join(out, f)) for f in os.listdir(out)} == \
-            {f: sha(os.path.join(fresh, f)) for f in os.listdir(fresh)}
-        assert sha(entry_path) == hashlib.sha256(good_entry.encode()).hexdigest()
+        self.expect_recomputed(tmp_path, chain_listing,
+                               lambda good: corrupt(good.decode()).encode())
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_truncated_or_changed_entry_is_recomputed(self, tmp_path_factory, data):
+        # the entry is ASCII, so a changed byte is a changed character or
+        # leaves the file not UTF-8
+        tmp_path = tmp_path_factory.mktemp("entry")
+        listing = write(tmp_path / "chain.asm", POINTER_CHAIN)
+
+        def corrupt(good):
+            if data.draw(st.booleans(), label="truncate"):
+                return good[:data.draw(st.integers(0, len(good) - 1), label="length")]
+            i = data.draw(st.integers(0, len(good) - 1), label="at")
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != good[i]), label="byte")
+            return good[:i] + bytes([byte]) + good[i + 1:]
+        self.expect_recomputed(tmp_path, listing, corrupt)
 
     def read(self, path):
         with open(path) as fh:
@@ -198,28 +275,26 @@ class TestPipeline:
         assert trees["cold"] == trees["none"] and trees["warm"] == trees["none"]
 
     def test_entry_and_files_are_the_section_texts(self, tmp_path):
-        from depcoder.config import RunConfig
-        from depcoder.corpus import cached_artifact_dict, dumps
-        from depcoder.frontend import build_vocab, parse_listing
+        from depcoder.corpus import cached_artifact_dict
+        from depcoder.frontend import build_vocab
 
         functions = parse_listing(FLAGS_FN)
         vocab = build_vocab(functions)
         art = cached_artifact_dict(functions[0], vocab, RunConfig(), str(tmp_path / "c"))
         text = (tmp_path / "c" / "f.json").read_text(encoding="utf-8")
-        entry = json.loads(text)
-        assert set(entry) == {"artifacts", "sha"}
-        assert text == dumps(entry)
-        tokens = dict(entry["artifacts"]["tokens"], ids=art["tokens"]["ids"])
-        assert art == {"tokens": tokens}
-        sections = dict(entry["artifacts"], tokens=tokens)
-        assert art.texts == {k: dumps(v) for k, v in sections.items()}
+        sections = entry_sections(text)
+        assert list(sections) == list(SECTIONS)
+        assert text == signed_entry(FLAGS_FN, sections)
+        tokens = dict(sections["tokens"], ids=art["tokens"]["ids"])
+        assert art == {"tokens": tokens,
+                       "texts": {k: dumps(v) for k, v in dict(sections, tokens=tokens).items()}}
 
         listing = write(tmp_path / "f.asm", FLAGS_FN)
         assert main(["pipeline", listing, "--out", str(tmp_path / "out")]) == 0
         for key, suffix in (("tokens", "tokens"), ("deps", "deps"),
                             ("connectivity", "conn"), ("mask", "mask")):
             written = (tmp_path / "out" / f"f.{suffix}.json").read_text(encoding="utf-8")
-            assert written == art.texts[key] + "\n"
+            assert written == art["texts"][key] + "\n"
 
     def test_analysis_digest_is_pinned(self, tmp_path):
         # the analysis output of a fixed listing: an analysis change that moves

@@ -125,7 +125,7 @@ class TestAttention:
     def test_pairs_reject_a_row_with_no_enabled_entry(self, art):
         n, flat = len(art.seq), art.bundle.flat
         keep = flat // n != 2
-        with pytest.raises(ValueError, match=r"rows \[2\]"):
+        with pytest.raises(RuntimeError, match=r"rows \[2\]"):
             AttentionPairs(n, flat[keep], np.zeros(np.count_nonzero(keep), dtype=np.int32))
 
     def test_pairs_hold_the_distances_at_the_enabled_entries(self, art):
