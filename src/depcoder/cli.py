@@ -125,10 +125,8 @@ def main(argv=None) -> int:
             os.environ[var] = str(cfg.threads)
 
     from .cfg import CfgError
-    from .connectivity import ClosureError
     from .dependence import DependenceError
-    from .downstream import MetricsError
-    from .encoder import NumericsError
+    from .errors import ClosureError, MetricsError, NumericsError
     from .frontend import ParseError
 
     try:
@@ -223,7 +221,7 @@ def _embedding(state, art):
 # commands
 
 def cmd_pipeline(args, cfg) -> int:
-    from .corpus import cached_artifact_dict
+    from .corpus import SECTIONS, cached_artifact_dict
     from .frontend import build_vocab, parse_listing
 
     with open(args.listing, encoding="utf-8") as fh:
@@ -235,13 +233,12 @@ def cmd_pipeline(args, cfg) -> int:
     vocab = build_vocab(functions, min_freq=cfg.vocab_min_freq)
     vocab.save(os.path.join(args.out, "vocab.tsv"))
     stages = ("tokenize", "deps", "connectivity", "mask")
-    # (artifact key, file suffix) written by each stage
-    outputs = (("tokens", "tokens"), ("deps", "deps"), ("connectivity", "conn"),
-               ("mask", "mask"))
-    upto = stages.index(args.stage)
+    # the sections written by each stage, and their file suffixes
+    sections = SECTIONS[:stages.index(args.stage) + 1]
+    suffixes = ("tokens", "deps", "conn", "mask")
     for fn in functions:
-        art = cached_artifact_dict(fn, vocab, cfg, args.cache_dir)
-        for key, suffix in outputs[:upto + 1]:
+        art = cached_artifact_dict(fn, vocab, cfg, args.cache_dir, sections)
+        for key, suffix in zip(sections, suffixes):
             _write_text(os.path.join(args.out, f"{fn.name}.{suffix}.json"), art["texts"][key] + "\n")
     return 0
 

@@ -18,14 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dependence import DependenceGraph
+from .errors import ClosureError
 from .jsontext import int_rows
 
 #: largest graph the closure accepts; kept until the benchmark expects over-cap functions to pass
 NODE_CAP = 512
-
-
-class ClosureError(Exception):
-    pass
 
 
 @dataclass

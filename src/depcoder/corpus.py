@@ -12,7 +12,9 @@ files.  The digest is the sha256 of the entry's key (the function's text, the
 analysis settings ``max_len``, ``flags_dep`` and ``on_unknown``, and
 ``CACHE_FORMAT``) followed by the section lines, so an entry that is stale,
 unreadable or changed in any byte is recomputed, never served; a hit serves
-the section texts as they are and decodes only ``tokens``.  Token ids are
+the section texts as they are and decodes only ``tokens``, and loads no
+numpy: the closure and mask modules are imported on a miss only.  Each
+writer writes the entry through a temporary file of its own.  Token ids are
 looked up from the surface on every call.
 ``ANALYSIS_DIGEST`` pins the analysis output of a fixed listing, so an
 analysis change that does not bump ``CACHE_FORMAT`` fails a test.
@@ -20,16 +22,20 @@ analysis change that does not bump ``CACHE_FORMAT`` fails a test.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .config import RunConfig
-from .connectivity import ConnectivityGraph, connectivity
 from .dependence import DependenceGraph, dependence_graph
 from .frontend import ParsedFunction, TokenSequence, Vocabulary, build_vocab, parse_listing, tokenize
-from .masks import AttentionPairs, build_bundle, sparse_masks
+
+if TYPE_CHECKING:  # the closure and masks load numpy; a cache hit needs neither
+    from .connectivity import ConnectivityGraph
+    from .masks import AttentionPairs
 
 #: layout version of a cache entry; part of every entry's key
 CACHE_FORMAT = 3
@@ -67,11 +73,15 @@ class FunctionArtifacts:
     @property
     def bundle(self) -> AttentionPairs:
         """The function's unperturbed mask, built afresh on each access."""
+        from .masks import build_bundle
+
         return build_bundle(self.seq, self.con.dist)
 
 
 def compute_artifacts(fn: ParsedFunction, vocab: Vocabulary,
                       cfg: RunConfig) -> FunctionArtifacts:
+    from .connectivity import connectivity
+
     seq = tokenize(fn.instructions, vocab, cfg.max_len)
     deps = dependence_graph(fn, flags_channel=cfg.flags_dep, on_unknown=cfg.on_unknown)
     return FunctionArtifacts(fn=fn, seq=seq, deps=deps, con=connectivity(deps))
@@ -118,12 +128,15 @@ def dumps(obj) -> str:
 
 
 def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
-                         cache_dir: str | None = None) -> dict:
+                         cache_dir: str | None = None,
+                         sections: tuple[str, ...] = SECTIONS) -> dict:
     """``{"tokens": <the decoded tokens section, ids included>, "texts":
-    <every section's text>}`` for one function, going through the cache when
+    <each section's text>}`` for one function, going through the cache when
     one is configured.  A hit serves the entry's section texts as written and
-    decodes only ``tokens``; any other entry is recomputed and overwritten.
-    The token ids are looked up in ``vocab`` on every call, cached or not."""
+    decodes only ``tokens``; any other entry is recomputed, whole, and
+    overwritten.  Without a cache only ``sections``, a prefix of
+    ``SECTIONS``, are computed.  The token ids are looked up in ``vocab`` on
+    every call, cached or not."""
     tokens = cache_path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
@@ -139,21 +152,49 @@ def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
             texts = dict(zip(SECTIONS, body.split("\n")))
             tokens = json.loads(texts["tokens"])
     if tokens is None:
-        arts = compute_artifacts(fn, vocab, cfg)
-        tokens = {
-            "surface": arts.seq.surface,
-            "inst_of": arts.seq.inst_of,
-            "inst_positions": {str(k): v for k, v in arts.seq.inst_positions.items()},
-        }
-        texts = {"tokens": dumps(tokens), "deps": dumps(arts.deps.to_dict()),
-                 "connectivity": arts.con.to_json(), "mask": sparse_masks(arts.bundle)}
         if cache_path:
-            body = "\n".join(texts[k] for k in SECTIONS)
-            tmp = cache_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(hashlib.sha256((key + body).encode("utf-8")).hexdigest() + "\n" + body)
-            os.replace(tmp, cache_path)
+            sections = SECTIONS
+        if "connectivity" in sections:
+            arts = compute_artifacts(fn, vocab, cfg)
+            seq, deps = arts.seq, arts.deps
+        else:  # no closure: only the sections before it
+            seq = tokenize(fn.instructions, vocab, cfg.max_len)
+            deps = dependence_graph(fn, flags_channel=cfg.flags_dep, on_unknown=cfg.on_unknown) \
+                if "deps" in sections else None
+        tokens = {
+            "surface": seq.surface,
+            "inst_of": seq.inst_of,
+            "inst_positions": {str(k): v for k, v in seq.inst_positions.items()},
+        }
+        texts = {"tokens": dumps(tokens)}
+        if "deps" in sections:
+            texts["deps"] = dumps(deps.to_dict())
+        if "connectivity" in sections:
+            texts["connectivity"] = arts.con.to_json()
+        if "mask" in sections:
+            from .masks import sparse_masks
+
+            texts["mask"] = sparse_masks(arts.bundle)
+        if cache_path:
+            _write_entry(cache_path, key, "\n".join(texts[k] for k in SECTIONS))
     ids = [vocab.id(t) for t in tokens["surface"]]
     # "ids" sorts before the other token keys, so it opens the object
     texts["tokens"] = f'{{"ids":{dumps(ids)},{texts["tokens"][1:]}'
     return {"tokens": dict(tokens, ids=ids), "texts": texts}
+
+
+def _write_entry(cache_path: str, key: str, body: str) -> None:
+    """Write the entry through a temporary file of this writer's own, so that
+    writers of one entry in other processes never move each other's file.
+    Mode ``"x"`` gives it the mode a plain ``open`` would; a failed write
+    removes it."""
+    tmp = f"{cache_path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(hashlib.sha256((key + body).encode("utf-8")).hexdigest() + "\n" + body)
+        os.replace(tmp, cache_path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

@@ -11,10 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .encoder import EncoderState, ForwardTrace, head_cross_entropy
-
-
-class MetricsError(Exception):
-    pass
+from .errors import MetricsError
 
 
 # 35 common high-level types; "no-access" is appended as the 36th label for

@@ -39,13 +39,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import ModelShape
+from .errors import NumericsError
 from .masks import AttentionPairs
 
 CHECKPOINT_VERSION = 1
-
-
-class NumericsError(Exception):
-    """Non-finite activations or gradients: the training-divergence signal."""
 
 
 @dataclass

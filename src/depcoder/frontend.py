@@ -10,12 +10,17 @@ Input format (one listing may hold many functions):
 Memory operands are written ``[base + scale*index + disp]`` with any subset
 of the three parts present; numbers may be decimal (``010`` is ten) or
 0x-hex, and either ``scale*index`` or ``index*scale`` is accepted.
+
+Stripped code repeats a few operand forms many times, so ``parse_listing``
+parses each distinct operand text once per listing and shares the resulting
+immutable :class:`Operand` among the instructions that spell it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class ParseError(Exception):
@@ -58,8 +63,7 @@ for _wide, _subs in _SUB_FORMS.items():
 REGISTER_NAMES = frozenset(CANONICAL_REG)
 
 
-@dataclass(frozen=True)
-class Operand:
+class Operand(NamedTuple):
     kind: str  # register | immediate | memory | label
     reg: str | None = None
     value: int | None = None
@@ -86,9 +90,8 @@ class Operand:
         return Operand(kind="label", label=name)
 
 
-@dataclass(frozen=True)
-class Instruction:
-    index: int
+class Instruction(NamedTuple):
+    index: int  # shadows tuple.index
     mnemonic: str
     operands: tuple[Operand, ...]
     raw_text: str
@@ -185,19 +188,17 @@ def _parse_operand(text: str, line_no: int) -> Operand:
 
 
 def _split_operands(text: str) -> list[str]:
-    parts, depth, buf = [], 0, []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(buf))
-            buf = []
+    """``text`` cut at each comma outside brackets."""
+    pieces = text.split(",")
+    if "[" not in text and "]" not in text:
+        return pieces
+    parts, depth = [], 0
+    for piece in pieces:
+        if depth:  # the comma before this piece is inside brackets
+            parts[-1] += "," + piece
         else:
-            buf.append(ch)
-    if buf:
-        parts.append("".join(buf))
+            parts.append(piece)
+        depth += piece.count("[") - piece.count("]")
     return parts
 
 
@@ -210,6 +211,9 @@ def parse_listing(text: str) -> list[ParsedFunction]:
     functions: list[ParsedFunction] = []
     seen: set[str] = set()
     current: ParsedFunction | None = None
+    # stripped operand text -> its parse; an operand that fails is never stored,
+    # so its error names the first line that holds it
+    parsed: dict[str, Operand] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -235,15 +239,16 @@ def parse_listing(text: str) -> list[ParsedFunction]:
             current.labels[label] = len(current.instructions)
             continue
         mnemonic, _, rest = line.partition(" ")
-        mnemonic = mnemonic.lower()
-        operands = tuple(_parse_operand(p, line_no) for p in _split_operands(rest) if p.strip()) \
-            if rest.strip() else ()
-        current.instructions.append(Instruction(
-            index=len(current.instructions),
-            mnemonic=mnemonic,
-            operands=operands,
-            raw_text=line,
-        ))
+        operands = []
+        for part in _split_operands(rest):
+            part = part.strip()
+            if part:
+                op = parsed.get(part)
+                if op is None:
+                    op = parsed[part] = _parse_operand(part, line_no)
+                operands.append(op)
+        current.instructions.append(Instruction(len(current.instructions), mnemonic.lower(),
+                                                tuple(operands), line))
     return functions
 
 

@@ -24,6 +24,26 @@ from depcoder.frontend import INST, TokenSequence
 
 
 # ---------------------------------------------------------------------------
+# Operand lists, one character at a time
+
+def split_operands_by_char(text: str) -> list[str]:
+    """The non-blank parts of ``text`` between the commas at bracket depth 0."""
+    parts, depth, buf = [], 0, []
+    for ch in text:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(buf))
+            buf = []
+        else:
+            buf.append(ch)
+    parts.append("".join(buf))
+    return [p for p in parts if p.strip()]
+
+
+# ---------------------------------------------------------------------------
 # Abstract locations, by the rules the dependence module documents
 
 MEMORY_KINDS = ("stack_slot", "stack_frame_all", "memory_all")

@@ -164,6 +164,65 @@ class TestPipeline:
         assert tree(tmp_path / "warm") == tree(tmp_path / "cold")
         assert tree(tmp_path / "cache") == entries
 
+    def test_interleaved_writers_of_one_entry_both_succeed(self, tmp_path, monkeypatch):
+        # writer b writes the whole entry while writer a is about to move its
+        # temporary file into place
+        from depcoder import corpus
+        from depcoder.frontend import build_vocab
+
+        fn = parse_listing(POINTER_CHAIN)[0]
+        vocab, cache = build_vocab([fn]), str(tmp_path / "cache")
+        real_replace, results = os.replace, []
+
+        def interleaved(src, dst):
+            monkeypatch.setattr(os, "replace", real_replace)
+            results.append(corpus.cached_artifact_dict(fn, vocab, RunConfig(), cache))
+            real_replace(src, dst)
+        monkeypatch.setattr(os, "replace", interleaved)
+        results.append(corpus.cached_artifact_dict(fn, vocab, RunConfig(), cache))
+        assert results[0] == results[1]
+        assert os.listdir(cache) == ["chain.json"]
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert os.stat(tmp_path / "cache" / "chain.json").st_mode == os.stat(plain).st_mode
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("the entry was not served")
+        monkeypatch.setattr(corpus, "compute_artifacts", recompute)
+        assert corpus.cached_artifact_dict(fn, vocab, RunConfig(), cache) == results[0]
+
+    def test_failed_entry_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        from depcoder import corpus
+        from depcoder.frontend import build_vocab
+
+        fn = parse_listing(POINTER_CHAIN)[0]
+        cache = tmp_path / "cache"
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            corpus.cached_artifact_dict(fn, build_vocab([fn]), RunConfig(), str(cache))
+        assert os.listdir(cache) == []
+
+    @pytest.mark.parametrize("stage", ["tokenize", "deps"])
+    def test_no_cache_stage_computes_only_what_it_writes(self, tmp_path, monkeypatch, stage):
+        from depcoder import connectivity, corpus
+
+        listing = write(tmp_path / "f.asm", FLAGS_FN + POINTER_CHAIN)
+        assert main(["pipeline", listing, "--out", str(tmp_path / "before"),
+                     "--stage", stage]) == 0
+
+        def unwanted(*args, **kwargs):
+            raise AssertionError("computed a section the stage does not write")
+        monkeypatch.setattr(connectivity, "connectivity", unwanted)
+        monkeypatch.setattr(corpus, "compute_artifacts", unwanted)
+        if stage == "tokenize":
+            monkeypatch.setattr(corpus, "dependence_graph", unwanted)
+        assert main(["pipeline", listing, "--out", str(tmp_path / "after"),
+                     "--stage", stage]) == 0
+        assert tree(tmp_path / "after") == tree(tmp_path / "before")
+
     def expect_recomputed(self, tmp_path, listing, corrupt):
         """Corrupt the cold entry of ``listing``'s function ``chain``: the
         next run writes the no-cache bytes and the good entry again."""
@@ -370,6 +429,20 @@ class TestThreads:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
         assert run.stdout == "False\n"
+
+    def test_warm_pipeline_loads_no_numpy(self, tmp_path):
+        # a cache hit only reads, checks and writes text
+        listing = write(tmp_path / "f.asm", FLAGS_FN + POINTER_CHAIN)
+        cache = str(tmp_path / "cache")
+        assert main(["pipeline", listing, "--out", str(tmp_path / "cold"),
+                     "--cache-dir", cache]) == 0
+        src = os.path.dirname(os.path.dirname(os.path.abspath(depcoder.__file__)))
+        argv = ["pipeline", listing, "--out", str(tmp_path / "warm"), "--cache-dir", cache]
+        code = f"import sys; from depcoder.cli import main; print(main({argv!r}), 'numpy' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert run.stdout == "0 False\n"
+        assert tree(tmp_path / "warm") == tree(tmp_path / "cold")
 
 
 @pytest.fixture(scope="module")

@@ -68,6 +68,15 @@ class TestParsing:
         assert exc.value.line == 3
         assert "???" in str(exc.value)
 
+    def test_repeated_bad_operand_names_its_first_line(self):
+        # operands are parsed once per distinct text; one that fails is not kept
+        listing = ".func f\nmov rax, 1\nmov rax, ???\nret\n.func g\n" + "nop\n" * 3 + \
+            "mov rbx, ???\n"
+        with pytest.raises(ParseError) as exc:
+            parse_listing(listing)
+        assert exc.value.line == 3
+        assert str(exc.value) == "line 3: unknown operand form '???'"
+
     def test_error_on_bad_scale(self):
         with pytest.raises(ParseError, match="scale"):
             parse_one("mov rax, [rbx + 3*rcx]")

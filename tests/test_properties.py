@@ -1,4 +1,9 @@
-"""Property-based checks of the dependence analysis and the mask bundle.
+"""Property-based checks of the parser, the dependence analysis and the mask bundle.
+
+A listing of several random functions parses to the same functions as
+parsing each function's own text alone, and every operand as parsing its
+text on its own, although the listing shares one parse of each distinct
+operand text among all its functions.
 
 The data dependences of random functions with forward and backward jumps are
 compared with exhaustive path enumeration, restricted to the instructions the
@@ -32,18 +37,19 @@ from hypothesis import strategies as st
 from depcoder.cfg import build_cfg
 from depcoder.config import RunConfig
 from depcoder.connectivity import connectivity
-from depcoder.corpus import Corpus, dumps
+from depcoder.corpus import Corpus, dumps, function_text
 from depcoder.dependence import DependenceGraph, block_control_dependences, data_dependences
 from depcoder.encoder import EncoderConfig, EncoderState, backward, encode, rma_attention
-from depcoder.frontend import parse_listing
+from depcoder.frontend import _parse_operand, _split_operands, parse_listing
 from depcoder.masks import build_bundle, sparse_masks
 from depcoder.pretrain import mdm_sample, perturb_bundle
 from depcoder.synth import generate_function
 
-from generators import random_dependence_edges, random_looping_program
+from generators import (random_dependence_edges, random_loopfree_program,
+                        random_looping_program)
 from oracles import (dense_attention, naive_mask_bundle, naive_sparse_masks,
                      oracle_block_control_deps, oracle_connectivity_text,
-                     path_enum_data_deps)
+                     path_enum_data_deps, split_operands_by_char)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -65,6 +71,28 @@ def reachable_instructions(cfg) -> set[int]:
                 seen.add(b)
                 todo.append(b)
     return {i for b in seen for i in range(*cfg.blocks[b])}
+
+
+@SETTINGS
+@given(seeds=st.lists(seeds, min_size=1, max_size=6))
+def test_listing_parses_as_its_functions_alone(seeds):
+    programs = [(random_looping_program if s % 2 else random_loopfree_program)(
+        np.random.default_rng(s), 12) for s in seeds]
+    listing = "".join(p.replace(".func f\n", f".func f{i}\n", 1) for i, p in enumerate(programs))
+    functions = parse_listing(listing)
+    assert [fn.name for fn in functions] == [f"f{i}" for i in range(len(seeds))]
+    for fn in functions:
+        assert parse_listing(function_text(fn)) == [fn]
+        for instr in fn.instructions:  # against a parse of each operand on its own
+            rest = instr.raw_text.partition(" ")[2]
+            assert instr.operands == tuple(_parse_operand(p, 0)
+                                           for p in split_operands_by_char(rest))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="[], a", max_size=12))
+def test_operand_split_matches_a_scan_by_character(text):
+    assert [p for p in _split_operands(text) if p.strip()] == split_operands_by_char(text)
 
 
 @settings(max_examples=300, deadline=None)
