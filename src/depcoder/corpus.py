@@ -154,13 +154,7 @@ def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
     if tokens is None:
         if cache_path:
             sections = SECTIONS
-        if "connectivity" in sections:
-            arts = compute_artifacts(fn, vocab, cfg)
-            seq, deps = arts.seq, arts.deps
-        else:  # no closure: only the sections before it
-            seq = tokenize(fn.instructions, vocab, cfg.max_len)
-            deps = dependence_graph(fn, flags_channel=cfg.flags_dep, on_unknown=cfg.on_unknown) \
-                if "deps" in sections else None
+        seq = tokenize(fn.instructions, vocab, cfg.max_len)
         tokens = {
             "surface": seq.surface,
             "inst_of": seq.inst_of,
@@ -168,13 +162,17 @@ def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
         }
         texts = {"tokens": dumps(tokens)}
         if "deps" in sections:
+            deps = dependence_graph(fn, flags_channel=cfg.flags_dep, on_unknown=cfg.on_unknown)
             texts["deps"] = dumps(deps.to_dict())
         if "connectivity" in sections:
-            texts["connectivity"] = arts.con.to_json()
-        if "mask" in sections:
-            from .masks import sparse_masks
+            from .connectivity import connectivity
 
-            texts["mask"] = sparse_masks(arts.bundle)
+            con = connectivity(deps)
+            texts["connectivity"] = con.to_json()
+        if "mask" in sections:
+            from .masks import build_bundle, sparse_masks
+
+            texts["mask"] = sparse_masks(build_bundle(seq, con.dist))
         if cache_path:
             _write_entry(cache_path, key, "\n".join(texts[k] for k in SECTIONS))
     ids = [vocab.id(t) for t in tokens["surface"]]

@@ -189,11 +189,8 @@ def _parse_operand(text: str, line_no: int) -> Operand:
 
 def _split_operands(text: str) -> list[str]:
     """``text`` cut at each comma outside brackets."""
-    pieces = text.split(",")
-    if "[" not in text and "]" not in text:
-        return pieces
     parts, depth = [], 0
-    for piece in pieces:
+    for piece in text.split(","):
         if depth:  # the comma before this piece is inside brackets
             parts[-1] += "," + piece
         else:

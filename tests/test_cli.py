@@ -158,7 +158,7 @@ class TestPipeline:
 
         def recompute(*args, **kwargs):
             raise AssertionError("a cache hit recomputed a function")
-        monkeypatch.setattr(corpus, "compute_artifacts", recompute)
+        monkeypatch.setattr(corpus, "tokenize", recompute)
         assert main(["pipeline", listing, "--out", str(tmp_path / "warm"),
                      "--cache-dir", cache]) == 0
         assert tree(tmp_path / "warm") == tree(tmp_path / "cold")
@@ -188,7 +188,7 @@ class TestPipeline:
 
         def recompute(*args, **kwargs):
             raise AssertionError("the entry was not served")
-        monkeypatch.setattr(corpus, "compute_artifacts", recompute)
+        monkeypatch.setattr(corpus, "tokenize", recompute)
         assert corpus.cached_artifact_dict(fn, vocab, RunConfig(), cache) == results[0]
 
     def test_failed_entry_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
@@ -216,7 +216,6 @@ class TestPipeline:
         def unwanted(*args, **kwargs):
             raise AssertionError("computed a section the stage does not write")
         monkeypatch.setattr(connectivity, "connectivity", unwanted)
-        monkeypatch.setattr(corpus, "compute_artifacts", unwanted)
         if stage == "tokenize":
             monkeypatch.setattr(corpus, "dependence_graph", unwanted)
         assert main(["pipeline", listing, "--out", str(tmp_path / "after"),
