@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import CfgError
 from .frontend import Instruction, ParsedFunction
 
 EXIT = -2
@@ -18,10 +19,6 @@ JCC_MNEMONICS = frozenset({
     "jb", "jbe", "ja", "jae", "js", "jns",
 })
 TERMINATORS = JCC_MNEMONICS | {"jmp", "ret"}
-
-
-class CfgError(Exception):
-    pass
 
 
 @dataclass

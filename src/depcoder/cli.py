@@ -1,17 +1,25 @@
 """Command-line surface tying the pipeline together.
 
-Exit codes: 0 success, 2 input error, 3 numeric divergence, 4 config error.
+Exit codes: 0 success; 2 an ``InputError``, a fault in a file the user gave;
+3 a ``NumericsError``, numeric divergence, or a failed ``gradcheck``; 4 a
+``ConfigError``.  Any other exception is a bug: a traceback and exit 1.
 
-Heavy imports happen inside ``main`` so that the ``threads`` config key or
-``--threads`` can pin the BLAS thread pools before numpy is loaded.
+numpy is imported inside the commands, after ``main`` has pinned the BLAS
+thread pools from the ``threads`` config key or ``--threads``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+
+from .config import RunConfig
+from .corpus import Corpus, dumps, write_file
+from .errors import ConfigError, InputError, NumericsError
+from .frontend import Vocabulary, build_vocab, parse_listing
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
@@ -56,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-sim", parents=[common], help="recall@k / MRR over a pool spec")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--eval-spec", required=True)
-    p.add_argument("--k", default="1,5,10", help="comma-separated cutoffs")
+    p.add_argument("--k", default="1,5,10", help="comma-separated cutoffs",
+                   type=lambda text: [int(x) for x in text.split(",")])
 
     p = sub.add_parser("finetune-sim", parents=[common], help="triplet fine-tuning")
     p.add_argument("listing")
@@ -105,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from .config import ConfigError, RunConfig
-
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         if args.seed is not None:
@@ -116,20 +123,10 @@ def main(argv=None) -> int:
         if args.flags_dep:
             cfg.flags_dep = True
         cfg.validate()
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 4
-    # BLAS sizes its thread pools from these when numpy loads
-    if cfg.threads is not None:
-        for var in _THREAD_VARS:
-            os.environ[var] = str(cfg.threads)
-
-    from .cfg import CfgError
-    from .dependence import DependenceError
-    from .errors import ClosureError, MetricsError, NumericsError
-    from .frontend import ParseError
-
-    try:
+        # BLAS sizes its thread pools from these when numpy loads
+        if cfg.threads is not None:
+            for var in _THREAD_VARS:
+                os.environ[var] = str(cfg.threads)
         return _dispatch(args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -137,8 +134,7 @@ def main(argv=None) -> int:
     except NumericsError as e:
         print(f"numeric divergence: {e}", file=sys.stderr)
         return 3
-    except (ParseError, CfgError, DependenceError, ClosureError, MetricsError,
-            FileNotFoundError, json.JSONDecodeError, ValueError, KeyError) as e:
+    except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
 
@@ -163,31 +159,36 @@ def _dispatch(args, cfg) -> int:
 # ---------------------------------------------------------------------------
 # helpers
 
+@contextlib.contextmanager
+def _reading(path):
+    """Report a fault in the user's file ``path`` as an ``InputError`` naming it."""
+    try:
+        yield
+    except (InputError, OSError, ValueError, KeyError, TypeError) as e:
+        detail = e if isinstance(e, InputError) else f"{type(e).__name__}: {e}"
+        raise InputError(f"{path}: {detail}") from e
+
+
+def _read_text(path) -> str:
+    with _reading(path), open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    write_file(path, text.encode("utf-8"))
 
 
 def _write_json(path, payload) -> None:
-    from .corpus import dumps
     _write_text(path, dumps(payload) + "\n")
 
 
 def _write_jsonl(path, rows) -> None:
-    from .corpus import dumps
     _write_text(path, "".join(dumps(row) + "\n" for row in rows))
 
 
 def _read_jsonl(path) -> list:
-    rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def _load(args, cfg):
@@ -196,20 +197,19 @@ def _load(args, cfg):
     checkpoint."""
     from dataclasses import replace
 
-    from .corpus import Corpus
     from .encoder import EncoderState
-    from .frontend import Vocabulary
 
-    state = EncoderState.load(args.checkpoint)
+    with _reading(args.checkpoint):
+        state = EncoderState.load(args.checkpoint)
     vocab_path = args.vocab
     if vocab_path is None:
         vocab_path = os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)), "vocab.tsv")
         if not os.path.exists(vocab_path):
-            raise FileNotFoundError(
-                "no --vocab given and no vocab.tsv next to the checkpoint")
-    corpus = Corpus.from_file(args.listing, replace(cfg, max_len=state.config.max_len),
-                              Vocabulary.load(vocab_path))
-    return state, corpus
+            raise InputError("no --vocab given and no vocab.tsv next to the checkpoint")
+    with _reading(vocab_path):
+        vocab = Vocabulary.load(vocab_path)
+    return state, Corpus.from_text(_read_text(args.listing),
+                                   replace(cfg, max_len=state.config.max_len), vocab)
 
 
 def _embedding(state, art):
@@ -222,10 +222,8 @@ def _embedding(state, art):
 
 def cmd_pipeline(args, cfg) -> int:
     from .corpus import SECTIONS, cached_artifact_dict
-    from .frontend import build_vocab, parse_listing
 
-    with open(args.listing, encoding="utf-8") as fh:
-        functions = parse_listing(fh.read())
+    functions = parse_listing(_read_text(args.listing))
     os.makedirs(args.out, exist_ok=True)
     if not functions:
         print("warning: empty corpus, nothing to do", file=sys.stderr)
@@ -263,16 +261,15 @@ def cmd_synth(args, cfg) -> int:
 def cmd_pretrain(args, cfg) -> int:
     import numpy as np
 
-    from .corpus import Corpus
     from .encoder import EncoderState
     from .pretrain import AdamW, train_step
 
     corpus_path = args.corpus or cfg.corpus
     out_dir = args.out or cfg.out_dir
     if not corpus_path or not out_dir:
-        raise FileNotFoundError("pretrain needs a corpus and an output directory "
-                                "(--corpus/--out or config keys)")
-    corpus = Corpus.from_file(corpus_path, cfg)
+        raise InputError("pretrain needs a corpus and an output directory "
+                         "(--corpus/--out or config keys)")
+    corpus = Corpus.from_text(_read_text(corpus_path), cfg)
     state = EncoderState.init(cfg.encoder_config(len(corpus.vocab)), cfg.seed)
     opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm,
                 warmup_steps=cfg.warmup, total_steps=cfg.steps)
@@ -313,15 +310,20 @@ def cmd_eval_sim(args, cfg) -> int:
 
     from .downstream import mrr, recall_at_k
 
-    embs = {row["function"]: np.asarray(row["embedding"])
-            for row in _read_jsonl(args.embeddings)}
-    with open(args.eval_spec, encoding="utf-8") as fh:
+    with _reading(args.embeddings):
+        rows = _read_jsonl(args.embeddings)
+        # one matrix, so that embeddings of two lengths are rejected here
+        embs = dict(zip([row["function"] for row in rows],
+                        np.array([row["embedding"] for row in rows], dtype=np.float64)))
+    with _reading(args.eval_spec), open(args.eval_spec, encoding="utf-8") as fh:
         spec = json.load(fh)
-    queries = [embs[q] for q in spec["queries"]]
-    pools = [[embs[c] for c in pool] for pool in spec["pools"]]
-    truth = spec["truth"]
+        queries = [embs[q] for q in spec["queries"]]
+        pools = [[embs[c] for c in pool] for pool in spec["pools"]]
+        truth = spec["truth"]
+        if any(t not in range(len(pool)) for pool, t in zip(pools, truth)):
+            raise InputError("a truth index lies outside its pool")
     result = {"queries": len(queries), "mrr": mrr(queries, pools, truth)}
-    for k in (int(x) for x in args.k.split(",")):
+    for k in args.k:
         result[f"recall@{k}"] = recall_at_k(queries, pools, truth, k)
     print(json.dumps(result, sort_keys=True))
     return 0
@@ -335,9 +337,11 @@ def cmd_finetune_sim(args, cfg) -> int:
     from .pretrain import AdamW
 
     state, corpus = _load(args, cfg)
-    triplets = _read_jsonl(args.triplets)
-    if not triplets:
-        raise FileNotFoundError(f"no triplets in {args.triplets}")
+    with _reading(args.triplets):
+        triplets = [[corpus.by_name[t[k]] for k in ("anchor", "positive", "negative")]
+                    for t in _read_jsonl(args.triplets)]
+        if not triplets:
+            raise InputError("no triplets")
     opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm,
                 warmup_steps=min(cfg.warmup, args.steps // 10),
                 total_steps=args.steps)
@@ -346,8 +350,7 @@ def cmd_finetune_sim(args, cfg) -> int:
         grads = state.zero_grads()
         loss_sum = 0.0
         for _ in range(cfg.batch_size):
-            t = triplets[int(rng.integers(len(triplets)))]
-            arts = [corpus.by_name[t[k]] for k in ("anchor", "positive", "negative")]
+            arts = triplets[int(rng.integers(len(triplets)))]
             traces = [encode(a.seq.tokens, a.bundle, state, rng=rng, training=True)
                       for a in arts]
             loss, da, dp, dn = triplet_loss_grads(
@@ -371,24 +374,26 @@ def _label_ids():
     return {name: i for i, name in enumerate(labels)}
 
 
-def _labelled_positions(rows, corpus, label_of):
-    """(function name -> [(position, label id)]) clipped to tokenized length."""
+def _labelled_positions(path, corpus, label_of):
+    """(function name -> [(position, label id)]) of the labels file ``path``,
+    clipped to tokenized length."""
     out = {}
-    for row in rows:
-        name = row["function"]
-        if name not in corpus.by_name:
-            raise FileNotFoundError(f"labelled function {name!r} not in the listing")
-        seq_len = len(corpus.by_name[name].seq)
-        pairs = []
-        for pos, label in row["labels"]:
-            if label not in label_of:
-                raise FileNotFoundError(f"unknown type label {label!r}")
-            if type(pos) is not int or pos < 0:  # a JSON true is a bool, not a position
-                raise FileNotFoundError(
-                    f"label position {pos!r} in {name!r} is not a non-negative integer")
-            if pos < seq_len:
-                pairs.append((pos, label_of[label]))
-        out[name] = pairs
+    with _reading(path):
+        for row in _read_jsonl(path):
+            name = row["function"]
+            if name not in corpus.by_name:
+                raise InputError(f"labelled function {name!r} not in the listing")
+            seq_len = len(corpus.by_name[name].seq)
+            pairs = []
+            for pos, label in row["labels"]:
+                if label not in label_of:
+                    raise InputError(f"unknown type label {label!r}")
+                if type(pos) is not int or pos < 0:  # a JSON true is a bool, not a position
+                    raise InputError(
+                        f"label position {pos!r} in {name!r} is not a non-negative integer")
+                if pos < seq_len:
+                    pairs.append((pos, label_of[label]))
+            out[name] = pairs
     return out
 
 
@@ -401,10 +406,10 @@ def cmd_train_type(args, cfg) -> int:
 
     state, corpus = _load(args, cfg)
     label_of = _label_ids()
-    labelled = _labelled_positions(_read_jsonl(args.labels), corpus, label_of)
+    labelled = _labelled_positions(args.labels, corpus, label_of)
     names = [n for n in labelled if labelled[n]]
     if not names:
-        raise FileNotFoundError("no labelled tokens")
+        raise InputError(f"{args.labels}: no labelled tokens")
     opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm,
                 warmup_steps=min(cfg.warmup, args.steps // 10), total_steps=args.steps)
     rng = np.random.default_rng(cfg.seed)
@@ -438,7 +443,7 @@ def cmd_eval_type(args, cfg) -> int:
     state, corpus = _load(args, cfg)
     label_of = _label_ids()
     no_access = label_of["no-access"]
-    labelled = _labelled_positions(_read_jsonl(args.labels), corpus, label_of)
+    labelled = _labelled_positions(args.labels, corpus, label_of)
     preds, gold = [], []
     for name, pairs in labelled.items():
         if not pairs:
@@ -455,15 +460,19 @@ def cmd_eval_type(args, cfg) -> int:
     return 0
 
 
-def _mlc_inputs(samples, corpus, state, cfg):
-    """Per sample, the embeddings of the functions it pools; each function is
-    encoded once."""
+def _mlc_inputs(args, corpus, state, cfg):
+    """The label matrix of ``--samples`` and per sample the embeddings it pools, encoded once."""
     import numpy as np
 
-    names = dict.fromkeys(n for row in samples for n in row["functions"][:cfg.pool_k])
-    embs = {n: np.asarray(_embedding(state, corpus.by_name[n]), dtype=np.float64)
-            for n in names}
-    return [[embs[n] for n in row["functions"][:cfg.pool_k]] for row in samples]
+    with _reading(args.samples):
+        samples = _read_jsonl(args.samples)
+        y = np.array([row["labels"] for row in samples], dtype=np.float64)
+        pools = [[corpus.by_name[n] for n in row["functions"][:cfg.pool_k]] for row in samples]
+        if y.ndim != 2 or not all(pools):
+            raise InputError("want samples, each with a list of labels and a function")
+    arts = {a.name: a for pool in pools for a in pool}
+    embs = {n: np.asarray(_embedding(state, a), dtype=np.float64) for n, a in arts.items()}
+    return y, [[embs[a.name] for a in pool] for pool in pools]
 
 
 def _mlc_forward(e, head):
@@ -484,26 +493,21 @@ def cmd_train_mlc(args, cfg) -> int:
     from .pretrain import AdamW
 
     state, corpus = _load(args, cfg)
-    samples = _read_jsonl(args.samples)
-    if not samples:
-        raise FileNotFoundError(f"no samples in {args.samples}")
-    n_labels = len(samples[0]["labels"])
+    ys, inputs = _mlc_inputs(args, corpus, state, cfg)
     dh = state.config.hidden
     rng = np.random.default_rng(cfg.seed)
     head = {"query": (rng.standard_normal(dh) * 0.02),
-            "w": (rng.standard_normal((dh, n_labels)) * 0.02),
-            "b": np.zeros(n_labels)}
-    inputs = _mlc_inputs(samples, corpus, state, cfg)
+            "w": (rng.standard_normal((dh, ys.shape[1])) * 0.02),
+            "b": np.zeros(ys.shape[1])}
     opt = AdamW(lr=1e-2, weight_decay=0.0, clip_norm=cfg.clip_norm,
                 warmup_steps=0, total_steps=args.steps)
     for step in range(args.steps):
         grads = {k: np.zeros_like(v) for k, v in head.items()}
         loss_sum = 0.0
-        for row, e in zip(samples, inputs):
+        for y, e in zip(ys, inputs):
             pooled, logits, p = _mlc_forward(e, head)
-            y = np.asarray(row["labels"], dtype=np.float64)
             loss_sum += float(np.logaddexp(0, logits).sum() - (y * logits).sum())
-            dlogits = (p - y) / len(samples)
+            dlogits = (p - y) / len(ys)
             grads["w"] += np.outer(pooled, dlogits)
             grads["b"] += dlogits
             d_pooled = head["w"] @ dlogits
@@ -511,7 +515,7 @@ def cmd_train_mlc(args, cfg) -> int:
             grads["query"] += d_query
         opt.apply(head, grads)
         if (step + 1) % 50 == 0:
-            print(f"step {step + 1}: mlc loss {loss_sum / len(samples):.4f}")
+            print(f"step {step + 1}: mlc loss {loss_sum / len(ys):.4f}")
     _write_json(args.out, {k: np.asarray(v).tolist() for k, v in head.items()})
     print(f"head written to {args.out}")
     return 0
@@ -523,15 +527,16 @@ def cmd_eval_mlc(args, cfg) -> int:
     from .downstream import lrap, lrl, macro_roc_auc
 
     state, corpus = _load(args, cfg)
-    samples = _read_jsonl(args.samples)
-    with open(args.head, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    head = {k: np.asarray(v) for k, v in raw.items()}
-    y = np.stack([np.asarray(row["labels"]) for row in samples])
-    f = np.stack([_mlc_forward(e, head)[2]
-                  for e in _mlc_inputs(samples, corpus, state, cfg)])
+    y, inputs = _mlc_inputs(args, corpus, state, cfg)
+    dh, n_labels = state.config.hidden, y.shape[1]
+    shapes = {"query": (dh,), "w": (dh, n_labels), "b": (n_labels,)}
+    with _reading(args.head), open(args.head, encoding="utf-8") as fh:
+        head = {k: np.asarray(v, dtype=np.float64) for k, v in dict(json.load(fh)).items()}
+        if {k: v.shape for k, v in head.items()} != shapes:
+            raise InputError(f"want the head shapes {shapes}")
+    f = np.stack([_mlc_forward(e, head)[2] for e in inputs])
     print(json.dumps({"lrap": lrap(y, f), "lrl": lrl(y, f),
-                      "roc_auc": macro_roc_auc(y, f), "samples": len(samples)},
+                      "roc_auc": macro_roc_auc(y, f), "samples": len(y)},
                      sort_keys=True))
     return 0
 

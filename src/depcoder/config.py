@@ -12,9 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-
-class ConfigError(Exception):
-    pass
+from .errors import ConfigError
 
 
 @dataclass

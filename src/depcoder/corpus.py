@@ -108,11 +108,6 @@ class Corpus:
         arts = [compute_artifacts(fn, vocab, cfg) for fn in parsed]
         return cls(functions=arts, vocab=vocab)
 
-    @classmethod
-    def from_file(cls, path, cfg: RunConfig, vocab: Vocabulary | None = None) -> "Corpus":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read(), cfg, vocab)
-
 
 # ---------------------------------------------------------------------------
 # On-disk artifact cache (used by the pipeline command)
@@ -174,24 +169,25 @@ def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
 
             texts["mask"] = sparse_masks(build_bundle(seq, con.dist))
         if cache_path:
-            _write_entry(cache_path, key, "\n".join(texts[k] for k in SECTIONS))
+            body = "\n".join(texts[k] for k in SECTIONS)
+            digest = hashlib.sha256((key + body).encode("utf-8")).hexdigest()
+            write_file(cache_path, (digest + "\n" + body).encode("utf-8"))
     ids = [vocab.id(t) for t in tokens["surface"]]
     # "ids" sorts before the other token keys, so it opens the object
     texts["tokens"] = f'{{"ids":{dumps(ids)},{texts["tokens"][1:]}'
     return {"tokens": dict(tokens, ids=ids), "texts": texts}
 
 
-def _write_entry(cache_path: str, key: str, body: str) -> None:
-    """Write the entry through a temporary file of this writer's own, so that
-    writers of one entry in other processes never move each other's file.
-    Mode ``"x"`` gives it the mode a plain ``open`` would; a failed write
-    removes it."""
-    tmp = f"{cache_path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+def write_file(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file of this writer's
+    own, so that writers of one path never move each other's file.  Mode
+    ``"x"`` gives it a plain ``open``'s mode; a failed write removes it."""
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(hashlib.sha256((key + body).encode("utf-8")).hexdigest() + "\n" + body)
-        os.replace(tmp, cache_path)
+            fh.write(data)
+        os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

@@ -32,16 +32,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .cfg import EXIT, JCC_MNEMONICS, Cfg, CfgError, build_cfg
+from .cfg import EXIT, JCC_MNEMONICS, Cfg, build_cfg
+from .errors import CfgError, DependenceError, UnsupportedInstruction
 from .frontend import CANONICAL_REG, Instruction, Operand, ParsedFunction
-
-
-class DependenceError(Exception):
-    pass
-
-
-class UnsupportedInstruction(DependenceError):
-    pass
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import ModelShape
-from .errors import NumericsError
+from .corpus import write_file
+from .errors import InputError, NumericsError
 from .masks import AttentionPairs
 
 CHECKPOINT_VERSION = 1
@@ -131,21 +132,19 @@ class EncoderState:
                          "dtype": "float32"} for n in names],
         }
         blob = json.dumps(header, sort_keys=True).encode() + b"\n"
-        tmp = f"{path}.tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(len(blob).to_bytes(8, "little"))
-            fh.write(blob)
-            for n in names:
-                fh.write(np.ascontiguousarray(self.params[n], dtype=np.float32).tobytes())
-        os.replace(tmp, path)
+        write_file(path, b"".join(
+            [len(blob).to_bytes(8, "little"), blob]
+            + [np.ascontiguousarray(self.params[n], dtype=np.float32).tobytes() for n in names]))
 
     @classmethod
     def load(cls, path) -> "EncoderState":
         with open(path, "rb") as fh:
             hlen = int.from_bytes(fh.read(8), "little")
+            if hlen > os.fstat(fh.fileno()).st_size:
+                raise InputError(f"header length {hlen} exceeds the file")
             header = json.loads(fh.read(hlen).decode())
             if header["format_version"] != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {header['format_version']}")
+                raise InputError(f"unsupported checkpoint version {header['format_version']}")
             config = EncoderConfig(**header["config"])
             params = {}
             for spec in header["tensors"]:
@@ -153,6 +152,9 @@ class EncoderState:
                 raw = fh.read(count * 4)
                 arr = np.frombuffer(raw, dtype=np.float32).reshape(spec["shape"])
                 params[spec["name"]] = arr.astype(config.np_dtype)
+        expected = {n: a.shape for n, a in cls.init(config).params.items()}
+        if {n: a.shape for n, a in params.items()} != expected:
+            raise InputError("the tensors do not fit the model the header configures")
         return cls(config, params)
 
 

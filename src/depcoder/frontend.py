@@ -22,14 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-
-class ParseError(Exception):
-    """Raised on malformed listing input; carries a 1-based line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
+from .errors import InputError, ParseError
 
 # Reserved token ids. These are fixed across every vocabulary.
 PAD, UNK, CLS, MASK, INST = "[PAD]", "[UNK]", "[CLS]", "[MASK]", "<INST>"
@@ -332,9 +325,9 @@ class Vocabulary:
         return self._id_to_token[idx]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for idx, tok in enumerate(self._id_to_token):
-                fh.write(f"{tok}\t{idx}\n")
+        from .corpus import write_file  # corpus imports this module
+        text = "".join(f"{tok}\t{idx}\n" for idx, tok in enumerate(self._id_to_token))
+        write_file(path, text.encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -348,10 +341,10 @@ class Vocabulary:
                 pairs.append((int(idx), tok))
         pairs.sort()
         if [idx for idx, _ in pairs] != list(range(len(pairs))):
-            raise ValueError("vocabulary ids are not exactly 0..n-1")
+            raise InputError("vocabulary ids are not exactly 0..n-1")
         tokens = [t for _, t in pairs]
         if tuple(tokens[:FIRST_REGULAR_ID]) != RESERVED_TOKENS:
-            raise ValueError("vocabulary file does not carry the reserved token block")
+            raise InputError("vocabulary file does not carry the reserved token block")
         return cls(tokens[FIRST_REGULAR_ID:])
 
 
@@ -362,7 +355,7 @@ def build_vocab(functions: list[ParsedFunction], min_freq: int = 1) -> Vocabular
     of first appearance (deterministic given function order).
     """
     if not functions:
-        raise ValueError("empty corpus")
+        raise InputError("empty corpus")
     freq: dict[str, int] = {}  # insertion order is first-appearance order
     for fn in functions:
         for instr in fn.instructions:

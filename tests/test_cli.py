@@ -191,6 +191,22 @@ class TestPipeline:
         monkeypatch.setattr(corpus, "tokenize", recompute)
         assert corpus.cached_artifact_dict(fn, vocab, RunConfig(), cache) == results[0]
 
+    def test_interleaved_writers_of_one_output_file_both_succeed(self, tmp_path, monkeypatch):
+        # writer b writes the whole file while writer a is about to move its
+        # temporary file into place
+        from depcoder.cli import _write_text
+
+        out, real_replace = tmp_path / "out.json", os.replace
+
+        def interleaved(src, dst):
+            monkeypatch.setattr(os, "replace", real_replace)
+            _write_text(out, "b\n")
+            real_replace(src, dst)
+        monkeypatch.setattr(os, "replace", interleaved)
+        _write_text(out, "a\n")
+        assert out.read_text() == "a\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
     def test_failed_entry_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         from depcoder import corpus
         from depcoder.frontend import build_vocab
@@ -565,6 +581,108 @@ class TestTrainingCommands:
         assert not (tmp_path / "nan" / "model.ckpt").exists()
 
 
+def bad_input(case, tmp_path, trained):
+    """The argv of a command given the bad input ``case``, and the bad file's path."""
+    listing = write(tmp_path / "chain.asm", POINTER_CHAIN)
+    ckpt = str(trained["run"] / "model.ckpt")
+    if case == "directory_listing":
+        return ["pipeline", str(tmp_path), "--out", str(tmp_path / "o")], str(tmp_path)
+    if case == "non_utf8_listing":
+        (tmp_path / "latin1.asm").write_bytes(b".func caf\xe9\nret\n")
+        path = str(tmp_path / "latin1.asm")
+        return ["pipeline", path, "--out", str(tmp_path / "o")], path
+    if case == "directory_vocab":
+        return ["embed", listing, "--checkpoint", ckpt, "--vocab", str(tmp_path),
+                "--out", str(tmp_path / "e.jsonl")], str(tmp_path)
+    if case == "labels_row_without_labels":
+        path = write(tmp_path / "labels.jsonl", '{"function": "chain"}\n')
+        return ["eval-type", listing, "--checkpoint", ckpt, "--labels", path], path
+    if case == "triplet_of_an_absent_function":
+        path = write(tmp_path / "t.jsonl", json.dumps(
+            {"anchor": "chain", "positive": "chain", "negative": "absent"}) + "\n")
+        return ["finetune-sim", listing, "--checkpoint", ckpt, "--triplets", path,
+                "--out", str(tmp_path / "f.ckpt"), "--steps", "1"], path
+    if case in ("sample_without_a_function", "head_of_a_wrong_shape"):
+        functions = [] if case == "sample_without_a_function" else ["chain"]
+        samples = write(tmp_path / "s.jsonl", json.dumps(
+            {"functions": functions, "labels": [1, 0]}) + "\n")
+        head = write(tmp_path / "head.json", json.dumps(
+            {"query": [0.0], "w": [[0.0, 0.0]], "b": [0.0, 0.0]}))
+        return ["eval-mlc", listing, "--checkpoint", ckpt, "--samples", samples,
+                "--head", head], samples if functions == [] else head
+    rows = [{"function": "chain", "embedding": [1.0]}]
+    if case == "embeddings_of_two_lengths":
+        rows.append({"function": "other", "embedding": [1.0, 2.0]})
+    embs = write(tmp_path / "e.jsonl", "".join(json.dumps(row) + "\n" for row in rows))
+    query, truth = ("absent", 0) if case == "eval_spec_of_an_absent_embedding" else ("chain", 1)
+    path = write(tmp_path / "spec.json", json.dumps(
+        {"queries": [query], "pools": [["chain"]], "truth": [truth]}))
+    return ["eval-sim", "--embeddings", embs, "--eval-spec", path], \
+        embs if case == "embeddings_of_two_lengths" else path
+
+
+def checkpoint_with(data, edit):
+    """The checkpoint ``data`` with its JSON header changed by ``edit``."""
+    hlen = int.from_bytes(data[:8], "little")
+    header = json.loads(data[8:8 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode() + b"\n"
+    return len(blob).to_bytes(8, "little") + blob + data[8 + hlen:]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", [
+        "directory_listing", "non_utf8_listing", "directory_vocab",
+        "labels_row_without_labels", "triplet_of_an_absent_function",
+        "eval_spec_of_an_absent_embedding", "truth_index_outside_its_pool",
+        "embeddings_of_two_lengths", "sample_without_a_function", "head_of_a_wrong_shape"])
+    def test_bad_input_exits_2_naming_the_file(self, trained, tmp_path, capsys, case):
+        argv, path = bad_input(case, tmp_path, trained)
+        assert main(argv) == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: b"garbage",
+        lambda data: data[:-4],
+        lambda data: checkpoint_with(data, lambda h: h["config"].update(bogus=1)),
+        lambda data: checkpoint_with(data, lambda h: h.update(format_version=2)),
+        lambda data: checkpoint_with(data, lambda h: h["tensors"][0].update(name="renamed")),
+    ], ids=["garbage", "truncated_tensors", "unknown_config_key", "wrong_version",
+            "renamed_tensor"])
+    def test_corrupt_checkpoint_exits_2_naming_the_file(self, trained, tmp_path, capsys,
+                                                        corrupt):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(corrupt((trained["run"] / "model.ckpt").read_bytes()))
+        listing = write(tmp_path / "chain.asm", POINTER_CHAIN)
+        assert main(["embed", listing, "--checkpoint", str(ckpt), "--vocab",
+                     str(trained["run"] / "vocab.tsv"), "--out", str(tmp_path / "e")]) == 2
+        assert str(ckpt) in capsys.readouterr().err
+
+    def test_checkpoint_of_an_invalid_shape_is_a_config_error(self, trained, tmp_path):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(checkpoint_with((trained["run"] / "model.ckpt").read_bytes(),
+                                         lambda h: h["config"].update(heads=3)))
+        listing = write(tmp_path / "chain.asm", POINTER_CHAIN)
+        assert main(["embed", listing, "--checkpoint", str(ckpt), "--vocab",
+                     str(trained["run"] / "vocab.tsv"), "--out", str(tmp_path / "e")]) == 4
+
+    def test_bad_cutoffs_exit_2(self, tmp_path):
+        # argparse rejects them before any file is read
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval-sim", "--embeddings", str(tmp_path / "e.jsonl"),
+                  "--eval-spec", str(tmp_path / "s.json"), "--k", "1,x"])
+        assert exit_.value.code == 2
+
+    def test_a_bug_is_not_an_input_error(self, tmp_path, monkeypatch, chain_listing):
+        from depcoder import corpus
+
+        def broken(*args, **kwargs):
+            raise ValueError("a broken invariant")
+        monkeypatch.setattr(corpus, "tokenize", broken)
+        with pytest.raises(ValueError, match="broken invariant"):
+            main(["pipeline", chain_listing, "--out", str(tmp_path / "o")])
+
+
 class TestGradcheckCommand:
     def test_passes(self, capsys):
         assert main(["gradcheck", "--samples", "40"]) == 0
@@ -618,7 +736,7 @@ class TestTypeOverfit:
 
         state = EncoderState.load(out)
         vocab = Vocabulary.load(tmp_path / "pre" / "vocab.tsv")
-        corpus = Corpus.from_file(data / "corpus.asm", RunConfig(), vocab)
+        corpus = Corpus.from_text((data / "corpus.asm").read_text(), RunConfig(), vocab)
         label_of = {n: i for i, n in enumerate(list(DEFAULT_TYPE_LABELS) + [NO_ACCESS])}
         correct = total = 0
         with open(data / "typelabels.jsonl") as fh:

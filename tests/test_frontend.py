@@ -1,5 +1,6 @@
 import pytest
 
+from depcoder.errors import InputError
 from depcoder.frontend import (CLS, INST, RESERVED_TOKENS, UNK_ID, Operand,
                                ParseError, Vocabulary, build_vocab, immediate_token,
                                instruction_tokens, parse_listing, tokenize)
@@ -195,7 +196,7 @@ class TestVocabulary:
         assert seq.tokens[seq.surface.index("push")] == UNK_ID
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="empty corpus"):
             build_vocab([])
 
     def test_deterministic_given_corpus_order(self):
@@ -220,7 +221,7 @@ class TestVocabulary:
         path = tmp_path / "vocab.tsv"
         lines = list(zip(RESERVED_TOKENS, range(len(RESERVED_TOKENS)))) + rows
         path.write_text("".join(f"{tok}\t{idx}\n" for tok, idx in lines))
-        with pytest.raises(ValueError, match="not exactly"):
+        with pytest.raises(InputError, match="not exactly"):
             Vocabulary.load(path)
 
     def test_unknown_lookup_is_unk(self):

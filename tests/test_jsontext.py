@@ -21,6 +21,5 @@ def test_matches_json_dumps_of_the_list(a):
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_negative_value_is_a_broken_invariant(dtype):
-    # not a ValueError or KeyError, which ``cli.main`` reports as input errors
     with pytest.raises(RuntimeError, match="non-negative"):
         int_rows(np.array([[0, 1], [2, -3]], dtype=dtype))
