@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 2 an ``InputError``, a fault in a file the user gave;
 3 a ``NumericsError``, numeric divergence, or a failed ``gradcheck``; 4 a
-``ConfigError``.  Any other exception is a bug: a traceback and exit 1.
+``ConfigError``, an output path that cannot be written among them.  Any
+other exception is a bug: a traceback and exit 1.
 
 numpy is imported inside the commands, after ``main`` has pinned the BLAS
 thread pools from the ``threads`` config key or ``--threads``.
@@ -18,7 +19,7 @@ import sys
 
 from .config import RunConfig
 from .corpus import Corpus, dumps, write_file
-from .errors import ConfigError, InputError, NumericsError
+from .errors import ConfigError, InputError, ListingError, NumericsError
 from .frontend import Vocabulary, build_vocab, parse_listing
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -127,6 +128,7 @@ def main(argv=None) -> int:
         if cfg.threads is not None:
             for var in _THREAD_VARS:
                 os.environ[var] = str(cfg.threads)
+        _check_outputs(args, cfg)
         return _dispatch(args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -169,6 +171,43 @@ def _reading(path):
         raise InputError(f"{path}: {detail}") from e
 
 
+@contextlib.contextmanager
+def _listing(path):
+    """Name the listing ``path`` in a fault of the listing as a whole.  A
+    fault of one function names the function, and any other exception is a
+    bug and passes as it is."""
+    try:
+        yield
+    except ListingError as e:
+        raise InputError(f"{path}: {e}") from e
+
+
+def _check_output(path, directory: bool) -> None:
+    """Raise ``ConfigError`` naming ``path`` unless the command can write it:
+    an output directory is one or can be made, and an output file's
+    directory exists."""
+    full = os.path.abspath(path)
+    if directory:
+        while not os.path.exists(full):
+            full = os.path.dirname(full)
+        ok = os.path.isdir(full)
+    else:
+        ok = os.path.isdir(os.path.dirname(full)) and not os.path.isdir(full)
+    if not ok:
+        raise ConfigError(f"cannot write the output {'directory' if directory else 'file'} {path}")
+
+
+def _check_outputs(args, cfg) -> None:
+    """Check the command's output paths before it does any work."""
+    out = getattr(args, "out", None)
+    if args.command == "pretrain":
+        out = out or cfg.out_dir
+    if out:
+        _check_output(out, directory=args.command in ("pipeline", "synth", "pretrain"))
+    if getattr(args, "cache_dir", None):
+        _check_output(args.cache_dir, directory=True)
+
+
 def _read_text(path) -> str:
     with _reading(path), open(path, encoding="utf-8") as fh:
         return fh.read()
@@ -208,8 +247,9 @@ def _load(args, cfg):
             raise InputError("no --vocab given and no vocab.tsv next to the checkpoint")
     with _reading(vocab_path):
         vocab = Vocabulary.load(vocab_path)
-    return state, Corpus.from_text(_read_text(args.listing),
-                                   replace(cfg, max_len=state.config.max_len), vocab)
+    with _listing(args.listing):
+        return state, Corpus.from_text(_read_text(args.listing),
+                                       replace(cfg, max_len=state.config.max_len), vocab)
 
 
 def _embedding(state, art):
@@ -223,7 +263,8 @@ def _embedding(state, art):
 def cmd_pipeline(args, cfg) -> int:
     from .corpus import SECTIONS, cached_artifact_dict
 
-    functions = parse_listing(_read_text(args.listing))
+    with _listing(args.listing):
+        functions = parse_listing(_read_text(args.listing))
     os.makedirs(args.out, exist_ok=True)
     if not functions:
         print("warning: empty corpus, nothing to do", file=sys.stderr)
@@ -269,7 +310,8 @@ def cmd_pretrain(args, cfg) -> int:
     if not corpus_path or not out_dir:
         raise InputError("pretrain needs a corpus and an output directory "
                          "(--corpus/--out or config keys)")
-    corpus = Corpus.from_text(_read_text(corpus_path), cfg)
+    with _listing(corpus_path):
+        corpus = Corpus.from_text(_read_text(corpus_path), cfg)
     state = EncoderState.init(cfg.encoder_config(len(corpus.vocab)), cfg.seed)
     opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm,
                 warmup_steps=cfg.warmup, total_steps=cfg.steps)

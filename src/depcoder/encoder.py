@@ -68,13 +68,71 @@ _GELU_C = 0.7978845608028654  # sqrt(2 / pi)
 _GELU_A = 0.044715
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * (x * x * x))))
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU in its tanh form, and the ``tanh`` that its reverse reuses.  The
+    steps run in place on two fresh arrays and round as ``0.5 * x * (1 +
+    tanh(c * (x + a * x³)))`` does, since halving is exact."""
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x
+    y *= 0.5
+    return y, t
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The derivative of GELU at ``x`` given the forward's ``tanh`` ``t``:
+    ``0.5 * (1 + t) + 0.5 * x * (1 - t²) * c * (1 + 3a * x²)``, in place on
+    two fresh arrays."""
+    d = x * 0.5
+    w = t * t
+    np.subtract(1.0, w, out=w)
+    d *= w
+    d *= _GELU_C
+    np.multiply(x, 3.0 * _GELU_A, out=w)
+    w *= x
+    w += 1.0
+    d *= w
+    np.add(t, 1.0, out=w)
+    w *= 0.5
+    d += w
+    return d
+
+
+def _tensor_specs(config: EncoderConfig) -> dict[str, tuple[tuple[int, ...], float | None]]:
+    """Every parameter's name -> (shape, initial value), in the order ``init``
+    draws them; ``None`` means drawn from N(0, 0.02²)."""
+    dh, dk, h = config.hidden, config.head_dim, config.heads
+    specs = {
+        "tok_emb": ((config.vocab_size, dh), None),
+        "pos_emb": ((config.max_len, dh), None),
+        # index 0 is reserved for "no bias applies" and never contributes
+        "beta": ((h, config.r_max + 1), 0.0),
+        "mlm_w": ((dh, config.vocab_size), None),
+        "mlm_b": ((config.vocab_size,), 0.0),
+        "type_w": ((dh, config.n_type_labels), None),
+        "type_b": ((config.n_type_labels,), 0.0),
+    }
+    for l in range(config.layers):
+        specs.update({
+            f"l{l}.wq": ((h, dh, dk), None),
+            f"l{l}.wk": ((h, dh, dk), None),
+            f"l{l}.wv": ((h, dh, dk), None),
+            f"l{l}.wo": ((dh, dh), None),
+            f"l{l}.ln1_g": ((dh,), 1.0),
+            f"l{l}.ln1_b": ((dh,), 0.0),
+            f"l{l}.w1": ((dh, config.ffn), None),
+            f"l{l}.b1": ((config.ffn,), 0.0),
+            f"l{l}.w2": ((config.ffn, dh), None),
+            f"l{l}.b2": ((dh,), 0.0),
+            f"l{l}.ln2_g": ((dh,), 1.0),
+            f"l{l}.ln2_b": ((dh,), 0.0),
+        })
+    return specs
 
 
 class EncoderState:
@@ -88,34 +146,12 @@ class EncoderState:
     def init(cls, config: EncoderConfig, seed: int = 0) -> "EncoderState":
         rng = np.random.default_rng(seed)
         dt = config.np_dtype
-        dh, dk, h = config.hidden, config.head_dim, config.heads
-
-        def normal(*shape):
-            return (rng.standard_normal(shape) * 0.02).astype(dt)
-
-        p: dict[str, np.ndarray] = {
-            "tok_emb": normal(config.vocab_size, dh),
-            "pos_emb": normal(config.max_len, dh),
-            # index 0 is reserved for "no bias applies" and never contributes
-            "beta": np.zeros((h, config.r_max + 1), dtype=dt),
-            "mlm_w": normal(dh, config.vocab_size),
-            "mlm_b": np.zeros(config.vocab_size, dtype=dt),
-            "type_w": normal(dh, config.n_type_labels),
-            "type_b": np.zeros(config.n_type_labels, dtype=dt),
-        }
-        for l in range(config.layers):
-            p[f"l{l}.wq"] = normal(h, dh, dk)
-            p[f"l{l}.wk"] = normal(h, dh, dk)
-            p[f"l{l}.wv"] = normal(h, dh, dk)
-            p[f"l{l}.wo"] = normal(dh, dh)
-            p[f"l{l}.ln1_g"] = np.ones(dh, dtype=dt)
-            p[f"l{l}.ln1_b"] = np.zeros(dh, dtype=dt)
-            p[f"l{l}.w1"] = normal(dh, config.ffn)
-            p[f"l{l}.b1"] = np.zeros(config.ffn, dtype=dt)
-            p[f"l{l}.w2"] = normal(config.ffn, dh)
-            p[f"l{l}.b2"] = np.zeros(dh, dtype=dt)
-            p[f"l{l}.ln2_g"] = np.ones(dh, dtype=dt)
-            p[f"l{l}.ln2_b"] = np.zeros(dh, dtype=dt)
+        p: dict[str, np.ndarray] = {}
+        for name, (shape, fill) in _tensor_specs(config).items():
+            if fill is None:
+                p[name] = (rng.standard_normal(shape) * 0.02).astype(dt)
+            else:
+                p[name] = np.full(shape, fill, dtype=dt)
         return cls(config, p)
 
     def zero_grads(self) -> dict[str, np.ndarray]:
@@ -152,7 +188,7 @@ class EncoderState:
                 raw = fh.read(count * 4)
                 arr = np.frombuffer(raw, dtype=np.float32).reshape(spec["shape"])
                 params[spec["name"]] = arr.astype(config.np_dtype)
-        expected = {n: a.shape for n, a in cls.init(config).params.items()}
+        expected = {n: shape for n, (shape, _) in _tensor_specs(config).items()}
         if {n: a.shape for n, a in params.items()} != expected:
             raise InputError("the tensors do not fit the model the header configures")
         return cls(config, params)
@@ -172,6 +208,7 @@ class _LayerCache:
     z1: np.ndarray
     ffn_pre: np.ndarray
     ffn_act: np.ndarray
+    ffn_tanh: np.ndarray    # the GELU's tanh, reused by its reverse
     ffn_drop: np.ndarray | None
     xhat2: np.ndarray
     inv_std2: np.ndarray
@@ -199,21 +236,31 @@ def embed_inputs(token_ids: np.ndarray, state: EncoderState) -> np.ndarray:
     return state.params["tok_emb"][token_ids] + state.params["pos_emb"][:n]
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``, as a column."""
+    return np.einsum("ij,ij->i", a, b)[:, None]
+
+
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv_std
-    return xhat * g + b, xhat, inv_std
+    d = x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(_row_dot(xhat, xhat) / d + _LN_EPS)
+    xhat *= inv_std
+    y = xhat * g
+    y += b
+    return y, xhat, inv_std
 
 
 def _layer_norm_backward(dy, xhat, inv_std, g):
+    d = dy.shape[-1]
     dg = (dy * xhat).sum(axis=0)
     db = dy.sum(axis=0)
-    dxhat = dy * g
-    dx = inv_std * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    dx = dy * g  # d xhat, turned into dx in place
+    mean_dx = dx.sum(axis=-1, keepdims=True) / d
+    mean_dx_xhat = _row_dot(dx, xhat) / d
+    dx -= mean_dx
+    dx -= xhat * mean_dx_xhat
+    dx *= inv_std
     return dx, dg, db
 
 
@@ -259,20 +306,25 @@ def transformer_block(h: np.ndarray, pairs: AttentionPairs, layer: int, state: E
     p = state.params
     attn_out, (q, k, v, probs, attn_drop, z_cat) = rma_attention(
         h, pairs, layer, state, rng, training)
-    z1, xhat1, inv_std1 = _layer_norm(attn_out + h, p[f"l{layer}.ln1_g"], p[f"l{layer}.ln1_b"])
-    ffn_pre = z1 @ p[f"l{layer}.w1"] + p[f"l{layer}.b1"]
-    ffn_act = _gelu(ffn_pre)
-    ffn_out = ffn_act @ p[f"l{layer}.w2"] + p[f"l{layer}.b2"]
+    # biases and residuals are added in place to the products just made
+    attn_out += h
+    z1, xhat1, inv_std1 = _layer_norm(attn_out, p[f"l{layer}.ln1_g"], p[f"l{layer}.ln1_b"])
+    ffn_pre = z1 @ p[f"l{layer}.w1"]
+    ffn_pre += p[f"l{layer}.b1"]
+    ffn_act, ffn_tanh = _gelu(ffn_pre)
+    ffn_out = ffn_act @ p[f"l{layer}.w2"]
+    ffn_out += p[f"l{layer}.b2"]
     ffn_drop = None
     if training and cfg.dropout > 0.0:
         keep = 1.0 - cfg.dropout
         ffn_drop = (rng.random(ffn_out.shape) < keep).astype(cfg.np_dtype) / keep
-        ffn_out = ffn_out * ffn_drop
-    h_out, xhat2, inv_std2 = _layer_norm(ffn_out + z1, p[f"l{layer}.ln2_g"], p[f"l{layer}.ln2_b"])
+        ffn_out *= ffn_drop
+    ffn_out += z1
+    h_out, xhat2, inv_std2 = _layer_norm(ffn_out, p[f"l{layer}.ln2_g"], p[f"l{layer}.ln2_b"])
     cache = _LayerCache(h_in=h, q=q, k=k, v=v, probs=probs, attn_drop=attn_drop,
                         z_cat=z_cat, xhat1=xhat1, inv_std1=inv_std1, z1=z1,
-                        ffn_pre=ffn_pre, ffn_act=ffn_act, ffn_drop=ffn_drop,
-                        xhat2=xhat2, inv_std2=inv_std2)
+                        ffn_pre=ffn_pre, ffn_act=ffn_act, ffn_tanh=ffn_tanh,
+                        ffn_drop=ffn_drop, xhat2=xhat2, inv_std2=inv_std2)
     return h_out, cache
 
 
@@ -315,8 +367,8 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
         dz1 = da2.copy()
         grads[f"l{layer}.w2"] += c.ffn_act.T @ dffn_out
         grads[f"l{layer}.b2"] += dffn_out.sum(axis=0)
-        dact = dffn_out @ p[f"l{layer}.w2"].T
-        dpre = dact * _gelu_grad(c.ffn_pre)
+        dpre = dffn_out @ p[f"l{layer}.w2"].T
+        dpre *= _gelu_grad(c.ffn_pre, c.ffn_tanh)
         grads[f"l{layer}.w1"] += c.z1.T @ dpre
         grads[f"l{layer}.b1"] += dpre.sum(axis=0)
         dz1 += dpre @ p[f"l{layer}.w1"].T
@@ -359,13 +411,11 @@ def head_cross_entropy(trace: ForwardTrace, positions: list[int], targets: list[
                        state: EncoderState, head: str):
     """Summed softmax cross-entropy of the linear head ``{head}_w``/``{head}_b``
     over the final hidden states at ``positions``; returns the loss, the
-    gradient w.r.t. the final hidden states and the head's gradients, which
-    are accumulated into arrays of the parameters' dtype."""
+    gradient w.r.t. the final hidden states and the head's gradients."""
     w, b = state.params[f"{head}_w"], state.params[f"{head}_b"]
     dh = np.zeros_like(trace.final)
-    head_grads = {f"{head}_w": np.zeros_like(w), f"{head}_b": np.zeros_like(b)}
     if not positions:
-        return 0.0, dh, head_grads
+        return 0.0, dh, {f"{head}_w": np.zeros_like(w), f"{head}_b": np.zeros_like(b)}
     hs = trace.final[positions]
     logits = hs @ w + b
     logits = logits - logits.max(axis=-1, keepdims=True)
@@ -374,7 +424,5 @@ def head_cross_entropy(trace: ForwardTrace, positions: list[int], targets: list[
     loss = float(-logp[rows, targets].sum())
     dlogits = np.exp(logp)
     dlogits[rows, targets] -= 1.0
-    head_grads[f"{head}_w"] += hs.T @ dlogits
-    head_grads[f"{head}_b"] += dlogits.sum(axis=0)
-    dh[positions] += dlogits @ w.T
-    return loss, dh, head_grads
+    dh[positions] = dlogits @ w.T
+    return loss, dh, {f"{head}_w": hs.T @ dlogits, f"{head}_b": dlogits.sum(axis=0)}

@@ -14,10 +14,15 @@ class NumericsError(Exception):
 
 
 class ConfigError(Exception):
-    """An invalid run configuration or model shape."""
+    """An invalid run configuration or model shape, or an output path that
+    cannot be written."""
 
 
-class ParseError(InputError):
+class ListingError(InputError):
+    """A fault of a listing as a whole: its syntax, or no function in it."""
+
+
+class ParseError(ListingError):
     """Raised on malformed listing input; carries a 1-based line number."""
 
     def __init__(self, message: str, line: int):

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import InputError, ParseError
+from .errors import InputError, ListingError, ParseError
 
 # Reserved token ids. These are fixed across every vocabulary.
 PAD, UNK, CLS, MASK, INST = "[PAD]", "[UNK]", "[CLS]", "[MASK]", "<INST>"
@@ -355,7 +355,7 @@ def build_vocab(functions: list[ParsedFunction], min_freq: int = 1) -> Vocabular
     of first appearance (deterministic given function order).
     """
     if not functions:
-        raise InputError("empty corpus")
+        raise ListingError("empty corpus")
     freq: dict[str, int] = {}  # insertion order is first-appearance order
     for fn in functions:
         for instr in fn.instructions:

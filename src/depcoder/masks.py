@@ -72,6 +72,7 @@ class AttentionPairs:
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """(heads, P) -> (heads, n, n), zero off the pairs."""
+        # fresh on each call: reusing one zeroed buffer made long-N encoding slower
         out = np.zeros((len(values), self.n * self.n), dtype=values.dtype)
         out[:, self.flat] = values
         return out.reshape(len(values), self.n, self.n)

@@ -12,6 +12,7 @@ instructions' distances and builds the step's mask from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,26 +42,28 @@ def eligible_positions(seq: TokenSequence) -> list[int]:
 
 def mlm_perturb(seq: TokenSequence, vocab_size: int, rng: np.random.Generator,
                 rate: float = 0.15) -> tuple[np.ndarray, MlmPerturbation]:
-    """RoBERTa-style token masking over the eligible positions."""
-    ids = np.asarray(seq.tokens, dtype=np.int64).copy()
+    """RoBERTa-style token masking over the eligible positions, from three
+    vectorised draws: which positions, the kind of each and its random token."""
+    ids = list(seq.tokens)
     eligible = eligible_positions(seq)
-    positions, kinds, original = [], [], []
+    positions = [pos for pos, u in zip(eligible, rng.random(len(eligible)).tolist()) if u < rate]
+    original = [ids[pos] for pos in positions]
+    kinds = []
     n_regular = vocab_size - FIRST_REGULAR_ID
-    for pos in eligible:
-        if rng.random() >= rate:
-            continue
-        positions.append(pos)
-        original.append(int(ids[pos]))
-        u = rng.random()
+    draws = rng.random(len(positions)).tolist()
+    # a random token per position, used only where its kind is random-token
+    tokens = (FIRST_REGULAR_ID + rng.integers(max(n_regular, 1), size=len(positions))).tolist()
+    for pos, u, tok in zip(positions, draws, tokens):
         if u < 0.8:
             kinds.append("mask-token")
             ids[pos] = MASK_ID
         elif u < 0.9 and n_regular > 0:
             kinds.append("random-token")
-            ids[pos] = FIRST_REGULAR_ID + int(rng.integers(n_regular))
+            ids[pos] = tok
         else:
             kinds.append("unchanged")
-    return ids, MlmPerturbation(positions=positions, kinds=kinds, original=original)
+    return (np.array(ids, dtype=np.int64),
+            MlmPerturbation(positions=positions, kinds=kinds, original=original))
 
 
 @dataclass
@@ -68,10 +71,6 @@ class EdgeSample:
     nodes: list[int]
     positives: list[tuple[int, int]]
     negatives: list[tuple[int, int]]
-
-    def labelled(self) -> list[tuple[int, int, int]]:
-        return [(u, v, 1) for u, v in self.positives] + \
-               [(u, v, 0) for u, v in self.negatives]
 
 
 def mdm_sample(con: ConnectivityGraph, n_nodes: int, rng: np.random.Generator,
@@ -110,11 +109,7 @@ def perturb_bundle(seq: TokenSequence, dist: np.ndarray,
     return build_bundle(seq, d)
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
-def _sigmoid(x: float) -> float:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # tanh form avoids exp overflow for large |x|
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
@@ -125,42 +120,52 @@ def mlm_loss(trace: ForwardTrace, pert: MlmPerturbation, state: EncoderState):
     return head_cross_entropy(trace, pert.positions, pert.original, state, "mlm")
 
 
+def _edge_logits(trace: ForwardTrace, sample: EdgeSample, seq: TokenSequence):
+    """Per sampled edge (positives first): the ``<INST>`` positions ``u`` and
+    ``v`` of its ends, their final hidden rows, its label and its logit
+    ``h_u . h_v``."""
+    edges = np.array(sample.positives + sample.negatives, dtype=np.int64).reshape(-1, 2)
+    pos = np.array([seq.inst_positions[t] for t in range(seq.n_instructions)], dtype=np.int64)
+    u, v = pos[edges[:, 0]], pos[edges[:, 1]]
+    hu, hv = trace.final[u], trace.final[v]
+    y = np.zeros(len(edges), dtype=trace.final.dtype)
+    y[:len(sample.positives)] = 1.0
+    return u, v, hu, hv, y, np.einsum("ij,ij->i", hu, hv)
+
+
 def mdm_loss(trace: ForwardTrace, sample: EdgeSample, seq: TokenSequence):
     """Binary cross-entropy of sigmoid(h_u . h_v) over the balanced edge set,
     using the final-layer <INST> hidden states."""
+    u, v, hu, hv, y, dot = _edge_logits(trace, sample, seq)
+    # y*softplus(-dot) + (1-y)*softplus(dot), numerically stable
+    loss = float(np.logaddexp(0.0, np.where(y > 0, -dot, dot)).sum())
+    dd = (_sigmoid(dot) - y)[:, None]
     dh = np.zeros_like(trace.final)
-    loss = 0.0
-    h = trace.final
-    pos_of = seq.inst_positions
-    for t, s, y in sample.labelled():
-        u, v = pos_of[t], pos_of[s]
-        dot = float(h[u] @ h[v])
-        # y*softplus(-dot) + (1-y)*softplus(dot), numerically stable
-        loss += float(_softplus(-dot) if y else _softplus(dot))
-        p = _sigmoid(dot)
-        dd = p - y
-        dh[u] += dd * h[v]
-        dh[v] += dd * h[u]
+    np.add.at(dh, u, dd * hv)
+    np.add.at(dh, v, dd * hu)
     return loss, dh
 
 
 def edge_probabilities(trace: ForwardTrace, sample: EdgeSample,
                        seq: TokenSequence) -> list[tuple[float, int]]:
     """(probability, label) per sampled edge, for the recoverability probe."""
-    h = trace.final
-    pos_of = seq.inst_positions
-    out = []
-    for t, s, y in sample.labelled():
-        dot = float(h[pos_of[t]] @ h[pos_of[s]])
-        out.append((_sigmoid(dot), y))
-    return out
+    *_, y, dot = _edge_logits(trace, sample, seq)
+    return list(zip(_sigmoid(dot).tolist(), y.astype(int).tolist()))
 
 
 # ---------------------------------------------------------------------------
 # Optimizer and training step
 
+#: elements per block of the optimizer's flat update
+_ADAM_BLOCK = 16384
+
+
 @dataclass
 class AdamW:
+    """AdamW over one flat gradient, with the two moments as flat buffers
+    (the contiguous-buffer update of ZeRO, Rajbhandari et al., 2020).
+    ``m[name]`` and ``v[name]`` are views of a parameter's slices."""
+
     lr: float = 3e-4
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
@@ -171,6 +176,8 @@ class AdamW:
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    _flat_m: np.ndarray | None = field(default=None, init=False, repr=False)
+    _flat_v: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def _decayed(self, name: str) -> bool:
         # layer norms, biases and the distance tables follow BERT practice:
@@ -186,33 +193,59 @@ class AdamW:
         frac = (self.total_steps - step) / (self.total_steps - self.warmup_steps)
         return self.lr * max(0.0, frac)
 
+    def _allocate(self, params: dict[str, np.ndarray], dtype) -> None:
+        size = sum(p.size for p in params.values())
+        self._flat_m, self._flat_v = np.zeros(size, dtype), np.zeros(size, dtype)
+        offset = 0
+        for name, p in params.items():
+            self.m[name] = self._flat_m[offset:offset + p.size].reshape(p.shape)
+            self.v[name] = self._flat_v[offset:offset + p.size].reshape(p.shape)
+            offset += p.size
+
     def apply(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> float:
         """One update from the step's summed gradients.  A non-finite gradient
         raises ``NumericsError`` before any parameter or moment changes."""
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise NumericsError(f"non-finite gradient for parameter {name!r}")
+        g = np.concatenate([grads[name].ravel() for name in params])
+        sumsq = float(np.dot(g, g))
+        if not math.isfinite(sumsq):  # a NaN or inf, or only an overflow of the sum
+            for name in params:
+                if not np.all(np.isfinite(grads[name])):
+                    raise NumericsError(f"non-finite gradient for parameter {name!r}")
+        if self._flat_m is None:
+            self._allocate(params, g.dtype)
+        m, v = self._flat_m, self._flat_v
+        if len(g) != len(m):
+            raise ValueError("the parameters differ from those of the first update")
         self.step_count += 1
         lr = self.schedule(self.step_count)
-        if self.clip_norm > 0:
-            total = float(np.sqrt(sum(float((g ** 2).sum()) for g in grads.values())))
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
-                grads = {k: g * scale for k, g in grads.items()}
+        if self.clip_norm > 0 and math.sqrt(sumsq) > self.clip_norm:
+            g *= self.clip_norm / math.sqrt(sumsq)
         b1, b2 = self.betas
+        c1, c2 = 1 - b1 ** self.step_count, 1 - b2 ** self.step_count
+        # block by block, so that the temporaries stay small and in cache;
+        # each block of g becomes the update mhat / (sqrt(vhat) + eps)
+        for lo in range(0, len(g), _ADAM_BLOCK):
+            gb, mb, vb = (a[lo:lo + _ADAM_BLOCK] for a in (g, m, v))
+            mb *= b1
+            tmp = (1 - b1) * gb
+            mb += tmp
+            vb *= b2
+            np.multiply(gb, 1 - b2, out=tmp)
+            tmp *= gb
+            vb += tmp
+            np.divide(vb, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            np.divide(mb, c1, out=gb)
+            gb /= tmp
+        offset = 0
         for name, p in params.items():
-            g = grads[name]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1 ** self.step_count)
-            vhat = self.v[name] / (1 - b2 ** self.step_count)
-            update = mhat / (np.sqrt(vhat) + self.eps)
+            update = g[offset:offset + p.size].reshape(p.shape)
+            offset += p.size
             if self._decayed(name):
-                update = update + self.weight_decay * p
-            p -= (lr * update).astype(p.dtype)
+                update += self.weight_decay * p
+            update *= lr
+            p -= update
         return lr
 
 

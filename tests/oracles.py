@@ -8,7 +8,8 @@ reachability by a forward-scanning fixed point instead of a backward walk,
 distances per ordered pair by one BFS per source and folded pair by pair
 instead of one sweep over all sources folded as matrices, per-pair
 definition evaluation instead of matrix composition, explicit loops instead
-of vectorized metrics.
+of vectorized metrics and losses, per-array optimizer updates instead of one
+flat buffer.
 """
 
 from __future__ import annotations
@@ -245,6 +246,75 @@ def dense_attention(h: np.ndarray, pairs, layer: int, state):
         outs.append(a @ v)
         probs.append(a)
     return np.concatenate(outs, axis=1) @ p[f"l{layer}.wo"], np.stack(probs)
+
+
+# ---------------------------------------------------------------------------
+# Pre-training loss, layer norm, GELU and AdamW as they were first written:
+# one edge or one parameter array at a time, means instead of row sums
+
+def loop_mdm_loss(final: np.ndarray, sample, seq: TokenSequence):
+    """The edge loss and its gradient w.r.t. ``final``, one labelled edge at a
+    time in float64: softplus(-h_u . h_v) for a positive edge, softplus(h_u .
+    h_v) for a negative one."""
+    h = np.asarray(final, dtype=np.float64)
+    dh = np.zeros_like(h)
+    loss = 0.0
+    labelled = [(t, s, 1) for t, s in sample.positives] + [(t, s, 0) for t, s in sample.negatives]
+    for t, s, y in labelled:
+        u, v = seq.inst_positions[t], seq.inst_positions[s]
+        dot = float(h[u] @ h[v])
+        loss += float(np.logaddexp(0.0, -dot if y else dot))
+        dd = 1.0 / (1.0 + np.exp(-dot)) - y
+        dh[u] += dd * h[v]
+        dh[v] += dd * h[u]
+    return loss, dh
+
+
+def mean_layer_norm(x, g, b, eps=1e-12):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_std
+    return xhat * g + b, xhat, inv_std
+
+
+def mean_layer_norm_backward(dy, xhat, inv_std, g):
+    dxhat = dy * g
+    dx = inv_std * (dxhat
+                    - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return dx, (dy * xhat).sum(axis=0), dy.sum(axis=0)
+
+
+GELU_C, GELU_A = 0.7978845608028654, 0.044715
+
+
+def tanh_gelu(x):
+    return 0.5 * x * (1.0 + np.tanh(GELU_C * (x + GELU_A * (x * x * x))))
+
+
+def tanh_gelu_grad(x):
+    t = np.tanh(GELU_C * (x + GELU_A * (x * x * x)))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
+
+
+def per_array_adamw(params, grads, m, v, step, lr, decayed, betas=(0.9, 0.999), eps=1e-8,
+                    weight_decay=0.01, clip_norm=1.0):
+    """One AdamW step in float64, one array at a time: clip the gradients to
+    a global norm of ``clip_norm``, update the moments ``m`` and ``v`` and
+    the ``params`` in place; names in ``decayed`` take weight decay."""
+    total = np.sqrt(sum(float((np.asarray(g, dtype=np.float64) ** 2).sum())
+                        for g in grads.values()))
+    scale = clip_norm / total if 0 < clip_norm < total else 1.0
+    b1, b2 = betas
+    for name, p in params.items():
+        g = np.asarray(grads[name], dtype=np.float64) * scale
+        m[name] = b1 * m.get(name, 0.0) + (1 - b1) * g
+        v[name] = b2 * v.get(name, 0.0) + (1 - b2) * g * g
+        update = (m[name] / (1 - b1 ** step)) / (np.sqrt(v[name] / (1 - b2 ** step)) + eps)
+        if name in decayed:
+            update = update + weight_decay * p
+        p -= lr * update
 
 
 # ---------------------------------------------------------------------------

@@ -682,6 +682,51 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="broken invariant"):
             main(["pipeline", chain_listing, "--out", str(tmp_path / "o")])
 
+    def test_a_parser_bug_is_not_an_input_error(self, tmp_path, monkeypatch, chain_listing):
+        from depcoder import cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("a broken invariant")
+        monkeypatch.setattr(cli, "parse_listing", broken)
+        with pytest.raises(ValueError, match="broken invariant"):
+            main(["pipeline", chain_listing, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("command", ["pipeline", "pretrain"])
+    def test_a_fault_of_the_whole_listing_names_the_file(self, tmp_path, capsys, command):
+        if command == "pipeline":
+            listing = write(tmp_path / "bad.asm", ".func f\nmov rax, ???\n")
+            argv, detail = ["pipeline", listing, "--out", str(tmp_path / "o")], "line 2: unknown"
+        else:
+            listing = write(tmp_path / "empty.asm", "")
+            argv, detail = ["pretrain", "--corpus", listing, "--out", str(tmp_path / "o")], \
+                "empty corpus"
+        assert main(argv) == 2
+        assert f"input error: {listing}: {detail}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["embed_into_a_missing_directory", "pipeline_into_a_file",
+                                      "cache_dir_that_is_a_file", "pretrain_under_a_file"])
+    def test_an_unwritable_output_is_a_config_error_before_any_work(self, trained, tmp_path,
+                                                                   capsys, case):
+        listing = write(tmp_path / "chain.asm", POINTER_CHAIN)
+        a_file = write(tmp_path / "a_file", "")
+        if case == "embed_into_a_missing_directory":
+            # a checkpoint that does not exist: the output is checked before it is read
+            out = str(tmp_path / "missing" / "e.jsonl")
+            argv = ["embed", listing, "--checkpoint", str(tmp_path / "none.ckpt"), "--out", out]
+        elif case == "pipeline_into_a_file":
+            out = a_file
+            argv = ["pipeline", listing, "--out", out]
+        elif case == "cache_dir_that_is_a_file":
+            out = a_file
+            argv = ["pipeline", listing, "--out", str(tmp_path / "o"), "--cache-dir", out]
+        else:
+            out = os.path.join(a_file, "run")
+            argv = ["pretrain", "--config", trained["cfg"], "--out", out]
+        kind = "file" if argv[0] == "embed" else "directory"
+        assert main(argv) == 4
+        assert f"config error: cannot write the output {kind} {out}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["a_file", "chain.asm"]
+
 
 class TestGradcheckCommand:
     def test_passes(self, capsys):

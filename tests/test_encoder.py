@@ -6,12 +6,14 @@ import pytest
 
 from depcoder.config import RunConfig
 from depcoder.corpus import Corpus
-from depcoder.encoder import (EncoderConfig, EncoderState, NumericsError,
-                              backward, embed_inputs, encode, rma_attention)
+from depcoder.encoder import (EncoderConfig, EncoderState, NumericsError, _gelu, _gelu_grad,
+                              _layer_norm, _layer_norm_backward, backward, embed_inputs, encode,
+                              rma_attention)
 from depcoder.masks import AttentionPairs, build_bundle
 from depcoder.synth import generate_function, reorder_variant
 
-from oracles import naive_mask_bundle
+from oracles import (mean_layer_norm, mean_layer_norm_backward, naive_mask_bundle, tanh_gelu,
+                     tanh_gelu_grad)
 
 LISTING = """\
 .func f
@@ -279,6 +281,31 @@ class TestBackward:
                 assert now is then is None or np.array_equal(now, then), f.name
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestLayerFunctions:
+    def test_layer_norm_matches_the_mean_form(self, dtype):
+        rng = np.random.default_rng(21)
+        x = (3.0 * rng.standard_normal((66, 64)) + 1.0).astype(dtype)
+        g, b = (rng.standard_normal((2, 64)) + 1.0).astype(dtype)
+        dy = rng.standard_normal((66, 64)).astype(dtype)
+        tol = {"rtol": 1e-12, "atol": 1e-12} if dtype == np.float64 else {"rtol": 1e-5, "atol": 1e-5}
+        want = mean_layer_norm(x, g, b)
+        for got, ref in zip(_layer_norm(x, g, b), want):
+            assert got.dtype == dtype
+            assert np.allclose(got, ref, **tol)
+        for got, ref in zip(_layer_norm_backward(dy, *want[1:], g),
+                            mean_layer_norm_backward(dy, *want[1:], g)):
+            assert got.dtype == dtype
+            assert np.allclose(got, ref, **tol)
+
+    def test_gelu_and_its_reverse_are_the_tanh_form_bit_for_bit(self, dtype):
+        x = (3.0 * np.random.default_rng(22).standard_normal((66, 256))).astype(dtype)
+        y, t = _gelu(x)
+        assert y.dtype == t.dtype == dtype
+        assert np.array_equal(y, tanh_gelu(x))
+        assert np.array_equal(_gelu_grad(x, t), tanh_gelu_grad(x))
+
+
 class TestCheckpoint:
     def test_roundtrip(self, corpus, art, tmp_path):
         state = make_state(corpus, dtype="float32")
@@ -288,6 +315,18 @@ class TestCheckpoint:
         assert loaded.config == state.config
         for name, p in state.params.items():
             assert np.array_equal(loaded.params[name], p)
+
+    def test_load_checks_the_shapes_without_drawing_a_model(self, corpus, tmp_path,
+                                                            monkeypatch):
+        state = make_state(corpus, dtype="float32")
+        state.save(tmp_path / "model.ckpt")
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("load drew a model")
+        monkeypatch.setattr(EncoderState, "init", classmethod(drawn))
+        loaded = EncoderState.load(tmp_path / "model.ckpt")
+        assert {n: p.shape for n, p in loaded.params.items()} == \
+            {n: p.shape for n, p in state.params.items()}
 
     def test_deterministic_bytes(self, corpus, tmp_path):
         state = make_state(corpus, dtype="float32")

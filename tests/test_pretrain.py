@@ -14,7 +14,7 @@ from depcoder.pretrain import (AdamW, EdgeSample, edge_probabilities,
                                eligible_positions, mdm_loss, mdm_sample,
                                mlm_loss, mlm_perturb, perturb_bundle, train_step)
 
-from oracles import naive_mask_bundle
+from oracles import loop_mdm_loss, naive_mask_bundle, per_array_adamw
 
 
 def fabricated_seq(n_eligible=100):
@@ -261,6 +261,27 @@ class TestLosses:
         assert all(p == 0.5 for p, _ in probs)
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("edges", ["sharing_endpoints", "none"])
+    def test_mdm_loss_matches_the_per_edge_loop(self, dtype, edges):
+        _, art = small_artifact()
+        final = np.random.default_rng(3).standard_normal((len(art.seq), 8)).astype(dtype)
+        if edges == "none":
+            sample = EdgeSample(nodes=[], positives=[], negatives=[])
+        else:  # instruction 0, 1 and 5 each end more than one edge
+            sample = EdgeSample(nodes=[0, 1], positives=[(0, 1), (1, 2), (0, 3)],
+                                negatives=[(0, 4), (1, 5), (2, 5)])
+        loss, dh = mdm_loss(fake_trace(final), sample, art.seq)
+        want_loss, want_dh = loop_mdm_loss(final, sample, art.seq)
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        assert dh.dtype == dtype
+        assert loss == pytest.approx(want_loss, rel=tol, abs=tol)
+        assert np.allclose(dh, want_dh, rtol=tol, atol=tol)
+        probs = edge_probabilities(fake_trace(final), sample, art.seq)
+        assert [y for _, y in probs] == [1] * len(sample.positives) + [0] * len(sample.negatives)
+        assert all(0.0 < p < 1.0 for p, _ in probs)
+
+
 class TestTrainStep:
     def make_items(self, n=6, seed=0):
         rng = np.random.default_rng(seed)
@@ -354,3 +375,34 @@ class TestAdamW:
                 assert np.array_equal(params[name], before[name])
                 assert np.array_equal(opt.m[name], m[name])
                 assert np.array_equal(opt.v[name], v[name])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("params", ["encoder", "train_mlc_head"])
+    def test_flat_update_matches_the_per_array_reference(self, dtype, params):
+        if params == "encoder":  # layer norms, biases and beta take no weight decay
+            shapes = {"tok_emb": (7, 4), "beta": (2, 5), "l0.wq": (2, 4, 2), "l0.ln1_g": (4,),
+                      "l0.ln1_b": (4,), "l0.b1": (6,), "mlm_b": (7,), "l0.w1": (4, 6)}
+            decayed = {"tok_emb", "l0.wq", "l0.w1"}
+        else:
+            shapes = {"query": (4,), "w": (4, 3), "b": (3,)}
+            decayed = set(shapes)
+        rng = np.random.default_rng(9)
+        params = {k: rng.standard_normal(shape).astype(dtype) for k, shape in shapes.items()}
+        ref = {k: p.astype(np.float64) for k, p in params.items()}
+        ref_m, ref_v = {}, {}
+        opt = AdamW(lr=0.05, warmup_steps=2, total_steps=8, weight_decay=0.1, clip_norm=1.0)
+        tol = {"rtol": 1e-10, "atol": 1e-12} if dtype == np.float64 else {"rtol": 1e-5, "atol": 1e-6}
+        clipped = 0
+        for step in range(1, 7):
+            scale = 3.0 if step % 2 else 0.01  # clipping fires on every other step
+            grads = {k: (scale * rng.standard_normal(shape)).astype(dtype)
+                     for k, shape in shapes.items()}
+            clipped += sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values()) > 1.0
+            lr = opt.apply(params, grads)
+            per_array_adamw(ref, grads, ref_m, ref_v, step, lr, decayed, weight_decay=0.1)
+            for k in shapes:
+                assert params[k].dtype == opt.m[k].dtype == dtype
+                assert np.allclose(params[k], ref[k], **tol), (step, k)
+                assert np.allclose(opt.m[k], ref_m[k], **tol), (step, k)
+                assert np.allclose(opt.v[k], ref_v[k], **tol), (step, k)
+        assert clipped == 3
