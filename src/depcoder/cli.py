@@ -18,7 +18,7 @@ import os
 import sys
 
 from .config import RunConfig
-from .corpus import Corpus, dumps, write_file
+from .corpus import SECTIONS, STAGES, Corpus, dumps, write_file
 from .errors import ConfigError, InputError, ListingError, NumericsError
 from .frontend import Vocabulary, build_vocab, parse_listing
 
@@ -42,8 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tokenize, analyze and build masks for a listing")
     p.add_argument("listing")
     p.add_argument("--out", required=True)
-    p.add_argument("--stage", choices=("tokenize", "deps", "connectivity", "mask"),
-                   default="mask")
+    p.add_argument("--stage", choices=STAGES, default=STAGES[-1])
     p.add_argument("--cache-dir")
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
@@ -66,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--eval-spec", required=True)
     p.add_argument("--k", default="1,5,10", help="comma-separated cutoffs",
-                   type=lambda text: [int(x) for x in text.split(",")])
+                   type=_cutoffs)
 
     p = sub.add_parser("finetune-sim", parents=[common], help="triplet fine-tuning")
     p.add_argument("listing")
@@ -111,6 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=220)
 
     return parser
+
+
+def _cutoffs(text: str) -> list[int]:
+    """The ``--k`` cutoffs: comma-separated integers, each at least 1."""
+    ks = [int(x) for x in text.split(",")]
+    if min(ks) < 1:
+        raise argparse.ArgumentTypeError(f"a cutoff below 1 in {text!r}")
+    return ks
 
 
 def main(argv=None) -> int:
@@ -233,7 +240,7 @@ def _read_jsonl(path) -> list:
 def _load(args, cfg):
     """The checkpoint, and the listing's corpus under its vocabulary and its
     ``max_len``.  The vocabulary is ``--vocab`` or ``vocab.tsv`` next to the
-    checkpoint."""
+    checkpoint, and must be as large as the checkpoint's embedding table."""
     from dataclasses import replace
 
     from .encoder import EncoderState
@@ -247,6 +254,9 @@ def _load(args, cfg):
             raise InputError("no --vocab given and no vocab.tsv next to the checkpoint")
     with _reading(vocab_path):
         vocab = Vocabulary.load(vocab_path)
+    if len(vocab) != state.config.vocab_size:
+        raise InputError(f"{vocab_path}: {len(vocab)} tokens, but the checkpoint "
+                         f"embeds {state.config.vocab_size}")
     with _listing(args.listing):
         return state, Corpus.from_text(_read_text(args.listing),
                                        replace(cfg, max_len=state.config.max_len), vocab)
@@ -261,7 +271,7 @@ def _embedding(state, art):
 # commands
 
 def cmd_pipeline(args, cfg) -> int:
-    from .corpus import SECTIONS, cached_artifact_dict
+    from .corpus import cached_artifact_dict
 
     with _listing(args.listing):
         functions = parse_listing(_read_text(args.listing))
@@ -271,14 +281,11 @@ def cmd_pipeline(args, cfg) -> int:
         return 0
     vocab = build_vocab(functions, min_freq=cfg.vocab_min_freq)
     vocab.save(os.path.join(args.out, "vocab.tsv"))
-    stages = ("tokenize", "deps", "connectivity", "mask")
-    # the sections written by each stage, and their file suffixes
-    sections = SECTIONS[:stages.index(args.stage) + 1]
-    suffixes = ("tokens", "deps", "conn", "mask")
+    sections = SECTIONS[:STAGES.index(args.stage) + 1]
     for fn in functions:
         art = cached_artifact_dict(fn, vocab, cfg, args.cache_dir, sections)
-        for key, suffix in zip(sections, suffixes):
-            _write_text(os.path.join(args.out, f"{fn.name}.{suffix}.json"), art["texts"][key] + "\n")
+        for key in sections:
+            _write_text(os.path.join(args.out, f"{fn.name}.{key}.json"), art["texts"][key] + "\n")
     return 0
 
 

@@ -1,8 +1,11 @@
 """Corpus management: per-function pipeline artifacts and their on-disk cache.
 
-A corpus binds every function of a listing to its tokenization, dependence
-graph and connectivity graph, each derived once per function.  It keeps no
-mask: ``FunctionArtifacts.bundle`` builds the pair list on each access.
+Every artifact of a function comes from one path: ``compute_artifacts``
+tokenizes it, and its ``FunctionArtifacts`` computes the dependence graph and
+then the connectivity graph on first use, once each.  A corpus analyses every
+function of a listing as it is built; the ``pipeline`` command computes only
+what the sections it writes need.  Nothing keeps a mask:
+``FunctionArtifacts.bundle`` builds the pair list on each access.
 
 The ``pipeline`` command goes through an optional on-disk cache of one entry
 per function, holding everything the vocabulary does not decide.  Line 1 of
@@ -23,6 +26,7 @@ analysis change that does not bump ``CACHE_FORMAT`` fails a test.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -61,14 +65,25 @@ def function_text(fn: ParsedFunction) -> str:
 
 @dataclass
 class FunctionArtifacts:
+    """One function's tokenization, and its analysis computed on first use."""
     fn: ParsedFunction
     seq: TokenSequence
-    deps: DependenceGraph
-    con: ConnectivityGraph
+    cfg: RunConfig
 
     @property
     def name(self) -> str:
         return self.fn.name
+
+    @functools.cached_property
+    def deps(self) -> DependenceGraph:
+        return dependence_graph(self.fn, flags_channel=self.cfg.flags_dep,
+                                on_unknown=self.cfg.on_unknown)
+
+    @functools.cached_property
+    def con(self) -> ConnectivityGraph:
+        from .connectivity import connectivity
+
+        return connectivity(self.deps)
 
     @property
     def bundle(self) -> AttentionPairs:
@@ -80,11 +95,7 @@ class FunctionArtifacts:
 
 def compute_artifacts(fn: ParsedFunction, vocab: Vocabulary,
                       cfg: RunConfig) -> FunctionArtifacts:
-    from .connectivity import connectivity
-
-    seq = tokenize(fn.instructions, vocab, cfg.max_len)
-    deps = dependence_graph(fn, flags_channel=cfg.flags_dep, on_unknown=cfg.on_unknown)
-    return FunctionArtifacts(fn=fn, seq=seq, deps=deps, con=connectivity(deps))
+    return FunctionArtifacts(fn=fn, seq=tokenize(fn.instructions, vocab, cfg.max_len), cfg=cfg)
 
 
 @dataclass
@@ -106,14 +117,19 @@ class Corpus:
         if vocab is None:
             vocab = build_vocab(parsed, min_freq=cfg.vocab_min_freq)
         arts = [compute_artifacts(fn, vocab, cfg) for fn in parsed]
+        for art in arts:
+            art.con  # analyse every function now: a bad one fails before any training
         return cls(functions=arts, vocab=vocab)
 
 
 # ---------------------------------------------------------------------------
 # On-disk artifact cache (used by the pipeline command)
 
-#: the sections of a cache entry, one text per line, in this order
-SECTIONS = ("tokens", "deps", "connectivity", "mask")
+#: the ``pipeline`` stages, and the section each adds: a cache entry holds
+#: the texts of all ``SECTIONS``, one per line, in this order, and the
+#: command writes each to ``<function>.<section>.json``
+STAGES = ("tokenize", "deps", "connectivity", "mask")
+SECTIONS = ("tokens", "deps", "conn", "mask")
 
 
 def dumps(obj) -> str:
@@ -128,10 +144,10 @@ def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
     """``{"tokens": <the decoded tokens section, ids included>, "texts":
     <each section's text>}`` for one function, going through the cache when
     one is configured.  A hit serves the entry's section texts as written and
-    decodes only ``tokens``; any other entry is recomputed, whole, and
-    overwritten.  Without a cache only ``sections``, a prefix of
-    ``SECTIONS``, are computed.  The token ids are looked up in ``vocab`` on
-    every call, cached or not."""
+    decodes only ``tokens``; any other entry is recomputed, whole, through
+    ``compute_artifacts`` and overwritten.  Without a cache only
+    ``sections``, a prefix of ``SECTIONS``, are computed.  The token ids are
+    looked up in ``vocab`` on every call, cached or not."""
     tokens = cache_path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
@@ -149,25 +165,21 @@ def cached_artifact_dict(fn: ParsedFunction, vocab: Vocabulary, cfg: RunConfig,
     if tokens is None:
         if cache_path:
             sections = SECTIONS
-        seq = tokenize(fn.instructions, vocab, cfg.max_len)
+        art = compute_artifacts(fn, vocab, cfg)
         tokens = {
-            "surface": seq.surface,
-            "inst_of": seq.inst_of,
-            "inst_positions": {str(k): v for k, v in seq.inst_positions.items()},
+            "surface": art.seq.surface,
+            "inst_of": art.seq.inst_of,
+            "inst_positions": {str(k): v for k, v in art.seq.inst_positions.items()},
         }
         texts = {"tokens": dumps(tokens)}
         if "deps" in sections:
-            deps = dependence_graph(fn, flags_channel=cfg.flags_dep, on_unknown=cfg.on_unknown)
-            texts["deps"] = dumps(deps.to_dict())
-        if "connectivity" in sections:
-            from .connectivity import connectivity
-
-            con = connectivity(deps)
-            texts["connectivity"] = con.to_json()
+            texts["deps"] = dumps(art.deps.to_dict())
+        if "conn" in sections:
+            texts["conn"] = art.con.to_json()
         if "mask" in sections:
-            from .masks import build_bundle, sparse_masks
+            from .masks import sparse_masks
 
-            texts["mask"] = sparse_masks(build_bundle(seq, con.dist))
+            texts["mask"] = sparse_masks(art.bundle)
         if cache_path:
             body = "\n".join(texts[k] for k in SECTIONS)
             digest = hashlib.sha256((key + body).encode("utf-8")).hexdigest()

@@ -49,6 +49,8 @@ def recall_at_k(queries: list[np.ndarray], pools: list[list[np.ndarray]],
     """Fraction of queries whose ground-truth pool index lands in the top k."""
     if not queries:
         raise MetricsError("no queries")
+    if k < 1:
+        raise MetricsError(f"recall@{k}: a cutoff below 1")
     hits = sum(1 for q, pool, t in zip(queries, pools, truth)
                if t in cosine_rank(q, pool, k))
     return hits / len(queries)

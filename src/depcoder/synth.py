@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfg import build_cfg
+from .corpus import function_text
 from .dependence import def_use, frame_offsets, overlap
 from .downstream import NO_ACCESS
 from .frontend import (CANONICAL_REG, Instruction, Operand, ParsedFunction,
@@ -55,20 +56,6 @@ def render_instruction(instr: Instruction) -> str:
     if not instr.operands:
         return instr.mnemonic
     return f"{instr.mnemonic} {', '.join(render_operand(op) for op in instr.operands)}"
-
-
-def render_function(fn: ParsedFunction) -> list[str]:
-    by_index: dict[int, list[str]] = {}
-    for label, idx in fn.labels.items():
-        by_index.setdefault(idx, []).append(label)
-    lines = [f".func {fn.name}"]
-    for instr in fn.instructions:
-        for label in sorted(by_index.get(instr.index, [])):
-            lines.append(f"{label}:")
-        lines.append(render_instruction(instr))
-    for label in sorted(by_index.get(len(fn.instructions), [])):
-        lines.append(f"{label}:")
-    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +177,8 @@ def reorder_variant(fn: ParsedFunction, rng: np.random.Generator,
         new_order.extend(order)
     for new_idx, old_idx in enumerate(new_order):
         perm[old_idx] = new_idx
-    new_instrs = [
-        Instruction(index=i, mnemonic=instrs[o].mnemonic,
-                    operands=instrs[o].operands, raw_text=instrs[o].raw_text)
-        for i, o in enumerate(new_order)
-    ]
+    new_instrs = [instrs[o]._replace(index=i, raw_text=render_instruction(instrs[o]))
+                  for i, o in enumerate(new_order)]
     return ParsedFunction(name=new_name, instructions=new_instrs,
                           labels=dict(fn.labels)), perm
 
@@ -202,12 +186,8 @@ def reorder_variant(fn: ParsedFunction, rng: np.random.Generator,
 def rename_variant(fn: ParsedFunction, rng: np.random.Generator,
                    new_name: str) -> ParsedFunction:
     """Bijective renaming over the renameable registers used by the function."""
-    used = sorted({CANONICAL_REG[op.reg] for i in fn.instructions for op in i.operands
-                   if op.kind == "register" and CANONICAL_REG[op.reg] in RENAMEABLE}
-                  | {CANONICAL_REG[r] for i in fn.instructions for op in i.operands
-                     if op.kind == "memory"
-                     for r in (op.base, op.index)
-                     if r and CANONICAL_REG[r] in RENAMEABLE})
+    used = sorted({CANONICAL_REG[r] for i in fn.instructions for op in i.operands
+                   for r in (op.reg, op.base, op.index) if r} & set(RENAMEABLE))
     mapping = {}
     if used:
         targets = [str(r) for r in rng.permutation(RENAMEABLE)[:len(used)]]
@@ -222,22 +202,17 @@ def rename_variant(fn: ParsedFunction, rng: np.random.Generator,
     def map_reg(r):
         return mapping.get(r, r) if r else r
 
+    def map_operand(op):
+        if op.kind == "register":
+            return op._replace(reg=map_reg(op.reg))
+        if op.kind == "memory":
+            return op._replace(base=map_reg(op.base), index=map_reg(op.index))
+        return op
+
     new_instrs = []
     for instr in fn.instructions:
-        ops = []
-        for op in instr.operands:
-            if op.kind == "register":
-                ops.append(Operand.register(map_reg(op.reg)))
-            elif op.kind == "memory":
-                ops.append(Operand.memory(base=map_reg(op.base), index=map_reg(op.index),
-                                          scale=op.scale, disp=op.disp))
-            else:
-                ops.append(op)
-        new = Instruction(index=instr.index, mnemonic=instr.mnemonic,
-                          operands=tuple(ops), raw_text=instr.raw_text)
-        new_instrs.append(Instruction(index=new.index, mnemonic=new.mnemonic,
-                                      operands=new.operands,
-                                      raw_text=render_instruction(new)))
+        new = instr._replace(operands=tuple(map(map_operand, instr.operands)))
+        new_instrs.append(new._replace(raw_text=render_instruction(new)))
     return ParsedFunction(name=new_name, instructions=new_instrs, labels=dict(fn.labels))
 
 
@@ -294,7 +269,7 @@ def build_corpus(n_functions: int, seed: int, pool_size: int = 10,
                 variant, _ = reorder_variant(parsed[name], rng, vname)
             else:
                 variant = rename_variant(parsed[name], rng, vname)
-            all_lines.extend(render_function(variant))
+            all_lines.extend(function_text(variant).splitlines())
             pairs.append((name, vname, kind))
 
     listing = "\n".join(all_lines) + "\n"

@@ -128,6 +128,21 @@ def test_traced_commands_fill_the_counters(spans, tmp_path):
     assert 0.0 < m["masks.density"] < 1.0
 
 
+def test_traced_cache_lookups_miss_cold_and_hit_warm(spans, tmp_path):
+    # the tracer counts a lookup as a miss when the artifacts are computed inside it
+    listing = tmp_path / "x.asm"
+    listing.write_text(LISTING, encoding="utf-8")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for run, want in (("cold", (0, 2)), ("warm", (2, 4))):
+            assert main(["pipeline", str(listing), "--out", str(tmp_path / run),
+                         "--cache-dir", str(tmp_path / "c")]) == 0
+            assert tracer.cache_stats() == want, run
+    finally:
+        tracer.uninstall()
+
+
 def test_timed_entry_points_are_looked_up_when_called(monkeypatch, tmp_path):
     # the benchmark times an operation by swapping the module attribute; a
     # command that bound the name at import time would run untimed

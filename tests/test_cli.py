@@ -365,9 +365,8 @@ class TestPipeline:
 
         listing = write(tmp_path / "f.asm", FLAGS_FN)
         assert main(["pipeline", listing, "--out", str(tmp_path / "out")]) == 0
-        for key, suffix in (("tokens", "tokens"), ("deps", "deps"),
-                            ("connectivity", "conn"), ("mask", "mask")):
-            written = (tmp_path / "out" / f"f.{suffix}.json").read_text(encoding="utf-8")
+        for key in SECTIONS:
+            written = (tmp_path / "out" / f"f.{key}.json").read_text(encoding="utf-8")
             assert written == art["texts"][key] + "\n"
 
     def test_analysis_digest_is_pinned(self, tmp_path):
@@ -594,6 +593,12 @@ def bad_input(case, tmp_path, trained):
     if case == "directory_vocab":
         return ["embed", listing, "--checkpoint", ckpt, "--vocab", str(tmp_path),
                 "--out", str(tmp_path / "e.jsonl")], str(tmp_path)
+    if case == "vocab_of_another_size":
+        # one token more than the checkpoint embeds
+        vocab = (trained["run"] / "vocab.tsv").read_text(encoding="utf-8")
+        path = write(tmp_path / "vocab.tsv", vocab + f"extra\t{len(vocab.splitlines())}\n")
+        return ["embed", listing, "--checkpoint", ckpt, "--vocab", path,
+                "--out", str(tmp_path / "e.jsonl")], path
     if case == "labels_row_without_labels":
         path = write(tmp_path / "labels.jsonl", '{"function": "chain"}\n')
         return ["eval-type", listing, "--checkpoint", ckpt, "--labels", path], path
@@ -632,7 +637,7 @@ def checkpoint_with(data, edit):
 
 class TestExitCodes:
     @pytest.mark.parametrize("case", [
-        "directory_listing", "non_utf8_listing", "directory_vocab",
+        "directory_listing", "non_utf8_listing", "directory_vocab", "vocab_of_another_size",
         "labels_row_without_labels", "triplet_of_an_absent_function",
         "eval_spec_of_an_absent_embedding", "truth_index_outside_its_pool",
         "embeddings_of_two_lengths", "sample_without_a_function", "head_of_a_wrong_shape"])
@@ -668,10 +673,11 @@ class TestExitCodes:
 
     def test_bad_cutoffs_exit_2(self, tmp_path):
         # argparse rejects them before any file is read
-        with pytest.raises(SystemExit) as exit_:
-            main(["eval-sim", "--embeddings", str(tmp_path / "e.jsonl"),
-                  "--eval-spec", str(tmp_path / "s.json"), "--k", "1,x"])
-        assert exit_.value.code == 2
+        for cutoffs in ("1,x", "0", "-1", "1,0"):
+            with pytest.raises(SystemExit) as exit_:
+                main(["eval-sim", "--embeddings", str(tmp_path / "e.jsonl"),
+                      "--eval-spec", str(tmp_path / "s.json"), "--k", cutoffs])
+            assert exit_.value.code == 2, cutoffs
 
     def test_a_bug_is_not_an_input_error(self, tmp_path, monkeypatch, chain_listing):
         from depcoder import corpus

@@ -75,6 +75,12 @@ class TestRetrievalMetrics:
         assert values == sorted(values)
         assert values[-1] == 1.0
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_recall_rejects_a_cutoff_below_1(self, k):
+        q = np.array([1.0, 0.0])
+        with pytest.raises(MetricsError):
+            recall_at_k([q], [[q.copy()]], [0], k)
+
     def test_mrr_examples(self):
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0])

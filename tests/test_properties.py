@@ -25,6 +25,14 @@ above ``r_max`` in a copy of the distances so that many pairs share the
 clamped bucket, and compare ``rma_attention`` over the rebuilt pair list
 with a dense per-head evaluation of the formula and the bucket's ``beta``
 gradient with central differences, in float64.
+
+Token soup, lines of random mnemonics, labels and ``.func`` heads over
+random operands, some malformed, goes through the whole analysis
+(parse, every function's artifacts under both ``flags_dep`` and
+``on_unknown`` settings, and its sparse mask text) and may raise only an
+``InputError``.  The reorder and rename variants of random functions print
+and parse back as themselves, and keep the dependence graph: the same
+edges, through the permutation for a reorder.
 """
 
 from types import SimpleNamespace
@@ -37,13 +45,15 @@ from hypothesis import strategies as st
 from depcoder.cfg import build_cfg
 from depcoder.config import RunConfig
 from depcoder.connectivity import connectivity
-from depcoder.corpus import Corpus, dumps, function_text
-from depcoder.dependence import DependenceGraph, block_control_dependences, data_dependences
+from depcoder.corpus import Corpus, compute_artifacts, dumps, function_text
+from depcoder.dependence import (DependenceGraph, block_control_dependences, data_dependences,
+                                 dependence_graph)
 from depcoder.encoder import EncoderConfig, EncoderState, backward, encode, rma_attention
-from depcoder.frontend import _parse_operand, _split_operands, parse_listing
+from depcoder.errors import InputError
+from depcoder.frontend import _parse_operand, _split_operands, build_vocab, parse_listing
 from depcoder.masks import build_bundle, sparse_masks
 from depcoder.pretrain import mdm_sample, perturb_bundle
-from depcoder.synth import generate_function
+from depcoder.synth import generate_function, rename_variant, reorder_variant
 
 from generators import (random_dependence_edges, random_loopfree_program,
                         random_looping_program)
@@ -124,6 +134,52 @@ def test_closure_matches_bfs_per_pair(seed, n, out_degree):
     assert np.array_equal(con.dist, con.dist.T)
     assert not np.diagonal(con.dist).any()
     assert con.to_json() == oracle_connectivity_text(n, {(u, v) for u, v, _ in edges})
+
+
+SOUP_HEADS = ("mov", "add", "shl", "imul", "idiv", "cmp", "test", "lea", "push", "pop", "jne",
+              "jmp", "call", "ret", "nop", "frobnicate", ".l:", ".func")
+SOUP_OPERANDS = ("rax", "eax", "al", "rbx", "rcx", "rsp", "rbp", "r9d", "8", "-1", "0x10",
+                 "99999999999999999999", "[rsp + 8]", "[rbx + 2*rax - 8]", "[rbp]", ".l", "f",
+                 "[rax", "qword")
+# lines of a head and up to three operands, after a first line ".func f"
+soups = st.lists(st.tuples(st.sampled_from(SOUP_HEADS),
+                           st.lists(st.sampled_from(SOUP_OPERANDS), max_size=3)),
+                 max_size=40).map(
+    lambda lines: "".join(f"{head} {', '.join(ops)}\n" for head, ops in [(".func", ["f"])] + lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(listing=soups)
+def test_analysis_of_token_soup_raises_only_input_errors(listing):
+    try:
+        functions = parse_listing(listing)
+    except InputError:
+        return
+    vocab = build_vocab(functions)
+    for fn in functions:
+        for flags_dep in (False, True):
+            for on_unknown in ("error", "conservative"):
+                cfg = RunConfig(flags_dep=flags_dep, on_unknown=on_unknown)
+                try:
+                    sparse_masks(compute_artifacts(fn, vocab, cfg).bundle)
+                except InputError:
+                    pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds)
+def test_variants_reparse_and_keep_the_dependence_graph(seed):
+    rng = np.random.default_rng(seed)
+    fn = parse_listing("\n".join(generate_function("f", rng)) + "\n")[0]
+    reordered, perm = reorder_variant(fn, rng, "v")
+    renamed = rename_variant(fn, rng, "v")
+    for variant in (reordered, renamed):
+        assert parse_listing(function_text(variant)) == [variant]
+    for flags_channel in (False, True):
+        edges = dependence_graph(fn, flags_channel=flags_channel).edges
+        assert dependence_graph(reordered, flags_channel=flags_channel).edges == \
+            {(perm[u], perm[v], kind) for u, v, kind in edges}
+        assert dependence_graph(renamed, flags_channel=flags_channel).edges == edges
 
 
 def assert_mask_views_match_the_oracle(art):

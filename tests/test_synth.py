@@ -1,10 +1,10 @@
 import numpy as np
 
 from depcoder.config import RunConfig
-from depcoder.corpus import Corpus, compute_artifacts
+from depcoder.corpus import Corpus, compute_artifacts, function_text
 from depcoder.dependence import dependence_graph
 from depcoder.frontend import parse_listing
-from depcoder.synth import (build_corpus, generate_function, render_function,
+from depcoder.synth import (build_corpus, generate_function, render_instruction,
                             rename_variant, reorder_variant)
 
 
@@ -44,7 +44,7 @@ def test_reorder_keeps_multiset_of_instructions():
     fn = parse_listing(listing)[0]
     variant, perm = reorder_variant(fn, rng, "v")
     assert sorted(i.raw_text for i in variant.instructions) == \
-           sorted(i.raw_text for i in fn.instructions)
+           sorted(render_instruction(i) for i in fn.instructions)
     assert sorted(perm) == list(range(len(fn.instructions)))
 
 
@@ -72,7 +72,7 @@ def test_rename_roundtrips_through_parser():
     listing = "\n".join(generate_function("f", rng)) + "\n"
     fn = parse_listing(listing)[0]
     variant = rename_variant(fn, rng, "v")
-    re_parsed = parse_listing("\n".join(render_function(variant)) + "\n")[0]
+    re_parsed = parse_listing(function_text(variant))[0]
     assert [i.raw_text for i in re_parsed.instructions] == \
            [i.raw_text for i in variant.instructions]
 
