@@ -17,9 +17,10 @@ Q_i K_i^T at those pairs into a (heads, P) array.  ``beta`` is added at the
 pairs where R > 0, and the softmax runs per row segment of the pair list,
 so a disabled entry gets exactly zero weight.  Dropout draws one value per
 head and pair.  The two products, Q K^T and weights times V, stay dense
-BLAS matmuls: the weights are scattered into a zero (heads, N, N) array
-for the second.  The reverse pass gathers and scatters the same way and
-adds the logit gradients at the biased pairs into ``beta`` in one
+BLAS matmuls in one reused zero (heads, N, N) workspace (see ``masks``):
+the first is written there and gathered at the pairs, and for the second
+the weights are scattered into it.  The reverse pass gathers and scatters the same way
+and adds the logit gradients at the biased pairs into ``beta`` in one
 ``np.add.at``.
 
 A float32 model computes in float32 throughout.  The projections are
@@ -275,7 +276,7 @@ def rma_attention(h: np.ndarray, pairs: AttentionPairs, layer: int, state: Encod
     q = h @ p[f"l{layer}.wq"]  # (heads, N, dk)
     k = h @ p[f"l{layer}.wk"]
     v = h @ p[f"l{layer}.wv"]
-    scores = pairs.gather(q @ k.transpose(0, 2, 1))  # (heads, P)
+    scores = pairs.gather_product(q, k.transpose(0, 2, 1))  # (heads, P)
     # the distance bias applies only between connected <INST> tokens (R > 0)
     scores[:, pairs.biased] += p["beta"][:, np.minimum(pairs.r, cfg.r_max)]
     scores /= math.sqrt(dk)  # a Python float keeps float32 scores float32
@@ -294,7 +295,8 @@ def rma_attention(h: np.ndarray, pairs: AttentionPairs, layer: int, state: Encod
         attn_drop = (rng.random(probs.shape) < keep).astype(cfg.np_dtype) / keep
         used = probs * attn_drop
 
-    z = pairs.scatter(used) @ v  # (heads, N, dk)
+    with pairs.scattered(used) as weights:
+        z = weights @ v  # (heads, N, dk)
     z_cat = z.transpose(1, 0, 2).reshape(h.shape[0], cfg.hidden)
     out = z_cat @ p[f"l{layer}.wo"]
     return out, (q, k, v, probs, attn_drop, z_cat)
@@ -384,9 +386,10 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
         dz = dz_cat.reshape(n, cfg.heads, dk).transpose(1, 0, 2)  # (heads, N, dk)
 
         used = c.probs if c.attn_drop is None else c.probs * c.attn_drop
-        dv = pairs.scatter(used).transpose(0, 2, 1) @ dz
+        with pairs.scattered(used) as weights:
+            dv = weights.transpose(0, 2, 1) @ dz
         # softmax reverse in place on the fresh ``dprobs``; the cache is read only
-        dprobs = pairs.gather(dz @ c.v.transpose(0, 2, 1))  # (heads, P)
+        dprobs = pairs.gather_product(dz, c.v.transpose(0, 2, 1))  # (heads, P)
         if c.attn_drop is not None:
             dprobs *= c.attn_drop
         dprobs -= pairs.row_sum(dprobs * c.probs)
@@ -394,9 +397,9 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
         dprobs /= math.sqrt(dk)
         # grad w.r.t. (QK^T + B) at the pairs
         np.add.at(grads["beta"], (np.arange(cfg.heads)[:, None], r), dprobs[:, pairs.biased])
-        draw = pairs.scatter(dprobs)
-        dq = draw @ c.k
-        dkk = draw.transpose(0, 2, 1) @ c.q
+        with pairs.scattered(dprobs) as draw:
+            dq = draw @ c.k
+            dkk = draw.transpose(0, 2, 1) @ c.q
         for name, dproj in (("wq", dq), ("wk", dkk), ("wv", dv)):
             grads[f"l{layer}.{name}"] += c.h_in.T @ dproj
             dh_in += (dproj @ p[f"l{layer}.{name}"].transpose(0, 2, 1)).sum(axis=0)

@@ -33,7 +33,8 @@ FIRST_REGULAR_ID = len(RESERVED_TOKENS)
 
 _R64 = ("rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp",
         "r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15", "rip")
-_SUB_FORMS = {
+#: 64-bit name -> its 32-, 16- and low 8-bit forms, then any high 8-bit one
+SUB_FORMS = {
     "rax": ("eax", "ax", "al", "ah"),
     "rbx": ("ebx", "bx", "bl", "bh"),
     "rcx": ("ecx", "cx", "cl", "ch"),
@@ -45,11 +46,11 @@ _SUB_FORMS = {
     "rip": ("eip",),
 }
 for _i in range(8, 16):
-    _SUB_FORMS[f"r{_i}"] = (f"r{_i}d", f"r{_i}w", f"r{_i}b")
+    SUB_FORMS[f"r{_i}"] = (f"r{_i}d", f"r{_i}w", f"r{_i}b")
 
 #: surface register name -> canonical 64-bit name
 CANONICAL_REG = {r: r for r in _R64}
-for _wide, _subs in _SUB_FORMS.items():
+for _wide, _subs in SUB_FORMS.items():
     for _s in _subs:
         CANONICAL_REG[_s] = _wide
 

@@ -10,9 +10,19 @@ reads the pairs off the token blocks and the kept instructions' block
 N×N array.  The encoder runs on the ``AttentionPairs`` it returns, and
 ``sparse_masks`` writes the JSON text of the view the ``pipeline`` command
 emits straight from them.
+
+The attention's two dense (heads, N, N) products run in one workspace per
+thread and dtype, grown to the largest heads·N² seen and all zeros whenever
+no product runs: ``gather_product`` writes a product into it, takes the
+pairs' entries and zero-fills it, and ``scattered`` writes values at the
+pairs and zeros them back afterwards.  A fresh (heads, N, N) array per
+product, 4 MB at N 512, made long-function encoding page-fault.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,6 +31,31 @@ from .jsontext import int_rows
 
 #: the dense ``AttentionPairs.M`` view's stand-in for -inf at disabled entries
 MASK_NEG = -1.0e9
+
+
+class _Workspaces(threading.local):
+    """Each thread's zero workspaces by dtype (a matmul runs without the GIL)."""
+
+    def __init__(self):
+        self.free: dict[np.dtype, np.ndarray] = {}
+
+
+_WORKSPACES = _Workspaces()
+
+
+@contextmanager
+def _workspace(heads: int, n: int, dtype):
+    """A zero (heads, n, n) view of this thread's workspace for ``dtype``,
+    which the caller leaves zero.  The buffer is out of the pool while in
+    use, so a nested use gets a fresh one instead of sharing it."""
+    size = heads * n * n
+    buf = _WORKSPACES.free.pop(np.dtype(dtype), None)
+    if buf is None or len(buf) < size:
+        buf = np.zeros(size, dtype=dtype)
+    try:
+        yield buf[:size].reshape(heads, n, n)
+    finally:
+        _WORKSPACES.free[buf.dtype] = buf
 
 
 class AttentionPairs:
@@ -66,16 +101,28 @@ class AttentionPairs:
         out[self.flat[self.biased]] = self.r
         return out.reshape(self.n, self.n)
 
-    def gather(self, dense: np.ndarray) -> np.ndarray:
-        """(heads, n, n) -> (heads, P): the entries at the pairs."""
-        return np.take(dense.reshape(len(dense), -1), self.flat, axis=1)
+    def gather_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(heads, n, n) product ``a @ b`` -> (heads, P): its entries at the pairs."""
+        with _workspace(len(a), self.n, np.result_type(a, b)) as dense:
+            try:
+                np.matmul(a, b, out=dense)
+                return np.take(dense.reshape(len(a), -1), self.flat, axis=1)
+            finally:
+                dense.fill(0)
 
-    def scatter(self, values: np.ndarray) -> np.ndarray:
-        """(heads, P) -> (heads, n, n), zero off the pairs."""
-        # fresh on each call: reusing one zeroed buffer made long-N encoding slower
-        out = np.zeros((len(values), self.n * self.n), dtype=values.dtype)
-        out[:, self.flat] = values
-        return out.reshape(len(values), self.n, self.n)
+    @contextmanager
+    def scattered(self, values: np.ndarray):
+        """(heads, P) -> a read-only (heads, n, n) view, zero off the pairs,
+        valid inside the ``with`` block only."""
+        with _workspace(len(values), self.n, values.dtype) as dense:
+            rows = dense.reshape(len(values), -1)
+            try:
+                rows[:, self.flat] = values
+                view = dense.view()
+                view.flags.writeable = False
+                yield view
+            finally:
+                rows[:, self.flat] = 0
 
     def row_max(self, values: np.ndarray) -> np.ndarray:
         """(heads, P) -> (heads, P): each pair's row maximum."""

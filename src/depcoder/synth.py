@@ -22,7 +22,7 @@ from .cfg import build_cfg
 from .corpus import function_text
 from .dependence import def_use, frame_offsets, overlap
 from .downstream import NO_ACCESS
-from .frontend import (CANONICAL_REG, Instruction, Operand, ParsedFunction,
+from .frontend import (CANONICAL_REG, SUB_FORMS, Instruction, Operand, ParsedFunction,
                        instruction_tokens, parse_listing)
 
 #: registers with no implicit role in the def/use tables (rax/rdx: ret, imul,
@@ -200,7 +200,12 @@ def rename_variant(fn: ParsedFunction, rng: np.random.Generator,
         mapping = dict(zip(used, targets))
 
     def map_reg(r):
-        return mapping.get(r, r) if r else r
+        wide = CANONICAL_REG[r] if r else None
+        if mapping.get(wide, wide) == wide:
+            return r
+        # the target at the same width; a high byte (bh) becomes its low byte
+        width = min((wide, *SUB_FORMS[wide]).index(r), 3)
+        return (mapping[wide], *SUB_FORMS[mapping[wide]])[width]
 
     def map_operand(op):
         if op.kind == "register":

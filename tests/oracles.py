@@ -225,6 +225,14 @@ def naive_mask_bundle(seq: TokenSequence, con, neg=-1.0e9):
     return m, r
 
 
+def dense_from_pairs(pairs, values: np.ndarray) -> np.ndarray:
+    """(heads, P) values at the pairs -> a fresh (heads, N, N) array, zero
+    off the pairs, built without the encoder's workspace."""
+    out = np.zeros((len(values), pairs.n * pairs.n), dtype=values.dtype)
+    out[:, pairs.flat] = values
+    return out.reshape(len(values), pairs.n, pairs.n)
+
+
 # ---------------------------------------------------------------------------
 # Dense per-head attention, straight from the encoder docstring's formula
 

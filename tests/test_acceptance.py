@@ -30,7 +30,7 @@ from depcoder.pretrain import (AdamW, edge_probabilities, mdm_sample,
 from depcoder.synth import build_corpus
 
 from generators import random_cfg, random_digraph, random_loopfree_function
-from oracles import (naive_lrap, naive_lrl, naive_mask_bundle,
+from oracles import (dense_from_pairs, naive_lrap, naive_lrl, naive_mask_bundle,
                      oracle_block_control_deps, oracle_connectivity_text,
                      path_enum_data_deps)
 
@@ -154,7 +154,7 @@ def test_criterion_04_masking_invariant():
         pair_ij = np.stack(np.divmod(trace.pairs.flat, len(art.seq)), axis=1)
         ok_pairs = ok_pairs and np.array_equal(pair_ij, np.argwhere(want_m == 0))
         for c in trace.caches:
-            probs = trace.pairs.scatter(c.probs)
+            probs = dense_from_pairs(trace.pairs, c.probs)
             if masked.any():
                 worst_weight = max(worst_weight, float(probs[:, masked].max()))
             worst_rowsum = max(worst_rowsum,

@@ -1,5 +1,8 @@
 import copy
 import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,11 +12,11 @@ from depcoder.corpus import Corpus
 from depcoder.encoder import (EncoderConfig, EncoderState, NumericsError, _gelu, _gelu_grad,
                               _layer_norm, _layer_norm_backward, backward, embed_inputs, encode,
                               rma_attention)
-from depcoder.masks import AttentionPairs, build_bundle
+from depcoder.masks import _WORKSPACES, AttentionPairs, build_bundle
 from depcoder.synth import generate_function, reorder_variant
 
-from oracles import (mean_layer_norm, mean_layer_norm_backward, naive_mask_bundle, tanh_gelu,
-                     tanh_gelu_grad)
+from oracles import (dense_from_pairs, mean_layer_norm, mean_layer_norm_backward,
+                     naive_mask_bundle, tanh_gelu, tanh_gelu_grad)
 
 LISTING = """\
 .func f
@@ -37,9 +40,9 @@ def art(corpus):
     return corpus.functions[0]
 
 
-def make_state(corpus, seed=0, layers=2, hidden=16, heads=2, dtype="float64"):
+def make_state(corpus, seed=0, layers=2, hidden=16, heads=2, dtype="float64", max_len=128):
     cfg = EncoderConfig(layers=layers, heads=heads, hidden=hidden, ffn=2 * hidden,
-                        vocab_size=len(corpus.vocab), max_len=128, r_max=8,
+                        vocab_size=len(corpus.vocab), max_len=max_len, r_max=8,
                         dropout=0.0, dtype=dtype)
     return EncoderState.init(cfg, seed)
 
@@ -80,7 +83,7 @@ class TestAttention:
         h = np.asarray(np.random.default_rng(0).standard_normal((n, 16)))
         _, (q, k, v, probs, _, z_cat) = rma_attention(h, pairs, 0, state)
         assert probs.shape == (state.config.heads, n)
-        assert np.allclose(pairs.scatter(probs), np.eye(n)[None, :, :])
+        assert np.allclose(dense_from_pairs(pairs, probs), np.eye(n)[None, :, :])
         dk = state.config.head_dim
         for head in range(state.config.heads):
             assert np.allclose(z_cat[:, head * dk:(head + 1) * dk], v[head])
@@ -120,7 +123,7 @@ class TestAttention:
             pair_ij = np.stack(np.divmod(trace.pairs.flat, len(art.seq)), axis=1)
             assert np.array_equal(pair_ij, np.argwhere(want_m == 0))
             for c in trace.caches:
-                probs = trace.pairs.scatter(c.probs)
+                probs = dense_from_pairs(trace.pairs, c.probs)
                 assert probs[:, masked].max() < 1e-12
                 assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -279,6 +282,72 @@ class TestBackward:
             for f in dataclasses.fields(c):
                 now, then = getattr(c, f.name), getattr(saved, f.name)
                 assert now is then is None or np.array_equal(now, then), f.name
+
+
+def assert_workspaces_zero():
+    assert _WORKSPACES.free and not any(buf.any() for buf in _WORKSPACES.free.values())
+
+
+class TestWorkspace:
+    """The attention's dense products share one zero workspace per thread and dtype."""
+
+    @pytest.fixture(scope="class")
+    def long_art(self, corpus):
+        listing = ".func long\npush rbx\npush rbx\n" + "mov rax, rbx\nadd rbx, rax\n" * 150
+        art = Corpus.from_text(listing, RunConfig(), vocab=corpus.vocab).functions[0]
+        assert len(art.seq) == 512
+        return art
+
+    @staticmethod
+    def run(art, state):
+        trace = encode(art.seq.tokens, art.bundle, state, rng=np.random.default_rng(0),
+                       training=True)
+        grads = backward(trace, np.ones_like(trace.final), state)
+        return [trace.final, *(grads[name] for name in sorted(grads))]
+
+    def test_reuse_across_lengths_and_dtypes_is_bit_identical(self, corpus, art, long_art):
+        short32 = make_state(corpus, dtype="float32", max_len=512)
+        short32.config.dropout = 0.5
+        first = self.run(art, short32)
+        self.run(long_art, short32)
+        assert len(_WORKSPACES.free[np.dtype(np.float32)]) >= 2 * 512 * 512
+        self.run(art, make_state(corpus, dtype="float64"))
+        again = self.run(art, short32)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    def test_zero_after_encode_backward_and_an_error(self, corpus, art):
+        state = make_state(corpus)
+        trace = encode(art.seq.tokens, art.bundle, state)
+        assert_workspaces_zero()
+        backward(trace, np.ones_like(trace.final), state)
+        assert_workspaces_zero()
+        probs = trace.caches[0].probs
+        with pytest.raises(KeyError):
+            with art.bundle.scattered(probs) as weights:
+                assert not weights.flags.writeable
+                assert np.array_equal(weights, dense_from_pairs(art.bundle, probs))
+                raise KeyError("inside the block")
+        assert_workspaces_zero()
+
+    def test_two_threads_match_the_serial_results(self, corpus, art, long_art):
+        state = make_state(corpus, dtype="float32", max_len=512)
+        arts = [long_art, art]
+        serial = [encode(a.seq.tokens, a.bundle, state).final for a in arts]
+        start = threading.Barrier(2, timeout=60)
+
+        def encode_repeatedly(a):
+            start.wait()
+            return [encode(a.seq.tokens, a.bundle, state).final for _ in range(10)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = list(pool.map(encode_repeatedly, arts, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, results):
+            assert all(np.array_equal(want, g) for g in got)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

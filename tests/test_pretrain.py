@@ -14,7 +14,7 @@ from depcoder.pretrain import (AdamW, EdgeSample, edge_probabilities,
                                eligible_positions, mdm_loss, mdm_sample,
                                mlm_loss, mlm_perturb, perturb_bundle, train_step)
 
-from oracles import loop_mdm_loss, naive_mask_bundle, per_array_adamw
+from oracles import dense_from_pairs, loop_mdm_loss, naive_mask_bundle, per_array_adamw
 
 
 def fabricated_seq(n_eligible=100):
@@ -336,7 +336,7 @@ class TestTrainStep:
         assert np.array_equal(pair_ij, np.argwhere(want_m == 0))
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
         for c in trace.caches:
-            probs = trace.pairs.scatter(c.probs)
+            probs = dense_from_pairs(trace.pairs, c.probs)
             assert probs[:, pt, ps].max() < 1e-12
             assert probs[:, ps, pt].max() < 1e-12
             assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)

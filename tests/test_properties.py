@@ -57,7 +57,7 @@ from depcoder.synth import generate_function, rename_variant, reorder_variant
 
 from generators import (random_dependence_edges, random_loopfree_program,
                         random_looping_program)
-from oracles import (dense_attention, naive_mask_bundle, naive_sparse_masks,
+from oracles import (dense_attention, dense_from_pairs, naive_mask_bundle, naive_sparse_masks,
                      oracle_block_control_deps, oracle_connectivity_text,
                      path_enum_data_deps, split_operands_by_char)
 
@@ -266,7 +266,7 @@ def test_attention_matches_the_dense_formula(seed, max_len, model_seed):
     h = rng.standard_normal((len(art.seq), state.config.hidden))
     out, (_, _, _, probs, _, _) = rma_attention(h, pairs, 0, state)
     want_out, want_probs = dense_attention(h, pairs, 0, state)
-    np.testing.assert_allclose(pairs.scatter(probs), want_probs, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(dense_from_pairs(pairs, probs), want_probs, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(out, want_out, rtol=1e-10, atol=1e-10)
 
 

@@ -3,7 +3,7 @@ import numpy as np
 from depcoder.config import RunConfig
 from depcoder.corpus import Corpus, compute_artifacts, function_text
 from depcoder.dependence import dependence_graph
-from depcoder.frontend import parse_listing
+from depcoder.frontend import CANONICAL_REG, SUB_FORMS, parse_listing
 from depcoder.synth import (build_corpus, generate_function, render_instruction,
                             rename_variant, reorder_variant)
 
@@ -65,6 +65,31 @@ def test_rename_variant_tokens_differ_distances_identical():
         assert art.seq.surface != base.seq.surface
         assert np.array_equal(art.con.dist, base.con.dist)
     assert checked >= 30
+
+
+def test_rename_keeps_the_dependences_of_sub_registers():
+    fn = parse_listing(".func f\nmov ebx, 1\nmov rax, rbx\nret\n")[0]
+    variant = rename_variant(fn, np.random.default_rng(0), "v")
+    dst, src = variant.instructions[0].operands[0].reg, variant.instructions[1].operands[1].reg
+    assert src != "rbx" and dst == SUB_FORMS[src][0]  # one register, written at 32 bits
+    assert dependence_graph(variant).edges == dependence_graph(fn).edges
+    assert dependence_graph(fn).directed_pairs() == {(2, 1), (1, 0)}
+
+
+def test_rename_maps_every_width_and_keeps_the_dependences():
+    fn = parse_listing(".func f\nmov bh, 1\nmov bl, 2\nadd esi, ebx\nmov rax, rsi\n"
+                       "mov cx, [rbx + r8d*4]\nmov si, cx\nret\n")[0]
+    for seed in range(20):
+        variant = rename_variant(fn, np.random.default_rng(seed), "v")
+        for old, new in zip(fn.instructions, variant.instructions):
+            for a, b in zip(old.operands, new.operands):
+                for r, s in ((a.reg, b.reg), (a.base, b.base), (a.index, b.index)):
+                    assert (r is None) == (s is None)
+                    if r and s != r:  # renamed: same width, a high byte to a low byte
+                        wide = CANONICAL_REG[r]
+                        width = min((wide, *SUB_FORMS[wide]).index(r), 3)
+                        assert s == (CANONICAL_REG[s], *SUB_FORMS[CANONICAL_REG[s]])[width]
+        assert dependence_graph(variant).edges == dependence_graph(fn).edges
 
 
 def test_rename_roundtrips_through_parser():
