@@ -47,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--functions", type=int, default=200)
-    p.add_argument("--pool-size", type=int, default=10)
+    p.add_argument("--functions", type=_at_least_1, default=200)
+    p.add_argument("--pool-size", type=_at_least_1, default=10)
     p.add_argument("--no-variants", action="store_true")
 
     p = sub.add_parser("pretrain", parents=[common], help="MLM + MDM pre-training")
@@ -110,6 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=220)
 
     return parser
+
+
+def _at_least_1(text: str) -> int:
+    """A count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
 
 
 def _cutoffs(text: str) -> list[int]:

@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # the closure and masks load numpy; a cache hit needs neither
     from .masks import AttentionPairs
 
 #: layout version of a cache entry; part of every entry's key
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 #: sha256 of the ``pipeline --stage mask`` output of ``synth --functions 8
 #: --seed 0`` without and with ``--flags-dep``; moving it means bumping
 #: ``CACHE_FORMAT``

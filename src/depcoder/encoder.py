@@ -17,11 +17,12 @@ Q_i K_i^T at those pairs into a (heads, P) array.  ``beta`` is added at the
 pairs where R > 0, and the softmax runs per row segment of the pair list,
 so a disabled entry gets exactly zero weight.  Dropout draws one value per
 head and pair.  The two products, Q K^T and weights times V, stay dense
-BLAS matmuls in one reused zero (heads, N, N) workspace (see ``masks``):
-the first is written there and gathered at the pairs, and for the second
-the weights are scattered into it.  The reverse pass gathers and scatters the same way
-and adds the logit gradients at the biased pairs into ``beta`` in one
-``np.add.at``.
+BLAS matmuls, which the pair list runs in a reused zero workspace (see
+``masks``): ``gather_product`` takes Q K^T at the pairs, and
+``spread_product`` multiplies the weights, zero off the pairs, by V.  The
+reverse pass makes the same two calls, the second also transposed, so no
+(heads, N, N) array reaches this module, and it adds the logit gradients at
+the biased pairs into ``beta`` in one ``np.add.at``.
 
 A float32 model computes in float32 throughout.  The projections are
 batched matmuls on the (heads, d, dk) weights, and the softmax and its
@@ -295,8 +296,7 @@ def rma_attention(h: np.ndarray, pairs: AttentionPairs, layer: int, state: Encod
         attn_drop = (rng.random(probs.shape) < keep).astype(cfg.np_dtype) / keep
         used = probs * attn_drop
 
-    with pairs.scattered(used) as weights:
-        z = weights @ v  # (heads, N, dk)
+    z = pairs.spread_product(used, v)  # (heads, N, dk)
     z_cat = z.transpose(1, 0, 2).reshape(h.shape[0], cfg.hidden)
     out = z_cat @ p[f"l{layer}.wo"]
     return out, (q, k, v, probs, attn_drop, z_cat)
@@ -386,8 +386,7 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
         dz = dz_cat.reshape(n, cfg.heads, dk).transpose(1, 0, 2)  # (heads, N, dk)
 
         used = c.probs if c.attn_drop is None else c.probs * c.attn_drop
-        with pairs.scattered(used) as weights:
-            dv = weights.transpose(0, 2, 1) @ dz
+        dv = pairs.spread_product(used, dz, transpose=True)
         # softmax reverse in place on the fresh ``dprobs``; the cache is read only
         dprobs = pairs.gather_product(dz, c.v.transpose(0, 2, 1))  # (heads, P)
         if c.attn_drop is not None:
@@ -397,9 +396,8 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
         dprobs /= math.sqrt(dk)
         # grad w.r.t. (QK^T + B) at the pairs
         np.add.at(grads["beta"], (np.arange(cfg.heads)[:, None], r), dprobs[:, pairs.biased])
-        with pairs.scattered(dprobs) as draw:
-            dq = draw @ c.k
-            dkk = draw.transpose(0, 2, 1) @ c.q
+        dq = pairs.spread_product(dprobs, c.k)
+        dkk = pairs.spread_product(dprobs, c.q, transpose=True)
         for name, dproj in (("wq", dq), ("wk", dkk), ("wv", dv)):
             grads[f"l{layer}.{name}"] += c.h_in.T @ dproj
             dh_in += (dproj @ p[f"l{layer}.{name}"].transpose(0, 2, 1)).sum(axis=0)

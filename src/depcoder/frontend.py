@@ -7,9 +7,13 @@ Input format (one listing may hold many functions):
     mnemonic op1, op2   one instruction per line, Intel syntax
     # comment           comments run to end of line
 
-Memory operands are written ``[base + scale*index + disp]`` with any subset
-of the three parts present; numbers may be decimal (``010`` is ten) or
-0x-hex, and either ``scale*index`` or ``index*scale`` is accepted.
+Any run of spaces and tabs separates the mnemonic from its operands.
+Mnemonics, register names and the hex prefix are read in any case and kept
+in lower case, so ``MOV RAX, 0X1F`` parses as ``mov rax, 0x1f``; labels and
+function names are case-sensitive.  Memory operands are written ``[base +
+scale*index + disp]`` with any subset of the three parts present; numbers
+may be decimal (``010`` is ten) or 0x-hex, and either ``scale*index`` or
+``index*scale`` is accepted.
 
 Stripped code repeats a few operand forms many times, so ``parse_listing``
 parses each distinct operand text once per listing and shares the resulting
@@ -101,12 +105,18 @@ class ParsedFunction:
 
 
 _IDENT_RE = re.compile(r"^[.\w$@]+$")
-_NUM_RE = re.compile(r"^[+-]?(0x[0-9a-fA-F]+|\d+)$")
+_NUM_RE = re.compile(r"^[+-]?(0[xX][0-9a-fA-F]+|\d+)$")
 
 
 def _parse_int(text: str) -> int:
     # base 0 would reject a decimal with a leading zero, such as 08
-    return int(text, 16 if "0x" in text else 10)
+    return int(text, 16 if "x" in text.lower() else 10)
+
+
+def _register(text: str) -> str | None:
+    """The lowercase name of the register ``text`` spells in any case, or None."""
+    name = text.lower()
+    return name if name in REGISTER_NAMES else None
 
 
 def _parse_memory(inner: str, line_no: int, raw: str) -> Operand:
@@ -134,10 +144,10 @@ def _parse_memory(inner: str, line_no: int, raw: str) -> Operand:
         if "*" in term:
             a, _, b = term.partition("*")
             a, b = a.strip(), b.strip()
-            if a in REGISTER_NAMES and _NUM_RE.match(b):
-                r, s = a, _parse_int(b)
-            elif b in REGISTER_NAMES and _NUM_RE.match(a):
-                r, s = b, _parse_int(a)
+            if _register(a) and _NUM_RE.match(b):
+                r, s = _register(a), _parse_int(b)
+            elif _register(b) and _NUM_RE.match(a):
+                r, s = _register(b), _parse_int(a)
             else:
                 raise ParseError(f"unrecognized scaled-index term {term!r} in {raw!r}", line_no)
             if tsign < 0 or index is not None:
@@ -145,13 +155,13 @@ def _parse_memory(inner: str, line_no: int, raw: str) -> Operand:
             if s not in (1, 2, 4, 8):
                 raise ParseError(f"scale must be 1, 2, 4 or 8, got {s} in {raw!r}", line_no)
             index, scale = r, s
-        elif term in REGISTER_NAMES:
+        elif reg := _register(term):
             if tsign < 0:
                 raise ParseError(f"negated register {term!r} in {raw!r}", line_no)
             if base is None:
-                base = term
+                base = reg
             elif index is None:
-                index = term
+                index = reg
             else:
                 raise ParseError(f"too many registers in memory operand {raw!r}", line_no)
         elif _NUM_RE.match(term):
@@ -172,8 +182,8 @@ def _parse_operand(text: str, line_no: int) -> Operand:
         if not text.endswith("]"):
             raise ParseError(f"unterminated memory operand {text!r}", line_no)
         return _parse_memory(text[1:-1], line_no, text)
-    if text in REGISTER_NAMES:
-        return Operand.register(text)
+    if reg := _register(text):
+        return Operand.register(reg)
     if _NUM_RE.match(text):
         return Operand.immediate(_parse_int(text))
     if _IDENT_RE.match(text):
@@ -229,7 +239,8 @@ def parse_listing(text: str) -> list[ParsedFunction]:
                 raise ParseError(f"duplicate label {label!r}", line_no)
             current.labels[label] = len(current.instructions)
             continue
-        mnemonic, _, rest = line.partition(" ")
+        # spaces and tabs only: ``split(None, 1)`` costs ~10% of a long listing's parse
+        mnemonic, _, rest = line.replace("\t", " ").partition(" ")
         operands = []
         for part in _split_operands(rest):
             part = part.strip()

@@ -11,18 +11,19 @@ N×N array.  The encoder runs on the ``AttentionPairs`` it returns, and
 ``sparse_masks`` writes the JSON text of the view the ``pipeline`` command
 emits straight from them.
 
-The attention's two dense (heads, N, N) products run in one workspace per
-thread and dtype, grown to the largest heads·N² seen and all zeros whenever
-no product runs: ``gather_product`` writes a product into it, takes the
-pairs' entries and zero-fills it, and ``scattered`` writes values at the
-pairs and zeros them back afterwards.  A fresh (heads, N, N) array per
-product, 4 MB at N 512, made long-function encoding page-fault.
+The attention's dense (heads, N, N) products are two methods of the pair
+list that run in one workspace per thread and dtype, grown to the largest
+heads·N² seen and all zeros between calls: ``gather_product`` writes a
+product there and takes its entries at the pairs, and ``spread_product``
+writes values at the pairs and multiplies by that matrix.  Each zeroes the
+workspace before it returns, so no caller code runs while it is in use.  A
+fresh (heads, N, N) array per product, 4 MB at N 512, made long-function
+encoding page-fault.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -37,25 +38,20 @@ class _Workspaces(threading.local):
     """Each thread's zero workspaces by dtype (a matmul runs without the GIL)."""
 
     def __init__(self):
-        self.free: dict[np.dtype, np.ndarray] = {}
+        self.buffers: dict[np.dtype, np.ndarray] = {}
 
 
 _WORKSPACES = _Workspaces()
 
 
-@contextmanager
-def _workspace(heads: int, n: int, dtype):
+def _workspace(heads: int, n: int, dtype) -> np.ndarray:
     """A zero (heads, n, n) view of this thread's workspace for ``dtype``,
-    which the caller leaves zero.  The buffer is out of the pool while in
-    use, so a nested use gets a fresh one instead of sharing it."""
-    size = heads * n * n
-    buf = _WORKSPACES.free.pop(np.dtype(dtype), None)
+    grown as needed, which the caller leaves zero."""
+    size, dtype = heads * n * n, np.dtype(dtype)
+    buf = _WORKSPACES.buffers.get(dtype)
     if buf is None or len(buf) < size:
-        buf = np.zeros(size, dtype=dtype)
-    try:
-        yield buf[:size].reshape(heads, n, n)
-    finally:
-        _WORKSPACES.free[buf.dtype] = buf
+        buf = _WORKSPACES.buffers[dtype] = np.zeros(size, dtype=dtype)
+    return buf[:size].reshape(heads, n, n)
 
 
 class AttentionPairs:
@@ -103,26 +99,25 @@ class AttentionPairs:
 
     def gather_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(heads, n, n) product ``a @ b`` -> (heads, P): its entries at the pairs."""
-        with _workspace(len(a), self.n, np.result_type(a, b)) as dense:
-            try:
-                np.matmul(a, b, out=dense)
-                return np.take(dense.reshape(len(a), -1), self.flat, axis=1)
-            finally:
-                dense.fill(0)
+        dense = _workspace(len(a), self.n, np.result_type(a, b))
+        try:
+            np.matmul(a, b, out=dense)
+            return np.take(dense.reshape(len(a), -1), self.flat, axis=1)
+        finally:
+            dense.fill(0)
 
-    @contextmanager
-    def scattered(self, values: np.ndarray):
-        """(heads, P) -> a read-only (heads, n, n) view, zero off the pairs,
-        valid inside the ``with`` block only."""
-        with _workspace(len(values), self.n, values.dtype) as dense:
-            rows = dense.reshape(len(values), -1)
-            try:
-                rows[:, self.flat] = values
-                view = dense.view()
-                view.flags.writeable = False
-                yield view
-            finally:
-                rows[:, self.flat] = 0
+    def spread_product(self, values: np.ndarray, b: np.ndarray,
+                       transpose: bool = False) -> np.ndarray:
+        """``W @ b``, or ``Wᵀ @ b`` with ``transpose``, where W is the (heads,
+        n, n) matrix that holds the (heads, P) ``values`` at the pairs and
+        zeros elsewhere."""
+        dense = _workspace(len(values), self.n, values.dtype)
+        rows = dense.reshape(len(values), -1)
+        try:
+            rows[:, self.flat] = values
+            return (dense.transpose(0, 2, 1) if transpose else dense) @ b
+        finally:
+            rows[:, self.flat] = 0
 
     def row_max(self, values: np.ndarray) -> np.ndarray:
         """(heads, P) -> (heads, P): each pair's row maximum."""

@@ -296,6 +296,8 @@ def build_corpus(n_functions: int, seed: int, pool_size: int = 10,
     triplets = []
     for orig, variant, _ in pairs:
         others = [n for n in names if n != orig]
+        if not others:  # a single function has no negative to draw
+            continue
         neg = others[int(rng.integers(len(others)))]
         triplets.append({"anchor": variant, "positive": orig, "negative": neg})
 

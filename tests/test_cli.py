@@ -387,6 +387,19 @@ class TestPipeline:
         assert digest.hexdigest() == ANALYSIS_DIGEST
 
 
+    def test_upper_case_tab_separated_listing_gives_the_same_files(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--functions", "8",
+                     "--seed", "0"]) == 0
+        listing = tmp_path / "s" / "corpus.asm"
+        lines = listing.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert any(line.endswith(":\n") for line in lines)  # labels, upper-cased too
+        shouted = write(tmp_path / "shouted.asm", "".join(
+            line if line.startswith(".func") else line.upper().replace(" ", "\t", 1)
+            for line in lines))
+        for name, path in (("plain", listing), ("shouted", shouted)):
+            assert main(["pipeline", str(path), "--out", str(tmp_path / name)]) == 0
+        assert tree(tmp_path / "shouted") == tree(tmp_path / "plain")
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", '{"not_a_key": 1}')
@@ -678,6 +691,14 @@ class TestExitCodes:
                 main(["eval-sim", "--embeddings", str(tmp_path / "e.jsonl"),
                       "--eval-spec", str(tmp_path / "s.json"), "--k", cutoffs])
             assert exit_.value.code == 2, cutoffs
+
+    def test_synth_counts_below_1_exit_2(self, tmp_path):
+        for flag, value in (("--functions", "0"), ("--functions", "-3"),
+                            ("--pool-size", "0"), ("--functions", "x")):
+            with pytest.raises(SystemExit) as exit_:
+                main(["synth", "--out", str(tmp_path / "s"), flag, value])
+            assert exit_.value.code == 2, (flag, value)
+        assert not (tmp_path / "s").exists()
 
     def test_a_bug_is_not_an_input_error(self, tmp_path, monkeypatch, chain_listing):
         from depcoder import corpus

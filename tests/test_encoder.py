@@ -285,7 +285,7 @@ class TestBackward:
 
 
 def assert_workspaces_zero():
-    assert _WORKSPACES.free and not any(buf.any() for buf in _WORKSPACES.free.values())
+    assert _WORKSPACES.buffers and not any(buf.any() for buf in _WORKSPACES.buffers.values())
 
 
 class TestWorkspace:
@@ -310,7 +310,7 @@ class TestWorkspace:
         short32.config.dropout = 0.5
         first = self.run(art, short32)
         self.run(long_art, short32)
-        assert len(_WORKSPACES.free[np.dtype(np.float32)]) >= 2 * 512 * 512
+        assert len(_WORKSPACES.buffers[np.dtype(np.float32)]) >= 2 * 512 * 512
         self.run(art, make_state(corpus, dtype="float64"))
         again = self.run(art, short32)
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
@@ -321,13 +321,14 @@ class TestWorkspace:
         assert_workspaces_zero()
         backward(trace, np.ones_like(trace.final), state)
         assert_workspaces_zero()
-        probs = trace.caches[0].probs
-        with pytest.raises(KeyError):
-            with art.bundle.scattered(probs) as weights:
-                assert not weights.flags.writeable
-                assert np.array_equal(weights, dense_from_pairs(art.bundle, probs))
-                raise KeyError("inside the block")
-        assert_workspaces_zero()
+        c, pairs = trace.caches[0], art.bundle
+        wrong = np.ones((c.k.shape[0], c.k.shape[1] + 1, c.k.shape[2]))
+        for product in (lambda: pairs.spread_product(c.probs, wrong),
+                        lambda: pairs.spread_product(c.probs, wrong, transpose=True),
+                        lambda: pairs.gather_product(c.q, wrong.transpose(0, 2, 1))):
+            with pytest.raises(ValueError):
+                product()
+            assert_workspaces_zero()
 
     def test_two_threads_match_the_serial_results(self, corpus, art, long_art):
         state = make_state(corpus, dtype="float32", max_len=512)

@@ -47,6 +47,17 @@ class TestParsing:
         op = parse_one("mov rax, [rbx + 08*rcx - 0x010]").instructions[0].operands[1]
         assert (op.scale, op.disp) == (8, -0x10)
 
+    def test_any_case_and_whitespace_parse_as_the_lower_case_listing(self):
+        lower = parse_one("mov rax, 0x1f\nlea rbx, [rsp + 8*rax + 8]\njmp rax\n.l:\njl .l")
+        upper = parse_one("MOV\tRAX,  0X1F\nLEA \t RBX, [RSP + RAX*8 + 8]\nJMP\tRAX\n.l:\nJL .l")
+        assert [i[:3] for i in upper.instructions] == [i[:3] for i in lower.instructions]
+        assert upper.labels == lower.labels
+
+    def test_labels_stay_case_sensitive(self):
+        fn = parse_one("jmp .L\n.l:\nret")
+        assert fn.instructions[0].operands == (Operand.label_ref(".L"),)
+        assert fn.labels == {".l": 1}
+
     def test_displacement_only_memory(self):
         op = parse_one("mov rax, [0x404000]").instructions[0].operands[1]
         assert op.base is None and op.index is None and op.disp == 0x404000

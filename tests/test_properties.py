@@ -20,6 +20,10 @@ The mask examples draw a function from ``synth.generate_function`` and a
 token budget that often truncates it, so the kept-instruction block that
 ``build_bundle`` reads is exercised on prefixes as well as whole functions.
 
+The pair list's two dense products, ``gather_product`` and
+``spread_product`` in both orientations, equal the same products over the
+dense matrix of the pairs, in float32 and float64.
+
 The attention examples take such a function, raise some of its distances
 above ``r_max`` in a copy of the distances so that many pairs share the
 clamped bucket, and compare ``rma_attention`` over the rebuilt pair list
@@ -268,6 +272,27 @@ def test_attention_matches_the_dense_formula(seed, max_len, model_seed):
     want_out, want_probs = dense_attention(h, pairs, 0, state)
     np.testing.assert_allclose(dense_from_pairs(pairs, probs), want_probs, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(out, want_out, rtol=1e-10, atol=1e-10)
+
+
+@SETTINGS
+@given(seed=seeds, max_len=max_lens, draw_seed=seeds, heads=st.integers(1, 4),
+       d=st.integers(1, 8), dtype=st.sampled_from([np.float32, np.float64]))
+def test_pair_list_products_match_the_dense_oracle(seed, max_len, draw_seed, heads, d, dtype):
+    art = artifact(seed, max_len)
+    pairs = build_bundle(art.seq, art.con.dist)
+    rng = np.random.default_rng(draw_seed)
+    a, b = rng.standard_normal((2, heads, pairs.n, d)).astype(dtype)
+    values = rng.standard_normal((heads, len(pairs))).astype(dtype)
+    tol = {"rtol": 1e-12, "atol": 1e-12} if dtype == np.float64 else {"rtol": 1e-5, "atol": 1e-5}
+    got = pairs.gather_product(a, b.transpose(0, 2, 1))
+    assert got.dtype == dtype
+    want = (a @ b.transpose(0, 2, 1)).reshape(heads, -1)[:, pairs.flat]
+    np.testing.assert_allclose(got, want, **tol)
+    dense = dense_from_pairs(pairs, values)
+    for transpose, w in ((False, dense), (True, dense.transpose(0, 2, 1))):
+        got = pairs.spread_product(values, b, transpose=transpose)
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, w @ b, **tol)
 
 
 @settings(max_examples=10, deadline=None)

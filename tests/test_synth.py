@@ -16,6 +16,14 @@ def test_generation_is_seed_deterministic():
     assert a.triplets == b.triplets
 
 
+def test_one_function_has_no_triplet_and_more_draw_as_before():
+    one = build_corpus(1, seed=5, pool_size=1)
+    assert one.triplets == [] and one.eval_spec["pools"] == [["fn0000"]]
+    three = build_corpus(3, seed=5)  # pinned draws: synth output must not move
+    assert [t["negative"] for t in three.triplets] == ["fn0001", "fn0002", "fn0000"]
+    assert three.eval_spec["truth"] == [2, 1, 2]
+
+
 def test_generated_functions_parse_and_analyze():
     cfg = RunConfig()
     corpus = Corpus.from_text(build_corpus(20, seed=1).listing, cfg)
