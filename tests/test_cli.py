@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import depcoder
-from depcoder.cli import _THREAD_VARS, main
+from depcoder.cli import _THREAD_VARS, build_parser, main
 from depcoder.config import RunConfig
 from depcoder.corpus import CACHE_FORMAT, SECTIONS, dumps, function_text
 from depcoder.frontend import parse_listing
@@ -399,6 +399,78 @@ class TestPipeline:
         for name, path in (("plain", listing), ("shouted", shouted)):
             assert main(["pipeline", str(path), "--out", str(tmp_path / name)]) == 0
         assert tree(tmp_path / "shouted") == tree(tmp_path / "plain")
+
+#: every command's arguments: dest -> (option strings, empty for a positional;
+#: default, required, type name, choices)
+COMMON_ARGS = {
+    "config": (("--config",), None, False, None, None),
+    "seed": (("--seed",), None, False, "int", None),
+    "threads": (("--threads",), None, False, "int", None),
+    "flags_dep": (("--flags-dep",), False, False, None, None),
+}
+MODEL_ARGS = {
+    **COMMON_ARGS,
+    "listing": ((), None, True, None, None),
+    "checkpoint": (("--checkpoint",), None, True, None, None),
+    "vocab": (("--vocab",), None, False, None, None),
+}
+COMMAND_ARGS = {
+    "pipeline": {**COMMON_ARGS,
+                 "listing": ((), None, True, None, None),
+                 "out": (("--out",), None, True, None, None),
+                 "stage": (("--stage",), "mask", False, None,
+                           ("tokenize", "deps", "connectivity", "mask")),
+                 "cache_dir": (("--cache-dir",), None, False, None, None)},
+    "synth": {**COMMON_ARGS,
+              "out": (("--out",), None, True, None, None),
+              "functions": (("--functions",), 200, False, "_at_least_1", None),
+              "pool_size": (("--pool-size",), 10, False, "_at_least_1", None),
+              "no_variants": (("--no-variants",), False, False, None, None)},
+    "pretrain": {**COMMON_ARGS,
+                 "corpus": (("--corpus",), None, False, None, None),
+                 "out": (("--out",), None, False, None, None)},
+    "embed": {**MODEL_ARGS,
+              "out": (("--out",), None, True, None, None)},
+    "eval-sim": {**COMMON_ARGS,
+                 "embeddings": (("--embeddings",), None, True, None, None),
+                 "eval_spec": (("--eval-spec",), None, True, None, None),
+                 "k": (("--k",), "1,5,10", False, "_cutoffs", None)},
+    "finetune-sim": {**MODEL_ARGS,
+                     "triplets": (("--triplets",), None, True, None, None),
+                     "out": (("--out",), None, True, None, None),
+                     "steps": (("--steps",), 50, False, "int", None)},
+    "train-type": {**MODEL_ARGS,
+                   "labels": (("--labels",), None, True, None, None),
+                   "out": (("--out",), None, True, None, None),
+                   "steps": (("--steps",), 300, False, "int", None)},
+    "eval-type": {**MODEL_ARGS,
+                  "labels": (("--labels",), None, True, None, None)},
+    "train-mlc": {**MODEL_ARGS,
+                  "samples": (("--samples",), None, True, None, None),
+                  "out": (("--out",), None, True, None, None),
+                  "steps": (("--steps",), 200, False, "int", None)},
+    "eval-mlc": {**MODEL_ARGS,
+                 "samples": (("--samples",), None, True, None, None),
+                 "head": (("--head",), None, True, None, None)},
+    "gradcheck": {**COMMON_ARGS,
+                  "samples": (("--samples",), 220, False, "int", None)},
+}
+
+
+class TestParser:
+    def test_every_command_keeps_its_arguments(self):
+        import argparse
+
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        found = {
+            name: {a.dest: (tuple(a.option_strings), a.default, a.required,
+                            getattr(a.type, "__name__", a.type),
+                            tuple(a.choices) if a.choices else None)
+                   for a in command._actions if not isinstance(a, argparse._HelpAction)}
+            for name, command in sub.choices.items()}
+        assert found == COMMAND_ARGS
+
 
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
