@@ -16,6 +16,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .config import RunConfig
 from .corpus import SECTIONS, STAGES, Corpus, dumps, write_file
@@ -33,80 +34,69 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, help="BLAS thread count (1 = deterministic)")
     common.add_argument("--flags-dep", action="store_true",
                         help="model the FLAGS register as a dependence channel")
+    # the commands that encode a listing with a trained checkpoint
+    model = argparse.ArgumentParser(add_help=False, parents=[common])
+    model.add_argument("listing")
+    model.add_argument("--checkpoint", required=True)
+    model.add_argument("--vocab", help="default: vocab.tsv beside the checkpoint")
 
     parser = argparse.ArgumentParser(prog="depcoder",
                                      description="dependence-regularized assembly encoder")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pipeline", parents=[common],
-                       help="tokenize, analyze and build masks for a listing")
+    def command(name, run, parent, help):
+        p = sub.add_parser(name, parents=[parent], help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("pipeline", cmd_pipeline, common,
+                "tokenize, analyze and build masks for a listing")
     p.add_argument("listing")
     p.add_argument("--out", required=True)
     p.add_argument("--stage", choices=STAGES, default=STAGES[-1])
     p.add_argument("--cache-dir")
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
+    p = command("synth", cmd_synth, common, "generate a synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--functions", type=_at_least_1, default=200)
     p.add_argument("--pool-size", type=_at_least_1, default=10)
     p.add_argument("--no-variants", action="store_true")
 
-    p = sub.add_parser("pretrain", parents=[common], help="MLM + MDM pre-training")
+    p = command("pretrain", cmd_pretrain, common, "MLM + MDM pre-training")
     p.add_argument("--corpus", help="listing path (overrides the config)")
     p.add_argument("--out", help="output directory (overrides the config)")
 
-    p = sub.add_parser("embed", parents=[common], help="emit function embeddings")
-    p.add_argument("listing")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab")
+    p = command("embed", cmd_embed, model, "emit function embeddings")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("eval-sim", parents=[common], help="recall@k / MRR over a pool spec")
+    p = command("eval-sim", cmd_eval_sim, common, "recall@k / MRR over a pool spec")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--eval-spec", required=True)
-    p.add_argument("--k", default="1,5,10", help="comma-separated cutoffs",
-                   type=_cutoffs)
+    p.add_argument("--k", default="1,5,10", type=_cutoffs, help="comma-separated cutoffs")
 
-    p = sub.add_parser("finetune-sim", parents=[common], help="triplet fine-tuning")
-    p.add_argument("listing")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab")
+    p = command("finetune-sim", cmd_finetune_sim, model, "triplet fine-tuning")
     p.add_argument("--triplets", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=50)
 
-    p = sub.add_parser("train-type", parents=[common], help="train the type-inference head")
-    p.add_argument("listing")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab")
+    p = command("train-type", cmd_train_type, model, "train the type-inference head")
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=300)
 
-    p = sub.add_parser("eval-type", parents=[common], help="type-inference P/R/F1")
-    p.add_argument("listing")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab")
+    p = command("eval-type", cmd_eval_type, model, "type-inference P/R/F1")
     p.add_argument("--labels", required=True)
 
-    p = sub.add_parser("train-mlc", parents=[common],
-                       help="train attention pooling + multi-label head")
-    p.add_argument("listing")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab")
+    p = command("train-mlc", cmd_train_mlc, model, "train attention pooling + multi-label head")
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=200)
 
-    p = sub.add_parser("eval-mlc", parents=[common], help="LRAP / LRL / ROC-AUC")
-    p.add_argument("listing")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab")
+    p = command("eval-mlc", cmd_eval_mlc, model, "LRAP / LRL / ROC-AUC")
     p.add_argument("--samples", required=True)
     p.add_argument("--head", required=True)
 
-    p = sub.add_parser("gradcheck", parents=[common],
-                       help="finite-difference check of the reverse pass")
+    p = command("gradcheck", cmd_gradcheck, common, "finite-difference check of the reverse pass")
     p.add_argument("--samples", type=int, default=220)
 
     return parser
@@ -144,7 +134,7 @@ def main(argv=None) -> int:
             for var in _THREAD_VARS:
                 os.environ[var] = str(cfg.threads)
         _check_outputs(args, cfg)
-        return _dispatch(args, cfg)
+        return args.run(args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 4
@@ -154,23 +144,6 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args, cfg) -> int:
-    handler = {
-        "pipeline": cmd_pipeline,
-        "synth": cmd_synth,
-        "pretrain": cmd_pretrain,
-        "embed": cmd_embed,
-        "eval-sim": cmd_eval_sim,
-        "finetune-sim": cmd_finetune_sim,
-        "train-type": cmd_train_type,
-        "eval-type": cmd_eval_type,
-        "train-mlc": cmd_train_mlc,
-        "eval-mlc": cmd_eval_mlc,
-        "gradcheck": cmd_gradcheck,
-    }[args.command]
-    return handler(args, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +222,6 @@ def _load(args, cfg):
     """The checkpoint, and the listing's corpus under its vocabulary and its
     ``max_len``.  The vocabulary is ``--vocab`` or ``vocab.tsv`` next to the
     checkpoint, and must be as large as the checkpoint's embedding table."""
-    from dataclasses import replace
-
     from .encoder import EncoderState
 
     with _reading(args.checkpoint):
@@ -268,6 +239,20 @@ def _load(args, cfg):
     with _listing(args.listing):
         return state, Corpus.from_text(_read_text(args.listing),
                                        replace(cfg, max_len=state.config.max_len), vocab)
+
+
+def _save_model(state, vocab, path) -> None:
+    """The write side of ``_load``: ``vocab.tsv`` beside the checkpoint ``path``, then ``path``."""
+    vocab.save(os.path.join(os.path.dirname(os.path.abspath(path)), "vocab.tsv"))
+    state.save(path)
+    print(f"checkpoint written to {path}")
+
+
+def _finetune_optimizer(cfg, steps):
+    """AdamW for ``steps`` steps of fine-tuning, warmed up over at most a tenth of them."""
+    from .pretrain import AdamW
+    return AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm,
+                 warmup_steps=min(cfg.warmup, steps // 10), total_steps=steps)
 
 
 def _embedding(state, art):
@@ -305,8 +290,7 @@ def cmd_synth(args, cfg) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "corpus.asm"), corpus.listing)
     _write_json(os.path.join(args.out, "eval.json"), corpus.eval_spec)
-    _write_json(os.path.join(args.out, "pairs.json"),
-                [list(p) for p in corpus.pairs])
+    _write_json(os.path.join(args.out, "pairs.json"), [list(p) for p in corpus.pairs])
     _write_jsonl(os.path.join(args.out, "triplets.jsonl"), corpus.triplets)
     _write_jsonl(os.path.join(args.out, "typelabels.jsonl"), corpus.type_labels)
     _write_jsonl(os.path.join(args.out, "mlc.jsonl"), corpus.mlc_samples)
@@ -333,7 +317,6 @@ def cmd_pretrain(args, cfg) -> int:
     rng = np.random.default_rng(cfg.seed)
 
     os.makedirs(out_dir, exist_ok=True)
-    corpus.vocab.save(os.path.join(out_dir, "vocab.tsv"))
     queue: list[int] = []
     lines = ["step,mlm_loss,mdm_loss,total,lr"]
     for _ in range(cfg.steps):
@@ -347,8 +330,7 @@ def cmd_pretrain(args, cfg) -> int:
             print(f"step {m.step}: mlm {m.mlm_loss:.4f} mdm {m.mdm_loss:.4f} "
                   f"total {m.total:.4f}")
     _write_text(os.path.join(out_dir, "metrics.csv"), "\n".join(lines) + "\n")
-    state.save(os.path.join(out_dir, "model.ckpt"))
-    print(f"checkpoint written to {os.path.join(out_dir, 'model.ckpt')}")
+    _save_model(state, corpus.vocab, os.path.join(out_dir, "model.ckpt"))
     return 0
 
 
@@ -391,7 +373,6 @@ def cmd_finetune_sim(args, cfg) -> int:
 
     from .downstream import triplet_loss_grads
     from .encoder import backward, encode
-    from .pretrain import AdamW
 
     state, corpus = _load(args, cfg)
     with _reading(args.triplets):
@@ -399,9 +380,7 @@ def cmd_finetune_sim(args, cfg) -> int:
                     for t in _read_jsonl(args.triplets)]
         if not triplets:
             raise InputError("no triplets")
-    opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm,
-                warmup_steps=min(cfg.warmup, args.steps // 10),
-                total_steps=args.steps)
+    opt = _finetune_optimizer(cfg, args.steps)
     rng = np.random.default_rng(cfg.seed)
     for step in range(args.steps):
         grads = state.zero_grads()
@@ -420,15 +399,13 @@ def cmd_finetune_sim(args, cfg) -> int:
         opt.apply(state.params, grads)
         if (step + 1) % 10 == 0:
             print(f"step {step + 1}: triplet loss {loss_sum / cfg.batch_size:.4f}")
-    state.save(args.out)
-    print(f"checkpoint written to {args.out}")
+    _save_model(state, corpus.vocab, args.out)
     return 0
 
 
 def _label_ids():
     from .downstream import DEFAULT_TYPE_LABELS, NO_ACCESS
-    labels = list(DEFAULT_TYPE_LABELS) + [NO_ACCESS]
-    return {name: i for i, name in enumerate(labels)}
+    return {name: i for i, name in enumerate([*DEFAULT_TYPE_LABELS, NO_ACCESS])}
 
 
 def _labelled_positions(path, corpus, label_of):
@@ -459,7 +436,6 @@ def cmd_train_type(args, cfg) -> int:
 
     from .downstream import type_inference_loss
     from .encoder import backward, encode
-    from .pretrain import AdamW
 
     state, corpus = _load(args, cfg)
     label_of = _label_ids()
@@ -467,8 +443,7 @@ def cmd_train_type(args, cfg) -> int:
     names = [n for n in labelled if labelled[n]]
     if not names:
         raise InputError(f"{args.labels}: no labelled tokens")
-    opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm,
-                warmup_steps=min(cfg.warmup, args.steps // 10), total_steps=args.steps)
+    opt = _finetune_optimizer(cfg, args.steps)
     rng = np.random.default_rng(cfg.seed)
     for step in range(args.steps):
         grads = state.zero_grads()
@@ -486,8 +461,7 @@ def cmd_train_type(args, cfg) -> int:
         opt.apply(state.params, grads)
         if (step + 1) % 50 == 0:
             print(f"step {step + 1}: type loss {loss_sum / max(1, n_tokens):.4f}")
-    state.save(args.out)
-    print(f"checkpoint written to {args.out}")
+    _save_model(state, corpus.vocab, args.out)
     return 0
 
 
@@ -499,7 +473,6 @@ def cmd_eval_type(args, cfg) -> int:
 
     state, corpus = _load(args, cfg)
     label_of = _label_ids()
-    no_access = label_of["no-access"]
     labelled = _labelled_positions(args.labels, corpus, label_of)
     preds, gold = [], []
     for name, pairs in labelled.items():
@@ -511,7 +484,7 @@ def cmd_eval_type(args, cfg) -> int:
         for pos, label in pairs:
             preds.append(int(np.argmax(logits[pos])))
             gold.append(label)
-    p, r, f1 = type_prf(preds, gold, no_access)
+    p, r, f1 = type_prf(preds, gold, label_of["no-access"])
     print(json.dumps({"precision": p, "recall": r, "f1": f1, "tokens": len(gold)},
                      sort_keys=True))
     return 0

@@ -46,8 +46,10 @@ def connectivity(dep: DependenceGraph) -> ConnectivityGraph:
     if n > NODE_CAP:
         raise ClosureError(f"{n} nodes exceed the closure cap of {NODE_CAP}; truncate the "
                            "function upstream (tokenizer max_len) before building masks")
-    d = _levels(n, dep.directed_pairs()).T  # d[s, v]: BFS level of v from s, 0 while unreached
-    return ConnectivityGraph(n, np.where(d * d.T > 0, np.minimum(d, d.T), np.maximum(d, d.T)))
+    # BFS levels as unsigned, less one: an unreached 0 wraps to the largest value, so the
+    # minimum of the two directions is the shorter reached one, and 0 again if neither is
+    u = _levels(n, dep.directed_pairs()).view(np.uint32) - 1
+    return ConnectivityGraph(n, (np.minimum(u, u.T) + 1).view(np.int32))
 
 
 def _levels(n: int, pairs: set[tuple[int, int]]) -> np.ndarray:

@@ -225,6 +225,7 @@ def rename_variant(fn: ParsedFunction, rng: np.random.Generator,
 # Corpus assembly
 
 _MLC_MNEMONICS = ("mov", "add", "sub", "imul", "xor", "shl", "cmp", "lea")
+_MLC_GROUP = 3  # functions per multi-label sample
 
 
 def _type_label_for(surface: str) -> str | None:
@@ -252,7 +253,7 @@ class SynthCorpus:
 
 
 def build_corpus(n_functions: int, seed: int, pool_size: int = 10,
-                 with_variants: bool = True, mlc_group: int = 3) -> SynthCorpus:
+                 with_variants: bool = True) -> SynthCorpus:
     rng = np.random.default_rng(seed)
     base_lines: list[list[str]] = []
     names = []
@@ -324,7 +325,7 @@ def build_corpus(n_functions: int, seed: int, pool_size: int = 10,
     group: list[str] = []
     for name in names:
         group.append(name)
-        if len(group) == mlc_group:
+        if len(group) == _MLC_GROUP:
             shared = set.intersection(*(mnems[g] for g in group))
             labels = [1 if m in shared else 0 for m in _MLC_MNEMONICS]
             if 0 < sum(labels) < len(labels):

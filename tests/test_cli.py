@@ -612,6 +612,24 @@ class TestTrainingCommands:
         result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert {"precision", "recall", "f1"} <= set(result)
 
+    @pytest.mark.parametrize("command", ["train-type", "finetune-sim"])
+    def test_a_finetuned_checkpoint_loads_without_vocab(self, trained, tmp_path, command):
+        # the checkpoint lies apart from the pre-training run and its vocab.tsv
+        data, run = trained["data"], trained["run"]
+        listing = str(data / "corpus.asm")
+        if command == "train-type":
+            ckpt, labels = str(tmp_path / "typed.ckpt"), str(data / "typelabels.jsonl")
+            train = ["--labels", labels]
+            use = ["eval-type", listing, "--checkpoint", ckpt, "--labels", labels]
+        else:
+            ckpt = str(tmp_path / "ft.ckpt")
+            train = ["--triplets", str(data / "triplets.jsonl")]
+            use = ["embed", listing, "--checkpoint", ckpt, "--out", str(tmp_path / "e.jsonl")]
+        assert main([command, listing, "--checkpoint", str(run / "model.ckpt"), *train,
+                     "--out", ckpt, "--steps", "2", "--config", trained["cfg"]]) == 0
+        assert (tmp_path / "vocab.tsv").read_bytes() == (run / "vocab.tsv").read_bytes()
+        assert main(use) == 0
+
     def test_train_and_eval_mlc(self, trained, capsys):
         data, run = trained["data"], trained["run"]
         head = run / "mlc.json"

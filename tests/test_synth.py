@@ -132,7 +132,7 @@ def test_type_labels_positions_valid():
 
 
 def test_mlc_samples_have_positives():
-    corpus = build_corpus(9, seed=4, mlc_group=3)
+    corpus = build_corpus(9, seed=4)
     assert len(corpus.mlc_samples) == 3
     for row in corpus.mlc_samples:
         assert sum(row["labels"]) >= 1
