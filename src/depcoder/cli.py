@@ -77,12 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("finetune-sim", cmd_finetune_sim, model, "triplet fine-tuning")
     p.add_argument("--triplets", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=_at_least_1, default=50)
 
     p = command("train-type", cmd_train_type, model, "train the type-inference head")
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=300)
+    p.add_argument("--steps", type=_at_least_1, default=300)
 
     p = command("eval-type", cmd_eval_type, model, "type-inference P/R/F1")
     p.add_argument("--labels", required=True)
@@ -90,14 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train-mlc", cmd_train_mlc, model, "train attention pooling + multi-label head")
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=_at_least_1, default=200)
 
     p = command("eval-mlc", cmd_eval_mlc, model, "LRAP / LRL / ROC-AUC")
     p.add_argument("--samples", required=True)
     p.add_argument("--head", required=True)
 
     p = command("gradcheck", cmd_gradcheck, common, "finite-difference check of the reverse pass")
-    p.add_argument("--samples", type=int, default=220)
+    p.add_argument("--samples", type=_at_least_1, default=220)
 
     return parser
 
@@ -257,7 +257,7 @@ def _finetune_optimizer(cfg, steps):
 
 def _embedding(state, art):
     from .encoder import encode
-    return encode(art.seq.tokens, art.bundle, state, training=False).cls_embedding
+    return encode(art.seq.tokens, art.bundle, state).cls_embedding
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +359,9 @@ def cmd_eval_sim(args, cfg) -> int:
         queries = [embs[q] for q in spec["queries"]]
         pools = [[embs[c] for c in pool] for pool in spec["pools"]]
         truth = spec["truth"]
+        if not len(queries) == len(pools) == len(truth):
+            raise InputError(f"{len(queries)} queries, {len(pools)} pools and "
+                             f"{len(truth)} truth indices")
         if any(t not in range(len(pool)) for pool, t in zip(pools, truth)):
             raise InputError("a truth index lies outside its pool")
     result = {"queries": len(queries), "mrr": mrr(queries, pools, truth)}
@@ -387,8 +390,7 @@ def cmd_finetune_sim(args, cfg) -> int:
         loss_sum = 0.0
         for _ in range(cfg.batch_size):
             arts = triplets[int(rng.integers(len(triplets)))]
-            traces = [encode(a.seq.tokens, a.bundle, state, rng=rng, training=True)
-                      for a in arts]
+            traces = [encode(a.seq.tokens, a.bundle, state, rng=rng) for a in arts]
             loss, da, dp, dn = triplet_loss_grads(
                 *(tr.cls_embedding for tr in traces), margin=cfg.triplet_margin)
             loss_sum += loss
@@ -452,7 +454,7 @@ def cmd_train_type(args, cfg) -> int:
         loss_sum = 0.0
         for name in batch:
             art = corpus.by_name[name]
-            trace = encode(art.seq.tokens, art.bundle, state, rng=rng, training=True)
+            trace = encode(art.seq.tokens, art.bundle, state, rng=rng)
             loss, dh, head = type_inference_loss(trace, labelled[name], state)
             loss_sum += loss
             for k, g in head.items():
@@ -479,7 +481,7 @@ def cmd_eval_type(args, cfg) -> int:
         if not pairs:
             continue
         art = corpus.by_name[name]
-        trace = encode(art.seq.tokens, art.bundle, state, training=False)
+        trace = encode(art.seq.tokens, art.bundle, state)
         logits = type_logits(trace, state)
         for pos, label in pairs:
             preds.append(int(np.argmax(logits[pos])))
@@ -505,21 +507,10 @@ def _mlc_inputs(args, corpus, state, cfg):
     return y, [[embs[a.name] for a in pool] for pool in pools]
 
 
-def _mlc_forward(e, head):
-    """The pooled vector, label logits and label probabilities of one sample."""
-    import numpy as np
-
-    from .downstream import attention_pool
-
-    pooled, _ = attention_pool(e, head["query"])
-    logits = pooled @ head["w"] + head["b"]
-    return pooled, logits, 1.0 / (1.0 + np.exp(-logits))
-
-
 def cmd_train_mlc(args, cfg) -> int:
     import numpy as np
 
-    from .downstream import attention_pool_grads
+    from .downstream import multilabel_loss_grads
     from .pretrain import AdamW
 
     state, corpus = _load(args, cfg)
@@ -535,14 +526,10 @@ def cmd_train_mlc(args, cfg) -> int:
         grads = {k: np.zeros_like(v) for k, v in head.items()}
         loss_sum = 0.0
         for y, e in zip(ys, inputs):
-            pooled, logits, p = _mlc_forward(e, head)
-            loss_sum += float(np.logaddexp(0, logits).sum() - (y * logits).sum())
-            dlogits = (p - y) / len(ys)
-            grads["w"] += np.outer(pooled, dlogits)
-            grads["b"] += dlogits
-            d_pooled = head["w"] @ dlogits
-            _, d_query, _ = attention_pool_grads(e, head["query"], d_pooled)
-            grads["query"] += d_query
+            loss, sample_grads = multilabel_loss_grads(e, head, y)
+            loss_sum += loss
+            for k, g in sample_grads.items():
+                grads[k] += g / len(ys)
         opt.apply(head, grads)
         if (step + 1) % 50 == 0:
             print(f"step {step + 1}: mlc loss {loss_sum / len(ys):.4f}")
@@ -554,7 +541,7 @@ def cmd_train_mlc(args, cfg) -> int:
 def cmd_eval_mlc(args, cfg) -> int:
     import numpy as np
 
-    from .downstream import lrap, lrl, macro_roc_auc
+    from .downstream import lrap, lrl, macro_roc_auc, multilabel_probs
 
     state, corpus = _load(args, cfg)
     y, inputs = _mlc_inputs(args, corpus, state, cfg)
@@ -564,7 +551,7 @@ def cmd_eval_mlc(args, cfg) -> int:
         head = {k: np.asarray(v, dtype=np.float64) for k, v in dict(json.load(fh)).items()}
         if {k: v.shape for k, v in head.items()} != shapes:
             raise InputError(f"want the head shapes {shapes}")
-    f = np.stack([_mlc_forward(e, head)[2] for e in inputs])
+    f = np.stack([multilabel_probs(e, head) for e in inputs])
     print(json.dumps({"lrap": lrap(y, f), "lrl": lrl(y, f),
                       "roc_auc": macro_roc_auc(y, f), "samples": len(y)},
                      sort_keys=True))

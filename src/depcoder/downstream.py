@@ -2,7 +2,7 @@
 
 Covers embedding-based binary similarity (cosine ranking, recall@k, MRR,
 triplet fine-tuning), per-token type inference with no-access-aware P/R/F1
-accounting, attention pooling and the multi-label ranking metrics
+accounting, the attention-pooled multi-label head and its ranking metrics
 (LRAP, label ranking loss, macro ROC-AUC).
 """
 
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoder import EncoderState, ForwardTrace, head_cross_entropy
+from .encoder import (EncoderState, ForwardTrace, binary_cross_entropy, head_cross_entropy,
+                      sigmoid)
 from .errors import MetricsError
 
 
@@ -141,7 +142,7 @@ def type_prf(predictions: list[int], gold: list[int], no_access_id: int):
 
 
 # ---------------------------------------------------------------------------
-# Attention pooling + multi-label metrics
+# Attention pooling + multi-label head and metrics
 
 def attention_pool(embeddings: list[np.ndarray], query: np.ndarray):
     """Softmax-weighted pooling of function embeddings against a learnable
@@ -154,16 +155,23 @@ def attention_pool(embeddings: list[np.ndarray], query: np.ndarray):
     return w @ e, w
 
 
-def attention_pool_grads(embeddings: list[np.ndarray], query: np.ndarray,
-                         d_pooled: np.ndarray):
-    """Gradients of the pooled vector w.r.t. the query and each embedding."""
+def multilabel_probs(embeddings: list[np.ndarray], head: dict[str, np.ndarray]) -> np.ndarray:
+    """The per-label probabilities of the head ``query``/``w``/``b`` for one
+    sample, the embeddings of its functions."""
+    pooled, _ = attention_pool(embeddings, head["query"])
+    return sigmoid(pooled @ head["w"] + head["b"])
+
+
+def multilabel_loss_grads(embeddings: list[np.ndarray], head: dict[str, np.ndarray],
+                          y: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+    """Summed sigmoid cross-entropy of one sample's labels ``y``, and its
+    gradients w.r.t. the head's ``query``, ``w`` and ``b``."""
     e = np.stack(embeddings)
-    pooled, w = attention_pool(embeddings, query)
-    d_w = e @ d_pooled                       # (k,)
-    d_scores = w * (d_w - float(w @ d_w))    # softmax backward
-    d_query = e.T @ d_scores
-    d_e = np.outer(w, d_pooled) + d_scores[:, None] * query[None, :]
-    return pooled, d_query, [d_e[i] for i in range(len(embeddings))]
+    pooled, weights = attention_pool(embeddings, head["query"])
+    loss, dlogits = binary_cross_entropy(pooled @ head["w"] + head["b"], y)
+    d_weights = e @ (head["w"] @ dlogits)
+    d_scores = weights * (d_weights - float(weights @ d_weights))  # softmax backward
+    return loss, {"query": e.T @ d_scores, "w": np.outer(pooled, dlogits), "b": dlogits}
 
 
 def _check_batch(y: np.ndarray, f: np.ndarray) -> None:

@@ -15,14 +15,14 @@ Neither M nor B is built.  ``encode`` takes the mask as its
 ``AttentionPairs``, the P entries where M is 0, and each layer gathers
 Q_i K_i^T at those pairs into a (heads, P) array.  ``beta`` is added at the
 pairs where R > 0, and the softmax runs per row segment of the pair list,
-so a disabled entry gets exactly zero weight.  Dropout draws one value per
-head and pair.  The two products, Q K^T and weights times V, stay dense
-BLAS matmuls, which the pair list runs in a reused zero workspace (see
-``masks``): ``gather_product`` takes Q K^T at the pairs, and
-``spread_product`` multiplies the weights, zero off the pairs, by V.  The
-reverse pass makes the same two calls, the second also transposed, so no
-(heads, N, N) array reaches this module, and it adds the logit gradients at
-the biased pairs into ``beta`` in one ``np.add.at``.
+so a disabled entry gets exactly zero weight.  Dropout is drawn only when
+``encode`` is given an rng, one value per head and pair.  The two products,
+Q K^T and weights times V, stay dense BLAS matmuls, which the pair list runs
+in a reused zero workspace (see ``masks``): ``gather_product`` takes Q K^T at
+the pairs, and ``spread_product`` multiplies the weights, zero off the pairs,
+by V.  The reverse pass makes the same two calls, the second also transposed,
+so no (heads, N, N) array reaches this module, and it adds the logit
+gradients at the biased pairs into ``beta`` in one ``np.add.at``.
 
 A float32 model computes in float32 throughout.  The projections are
 batched matmuls on the (heads, d, dk) weights, and the softmax and its
@@ -266,10 +266,20 @@ def _layer_norm_backward(dy, xhat, inv_std, g):
     return dx, dg, db
 
 
+def _dropout_mask(rng: np.random.Generator | None, shape, cfg: EncoderConfig):
+    """An inverted-dropout mask of ``shape``, or None when ``rng`` is None or
+    the model has no dropout."""
+    if rng is None or cfg.dropout == 0.0:
+        return None
+    keep = 1.0 - cfg.dropout
+    return (rng.random(shape) < keep).astype(cfg.np_dtype) / keep
+
+
 def rma_attention(h: np.ndarray, pairs: AttentionPairs, layer: int, state: EncoderState,
-                  rng: np.random.Generator | None = None, training: bool = False):
+                  rng: np.random.Generator | None = None):
     """One regularized multi-head attention application over the enabled
-    ``pairs``; returns the output and the cache needed for the reverse pass."""
+    ``pairs``; returns the output and the cache needed for the reverse pass.
+    Its weights are dropped out when an ``rng`` is given."""
     cfg = state.config
     p = state.params
     dk = cfg.head_dim
@@ -287,14 +297,8 @@ def rma_attention(h: np.ndarray, pairs: AttentionPairs, layer: int, state: Encod
     scores /= pairs.row_sum(scores)
     probs = scores
 
-    attn_drop = None
-    used = probs
-    if training and cfg.dropout > 0.0:
-        if rng is None:
-            raise ValueError("training mode requires an rng for dropout")
-        keep = 1.0 - cfg.dropout
-        attn_drop = (rng.random(probs.shape) < keep).astype(cfg.np_dtype) / keep
-        used = probs * attn_drop
+    attn_drop = _dropout_mask(rng, probs.shape, cfg)
+    used = probs if attn_drop is None else probs * attn_drop
 
     z = pairs.spread_product(used, v)  # (heads, N, dk)
     z_cat = z.transpose(1, 0, 2).reshape(h.shape[0], cfg.hidden)
@@ -303,11 +307,9 @@ def rma_attention(h: np.ndarray, pairs: AttentionPairs, layer: int, state: Encod
 
 
 def transformer_block(h: np.ndarray, pairs: AttentionPairs, layer: int, state: EncoderState,
-                      rng: np.random.Generator | None = None, training: bool = False):
-    cfg = state.config
+                      rng: np.random.Generator | None = None):
     p = state.params
-    attn_out, (q, k, v, probs, attn_drop, z_cat) = rma_attention(
-        h, pairs, layer, state, rng, training)
+    attn_out, (q, k, v, probs, attn_drop, z_cat) = rma_attention(h, pairs, layer, state, rng)
     # biases and residuals are added in place to the products just made
     attn_out += h
     z1, xhat1, inv_std1 = _layer_norm(attn_out, p[f"l{layer}.ln1_g"], p[f"l{layer}.ln1_b"])
@@ -316,10 +318,8 @@ def transformer_block(h: np.ndarray, pairs: AttentionPairs, layer: int, state: E
     ffn_act, ffn_tanh = _gelu(ffn_pre)
     ffn_out = ffn_act @ p[f"l{layer}.w2"]
     ffn_out += p[f"l{layer}.b2"]
-    ffn_drop = None
-    if training and cfg.dropout > 0.0:
-        keep = 1.0 - cfg.dropout
-        ffn_drop = (rng.random(ffn_out.shape) < keep).astype(cfg.np_dtype) / keep
+    ffn_drop = _dropout_mask(rng, ffn_out.shape, state.config)
+    if ffn_drop is not None:
         ffn_out *= ffn_drop
     ffn_out += z1
     h_out, xhat2, inv_std2 = _layer_norm(ffn_out, p[f"l{layer}.ln2_g"], p[f"l{layer}.ln2_b"])
@@ -331,14 +331,15 @@ def transformer_block(h: np.ndarray, pairs: AttentionPairs, layer: int, state: E
 
 
 def encode(token_ids, pairs: AttentionPairs, state: EncoderState,
-           rng: np.random.Generator | None = None, training: bool = False) -> ForwardTrace:
+           rng: np.random.Generator | None = None) -> ForwardTrace:
     """Run the full encoder over the mask ``pairs``; the trace keeps what the
-    reverse pass needs."""
+    reverse pass needs.  Given an ``rng``, the training pass: dropout is drawn
+    from it when the model's ``dropout`` is above 0."""
     ids = np.asarray(token_ids, dtype=np.int64)
     h = embed_inputs(ids, state).astype(state.config.np_dtype)
     caches = []
     for layer in range(state.config.layers):
-        h, cache = transformer_block(h, pairs, layer, state, rng, training)
+        h, cache = transformer_block(h, pairs, layer, state, rng)
         if not np.all(np.isfinite(h)):
             raise NumericsError(f"non-finite activations after layer {layer}")
         caches.append(cache)
@@ -427,3 +428,16 @@ def head_cross_entropy(trace: ForwardTrace, positions: list[int], targets: list[
     dlogits[rows, targets] -= 1.0
     dh[positions] = dlogits @ w.T
     return loss, dh, {f"{head}_w": hs.T @ dlogits, f"{head}_b": dlogits.sum(axis=0)}
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    # the tanh form cannot overflow for large |x|
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def binary_cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Summed sigmoid cross-entropy of ``logits`` against 0/1 labels ``y``, and
+    its gradient w.r.t. the logits."""
+    # y * softplus(-x) + (1 - y) * softplus(x), numerically stable
+    loss = float(np.logaddexp(0.0, np.where(y > 0, -logits, logits)).sum())
+    return loss, sigmoid(logits) - y

@@ -106,6 +106,7 @@ class ParsedFunction:
 
 _IDENT_RE = re.compile(r"^[.\w$@]+$")
 _NUM_RE = re.compile(r"^[+-]?(0[xX][0-9a-fA-F]+|\d+)$")
+_SIGN_RE = re.compile(r"([+-])")
 
 
 def _parse_int(text: str) -> int:
@@ -124,20 +125,11 @@ def _parse_memory(inner: str, line_no: int, raw: str) -> Operand:
     scale = 1
     disp = 0
     have_disp = False
-    # split into signed terms on top-level +/-
-    terms: list[tuple[int, str]] = []
-    sign, buf = 1, []
-    for ch in inner + "+":
-        if ch in "+-":
-            term = "".join(buf).strip()
-            if term:
-                terms.append((sign, term))
-            elif terms or sign == -1:
-                pass  # leading sign of the next term
-            sign = 1 if ch == "+" else -1
-            buf = []
-        else:
-            buf.append(ch)
+    # signed terms: each takes the sign just before it, and blank ones drop out
+    parts = _SIGN_RE.split(inner)
+    terms = [(-1 if sign == "-" else 1, term)
+             for sign, raw_term in zip(["+", *parts[1::2]], parts[::2])
+             if (term := raw_term.strip())]
     if not terms:
         raise ParseError(f"empty memory operand in {raw!r}", line_no)
     for tsign, term in terms:

@@ -68,7 +68,7 @@ def build_setup(seed: int = 0) -> GradcheckSetup:
 def total_loss(setup: GradcheckSetup) -> float:
     loss = 0.0
     for ids, pairs, pert, sample, seq, labels in setup.cases:
-        trace = encode(ids, pairs, setup.state, training=False)
+        trace = encode(ids, pairs, setup.state)
         l_mlm, _, _ = mlm_loss(trace, pert, setup.state)
         l_mdm, _ = mdm_loss(trace, sample, seq)
         l_type, _, _ = type_inference_loss(trace, labels, setup.state)
@@ -79,7 +79,7 @@ def total_loss(setup: GradcheckSetup) -> float:
 def analytic_grads(setup: GradcheckSetup) -> dict[str, np.ndarray]:
     grads = setup.state.zero_grads()
     for ids, pairs, pert, sample, seq, labels in setup.cases:
-        trace = encode(ids, pairs, setup.state, training=False)
+        trace = encode(ids, pairs, setup.state)
         _, dh_mlm, mlm_head = mlm_loss(trace, pert, setup.state)
         _, dh_mdm = mdm_loss(trace, sample, seq)
         _, dh_type, type_head = type_inference_loss(trace, labels, setup.state)

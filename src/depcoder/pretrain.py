@@ -19,8 +19,8 @@ import numpy as np
 
 from .connectivity import ConnectivityGraph
 from .corpus import FunctionArtifacts
-from .encoder import (EncoderState, ForwardTrace, NumericsError, backward, encode,
-                      head_cross_entropy)
+from .encoder import (EncoderState, ForwardTrace, NumericsError, backward,
+                      binary_cross_entropy, encode, head_cross_entropy, sigmoid)
 from .frontend import CLS_ID, FIRST_REGULAR_ID, INST_ID, MASK_ID, PAD_ID, TokenSequence
 from .masks import AttentionPairs, build_bundle
 
@@ -68,9 +68,11 @@ def mlm_perturb(seq: TokenSequence, vocab_size: int, rng: np.random.Generator,
 
 @dataclass
 class EdgeSample:
-    nodes: list[int]
-    positives: list[tuple[int, int]]
-    negatives: list[tuple[int, int]]
+    """The sampled instruction indices, ascending, and the positive and
+    negative edges as (E, 2) int arrays of ``u < v`` rows in row-major order."""
+    nodes: np.ndarray
+    positives: np.ndarray
+    negatives: np.ndarray
 
 
 def mdm_sample(con: ConnectivityGraph, n_nodes: int, rng: np.random.Generator,
@@ -79,20 +81,20 @@ def mdm_sample(con: ConnectivityGraph, n_nodes: int, rng: np.random.Generator,
     non-edges (all available when the complement is smaller)."""
     k = int(round(node_frac * n_nodes))
     if k == 0:
-        return EdgeSample(nodes=[], positives=[], negatives=[])
-    sampled = sorted(int(x) for x in rng.choice(n_nodes, size=k, replace=False))
+        none = np.zeros((0, 2), dtype=np.int64)
+        return EdgeSample(nodes=np.zeros(0, dtype=np.int64), positives=none, negatives=none)
+    sampled = np.sort(rng.choice(n_nodes, size=k, replace=False))
     in_sample = np.zeros(n_nodes, dtype=bool)
     in_sample[sampled] = True
     # pairs u < v with an end in the sample, row-major like the edge lists
     touched = np.triu(in_sample[:, None] | in_sample[None, :], 1)
     linked = con.dist[:n_nodes, :n_nodes] > 0
-    positives = [(u, v) for u, v in np.argwhere(touched & linked).tolist()]
+    positives = np.argwhere(touched & linked)
     candidates = np.argwhere(touched & ~linked)
     n_neg = min(len(positives), len(candidates))
-    negatives = []
+    negatives = candidates[:0]
     if n_neg:
-        idx = np.sort(rng.choice(len(candidates), size=n_neg, replace=False))
-        negatives = [(u, v) for u, v in candidates[idx].tolist()]
+        negatives = candidates[np.sort(rng.choice(len(candidates), size=n_neg, replace=False))]
     return EdgeSample(nodes=sampled, positives=positives, negatives=negatives)
 
 
@@ -102,16 +104,10 @@ def perturb_bundle(seq: TokenSequence, dist: np.ndarray,
     which the sampled positive edges are deleted (distance 0) and the
     negatives injected (distance 1).  ``dist`` itself is never modified."""
     d = dist[:seq.n_instructions, :seq.n_instructions].copy()
-    for t, s in sample.positives:
-        d[t, s] = d[s, t] = 0
-    for t, s in sample.negatives:
-        d[t, s] = d[s, t] = 1
+    for edges, value in ((sample.positives, 0), (sample.negatives, 1)):
+        t, s = edges.T
+        d[t, s] = d[s, t] = value
     return build_bundle(seq, d)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form avoids exp overflow for large |x|
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def mlm_loss(trace: ForwardTrace, pert: MlmPerturbation, state: EncoderState):
@@ -124,8 +120,9 @@ def _edge_logits(trace: ForwardTrace, sample: EdgeSample, seq: TokenSequence):
     """Per sampled edge (positives first): the ``<INST>`` positions ``u`` and
     ``v`` of its ends, their final hidden rows, its label and its logit
     ``h_u . h_v``."""
-    edges = np.array(sample.positives + sample.negatives, dtype=np.int64).reshape(-1, 2)
-    pos = np.array([seq.inst_positions[t] for t in range(seq.n_instructions)], dtype=np.int64)
+    edges = np.concatenate([sample.positives, sample.negatives])
+    # instructions are kept as a prefix, so the keys run 0, 1, ... in order
+    pos = np.fromiter(seq.inst_positions.values(), dtype=np.int64, count=seq.n_instructions)
     u, v = pos[edges[:, 0]], pos[edges[:, 1]]
     hu, hv = trace.final[u], trace.final[v]
     y = np.zeros(len(edges), dtype=trace.final.dtype)
@@ -137,12 +134,10 @@ def mdm_loss(trace: ForwardTrace, sample: EdgeSample, seq: TokenSequence):
     """Binary cross-entropy of sigmoid(h_u . h_v) over the balanced edge set,
     using the final-layer <INST> hidden states."""
     u, v, hu, hv, y, dot = _edge_logits(trace, sample, seq)
-    # y*softplus(-dot) + (1-y)*softplus(dot), numerically stable
-    loss = float(np.logaddexp(0.0, np.where(y > 0, -dot, dot)).sum())
-    dd = (_sigmoid(dot) - y)[:, None]
+    loss, ddot = binary_cross_entropy(dot, y)
     dh = np.zeros_like(trace.final)
-    np.add.at(dh, u, dd * hv)
-    np.add.at(dh, v, dd * hu)
+    np.add.at(dh, u, ddot[:, None] * hv)
+    np.add.at(dh, v, ddot[:, None] * hu)
     return loss, dh
 
 
@@ -150,7 +145,7 @@ def edge_probabilities(trace: ForwardTrace, sample: EdgeSample,
                        seq: TokenSequence) -> list[tuple[float, int]]:
     """(probability, label) per sampled edge, for the recoverability probe."""
     *_, y, dot = _edge_logits(trace, sample, seq)
-    return list(zip(_sigmoid(dot).tolist(), y.astype(int).tolist()))
+    return list(zip(sigmoid(dot).tolist(), y.astype(int).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +268,7 @@ def train_step(items: list[FunctionArtifacts], state: EncoderState, opt: AdamW,
         ids, pert = mlm_perturb(item.seq, state.config.vocab_size, rng, mlm_rate)
         sample = mdm_sample(item.con, item.seq.n_instructions, rng, node_frac)
         pairs = perturb_bundle(item.seq, item.con.dist, sample)
-        trace = encode(ids, pairs, state, rng=rng, training=True)
+        trace = encode(ids, pairs, state, rng=rng)
         prepared.append((item, pert, sample, trace))
 
     n_masked = sum(len(p) for _, p, _, _ in prepared)

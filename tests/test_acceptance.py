@@ -288,10 +288,10 @@ def test_criterion_07_pretraining_smoke(smoke_run):
     correct = total = 0
     for art in corpus.functions:
         sample = mdm_sample(art.con, art.seq.n_instructions, rng)
-        if not sample.positives and not sample.negatives:
+        if not len(sample.positives) and not len(sample.negatives):
             continue
         pairs = perturb_bundle(art.seq, art.con.dist, sample)
-        trace = encode(art.seq.tokens, pairs, state, training=False)
+        trace = encode(art.seq.tokens, pairs, state)
         for p, y in edge_probabilities(trace, sample, art.seq):
             correct += int((p > 0.5) == bool(y))
             total += 1
@@ -307,8 +307,7 @@ def test_criterion_07_pretraining_smoke(smoke_run):
 def test_criterion_08_zero_shot_directional(smoke_run):
     corpus, state, synth = smoke_run["corpus"], smoke_run["state"], smoke_run["synth"]
     t0 = time.monotonic()
-    embs = {art.name: encode(art.seq.tokens, art.bundle, state,
-                             training=False).cls_embedding
+    embs = {art.name: encode(art.seq.tokens, art.bundle, state).cls_embedding
             for art in corpus.functions}
     spec = synth.eval_spec
     queries = [embs[q] for q in spec["queries"]]

@@ -438,22 +438,22 @@ COMMAND_ARGS = {
     "finetune-sim": {**MODEL_ARGS,
                      "triplets": (("--triplets",), None, True, None, None),
                      "out": (("--out",), None, True, None, None),
-                     "steps": (("--steps",), 50, False, "int", None)},
+                     "steps": (("--steps",), 50, False, "_at_least_1", None)},
     "train-type": {**MODEL_ARGS,
                    "labels": (("--labels",), None, True, None, None),
                    "out": (("--out",), None, True, None, None),
-                   "steps": (("--steps",), 300, False, "int", None)},
+                   "steps": (("--steps",), 300, False, "_at_least_1", None)},
     "eval-type": {**MODEL_ARGS,
                   "labels": (("--labels",), None, True, None, None)},
     "train-mlc": {**MODEL_ARGS,
                   "samples": (("--samples",), None, True, None, None),
                   "out": (("--out",), None, True, None, None),
-                  "steps": (("--steps",), 200, False, "int", None)},
+                  "steps": (("--steps",), 200, False, "_at_least_1", None)},
     "eval-mlc": {**MODEL_ARGS,
                  "samples": (("--samples",), None, True, None, None),
                  "head": (("--head",), None, True, None, None)},
     "gradcheck": {**COMMON_ARGS,
-                  "samples": (("--samples",), 220, False, "int", None)},
+                  "samples": (("--samples",), 220, False, "_at_least_1", None)},
 }
 
 
@@ -723,8 +723,10 @@ def bad_input(case, tmp_path, trained):
         rows.append({"function": "other", "embedding": [1.0, 2.0]})
     embs = write(tmp_path / "e.jsonl", "".join(json.dumps(row) + "\n" for row in rows))
     query, truth = ("absent", 0) if case == "eval_spec_of_an_absent_embedding" else ("chain", 1)
-    path = write(tmp_path / "spec.json", json.dumps(
-        {"queries": [query], "pools": [["chain"]], "truth": [truth]}))
+    spec = {"queries": [query], "pools": [["chain"]], "truth": [truth]}
+    if case == "eval_spec_of_lists_of_two_lengths":
+        spec = {"queries": ["chain", "chain"], "pools": [["chain"]], "truth": [0]}
+    path = write(tmp_path / "spec.json", json.dumps(spec))
     return ["eval-sim", "--embeddings", embs, "--eval-spec", path], \
         embs if case == "embeddings_of_two_lengths" else path
 
@@ -743,7 +745,8 @@ class TestExitCodes:
         "directory_listing", "non_utf8_listing", "directory_vocab", "vocab_of_another_size",
         "labels_row_without_labels", "triplet_of_an_absent_function",
         "eval_spec_of_an_absent_embedding", "truth_index_outside_its_pool",
-        "embeddings_of_two_lengths", "sample_without_a_function", "head_of_a_wrong_shape"])
+        "eval_spec_of_lists_of_two_lengths", "embeddings_of_two_lengths",
+        "sample_without_a_function", "head_of_a_wrong_shape"])
     def test_bad_input_exits_2_naming_the_file(self, trained, tmp_path, capsys, case):
         argv, path = bad_input(case, tmp_path, trained)
         assert main(argv) == 2
@@ -789,6 +792,22 @@ class TestExitCodes:
                 main(["synth", "--out", str(tmp_path / "s"), flag, value])
             assert exit_.value.code == 2, (flag, value)
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["finetune-sim", "a.asm", "--checkpoint", "m.ckpt", "--triplets", "t.jsonl",
+         "--out", "f.ckpt", "--steps"],
+        ["train-type", "a.asm", "--checkpoint", "m.ckpt", "--labels", "l.jsonl",
+         "--out", "t.ckpt", "--steps"],
+        ["train-mlc", "a.asm", "--checkpoint", "m.ckpt", "--samples", "s.jsonl",
+         "--out", "h.json", "--steps"],
+        ["gradcheck", "--samples"],
+    ], ids=lambda argv: argv[0])
+    def test_step_and_sample_counts_below_1_exit_2(self, argv, value):
+        # argparse rejects them before any file is read
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, value])
+        assert exit_.value.code == 2
 
     def test_a_bug_is_not_an_input_error(self, tmp_path, monkeypatch, chain_listing):
         from depcoder import corpus
@@ -905,7 +924,7 @@ class TestTypeOverfit:
             rows = [json.loads(l) for l in fh if l.strip()]
         for row in rows:
             art = corpus.by_name[row["function"]]
-            trace = encode(art.seq.tokens, art.bundle, state, training=False)
+            trace = encode(art.seq.tokens, art.bundle, state)
             logits = type_logits(trace, state)
             for pos, label in row["labels"]:
                 if pos < len(art.seq):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from depcoder.downstream import (DEFAULT_TYPE_LABELS, MetricsError, NO_ACCESS,
-                                 attention_pool, attention_pool_grads, cosine,
-                                 cosine_rank, lrap, lrl, macro_roc_auc, mrr,
-                                 recall_at_k, roc_auc, triplet_loss,
+                                 attention_pool, cosine, cosine_rank, lrap, lrl,
+                                 macro_roc_auc, mrr, multilabel_loss_grads,
+                                 multilabel_probs, recall_at_k, roc_auc, triplet_loss,
                                  triplet_loss_grads, type_prf)
 
 from oracles import brute_force_rank, naive_lrap, naive_lrl, trapezoid_auc
@@ -195,33 +195,42 @@ class TestAttentionPool:
         assert np.allclose(w, [0.5, 0.5])
         assert np.allclose(pooled, [1.0, 1.0])
 
-    def test_grads_match_finite_differences(self):
-        rng = np.random.default_rng(6)
+
+class TestMultilabelHead:
+    @staticmethod
+    def sample(seed=6, n_labels=3):
+        rng = np.random.default_rng(seed)
         embs = [rng.standard_normal(5) for _ in range(4)]
-        query = rng.standard_normal(5)
-        d_pooled = rng.standard_normal(5)
-        _, d_query, d_embs = attention_pool_grads(embs, query, d_pooled)
+        head = {"query": rng.standard_normal(5), "w": rng.standard_normal((5, n_labels)),
+                "b": rng.standard_normal(n_labels)}
+        return embs, head, np.array([1.0, 0.0, 1.0])
+
+    def test_loss_is_the_summed_binary_cross_entropy(self):
+        embs, head, y = self.sample()
+        scores = np.array([e @ head["query"] for e in embs])
+        weights = np.exp(scores) / np.exp(scores).sum()
+        logits = sum(w * e for w, e in zip(weights, embs)) @ head["w"] + head["b"]
+        p = 1.0 / (1.0 + np.exp(-logits))
+        assert np.allclose(multilabel_probs(embs, head), p, rtol=1e-12, atol=0)
+        loss, _ = multilabel_loss_grads(embs, head, y)
+        want = -float((y * np.log(p) + (1 - y) * np.log(1 - p)).sum())
+        assert loss == pytest.approx(want, rel=1e-12)
+
+    def test_grads_match_finite_differences(self):
+        embs, head, y = self.sample()
+        _, grads = multilabel_loss_grads(embs, head, y)
+        assert {k: g.shape for k, g in grads.items()} == {k: v.shape for k, v in head.items()}
         eps = 1e-6
-
-        def scalar():
-            pooled, _ = attention_pool(embs, query)
-            return float(pooled @ d_pooled)
-
-        for i in range(5):
-            query[i] += eps
-            up = scalar()
-            query[i] -= 2 * eps
-            down = scalar()
-            query[i] += eps
-            assert d_query[i] == pytest.approx((up - down) / (2 * eps), abs=1e-6)
-        for j in range(4):
-            for i in range(5):
-                embs[j][i] += eps
-                up = scalar()
-                embs[j][i] -= 2 * eps
-                down = scalar()
-                embs[j][i] += eps
-                assert d_embs[j][i] == pytest.approx((up - down) / (2 * eps), abs=1e-6)
+        for name, param in head.items():
+            flat = param.reshape(-1)
+            for i in range(flat.size):
+                flat[i] += eps
+                up, _ = multilabel_loss_grads(embs, head, y)
+                flat[i] -= 2 * eps
+                down, _ = multilabel_loss_grads(embs, head, y)
+                flat[i] += eps
+                assert grads[name].reshape(-1)[i] == pytest.approx(
+                    (up - down) / (2 * eps), abs=1e-6), f"{name}[{i}]"
 
 
 class TestLabelRanking:

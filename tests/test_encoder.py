@@ -187,8 +187,7 @@ class TestBlockAndEncode:
                             vocab_size=len(corpus.vocab), max_len=128,
                             dropout=dropout, dtype="float64")
         state = EncoderState.init(cfg, 0)
-        trace = encode(art.seq.tokens, art.bundle, state,
-                       rng=np.random.default_rng(0), training=True)
+        trace = encode(art.seq.tokens, art.bundle, state, rng=np.random.default_rng(0))
         n = len(art.seq)
         assert len(trace.pairs) < n * n
         for c in trace.caches:
@@ -197,6 +196,21 @@ class TestBlockAndEncode:
                 assert value is None or value.shape[-2:] != (n, n), f.name
             assert c.probs.shape == (2, len(trace.pairs))
             assert c.attn_drop is None or c.attn_drop.shape == c.probs.shape
+
+    def test_without_an_rng_no_dropout_is_drawn(self, corpus, art):
+        states = [make_state(corpus), make_state(corpus)]
+        states[1].config.dropout = 0.5
+        plain, dropped = (encode(art.seq.tokens, art.bundle, state) for state in states)
+        assert np.array_equal(dropped.final, plain.final)
+        for c, want in zip(dropped.caches, plain.caches):
+            assert c.attn_drop is None and c.ffn_drop is None
+            for f in dataclasses.fields(c):
+                now, then = getattr(c, f.name), getattr(want, f.name)
+                assert now is then is None or np.array_equal(now, then), f.name
+        # the same model draws its dropout when it is given an rng
+        drawn = encode(art.seq.tokens, art.bundle, states[1], rng=np.random.default_rng(0))
+        assert all(c.attn_drop is not None and c.ffn_drop is not None for c in drawn.caches)
+        assert not np.array_equal(drawn.final, plain.final)
 
     def test_reordered_program_same_cls_without_positions(self):
         rng = np.random.default_rng(8)
@@ -260,7 +274,7 @@ class TestBackward:
                             dropout=0.5, dtype="float64")
         state = EncoderState.init(cfg, 0)
         rng = np.random.default_rng(0)
-        trace = encode(art.seq.tokens, art.bundle, state, rng=rng, training=True)
+        trace = encode(art.seq.tokens, art.bundle, state, rng=rng)
         grads = backward(trace, np.ones_like(trace.final), state)
         assert np.isfinite(grads["tok_emb"]).all()
 
@@ -270,8 +284,7 @@ class TestBackward:
                             vocab_size=len(corpus.vocab), max_len=128,
                             dropout=dropout, dtype="float64")
         state = EncoderState.init(cfg, 0)
-        trace = encode(art.seq.tokens, art.bundle, state,
-                       rng=np.random.default_rng(0), training=True)
+        trace = encode(art.seq.tokens, art.bundle, state, rng=np.random.default_rng(0))
         before = copy.deepcopy(trace.caches)
         d_final = np.random.default_rng(1).standard_normal(trace.final.shape)
         first = backward(trace, d_final, state)
@@ -300,8 +313,7 @@ class TestWorkspace:
 
     @staticmethod
     def run(art, state):
-        trace = encode(art.seq.tokens, art.bundle, state, rng=np.random.default_rng(0),
-                       training=True)
+        trace = encode(art.seq.tokens, art.bundle, state, rng=np.random.default_rng(0))
         grads = backward(trace, np.ones_like(trace.final), state)
         return [trace.final, *(grads[name] for name in sorted(grads))]
 

@@ -26,6 +26,12 @@ def fabricated_seq(n_eligible=100):
                          inst_positions={0: 1})
 
 
+def edge_sample(nodes=(), positives=(), negatives=()):
+    """An ``EdgeSample`` of the instruction indices ``nodes`` and the edge lists."""
+    edges = [np.array(e, dtype=np.int64).reshape(-1, 2) for e in (positives, negatives)]
+    return EdgeSample(np.array(nodes, dtype=np.int64), *edges)
+
+
 def complete_connectivity(n):
     dist = np.ones((n, n), dtype=np.int32)
     np.fill_diagonal(dist, 0)
@@ -89,12 +95,12 @@ class TestMdmSample:
     def test_empty_graph(self):
         con = ConnectivityGraph(n_nodes=5, dist=np.zeros((5, 5), dtype=np.int32))
         sample = mdm_sample(con, 5, np.random.default_rng(0))
-        assert sample.positives == [] and sample.negatives == []
+        assert sample.positives.shape == sample.negatives.shape == (0, 2)
 
     def test_complete_graph_exhausts_negatives(self):
         con = complete_connectivity(5)
         sample = mdm_sample(con, 5, np.random.default_rng(0))
-        assert sample.positives and sample.negatives == []
+        assert len(sample.positives) and sample.negatives.shape == (0, 2)
 
     def test_node_fraction(self):
         con = complete_connectivity(20)
@@ -113,22 +119,26 @@ class TestMdmSample:
                         dist[u, v] = dist[v, u] = 1
             con = ConnectivityGraph(n_nodes=n, dist=dist)
             sample = mdm_sample(con, n, rng)
-            in_s = set(sample.nodes)
+            in_s = set(sample.nodes.tolist())
+            assert sample.nodes.tolist() == sorted(in_s)
             touched = [(u, v) for u in range(n) for v in range(u + 1, n)
                        if u in in_s or v in in_s]
             candidates = [(u, v) for u, v in touched if con.dist[u, v] == 0]
-            assert sample.positives == [(u, v) for u, v in touched if con.dist[u, v] > 0]
-            assert set(sample.negatives) <= set(candidates)
-            assert sample.negatives == sorted(sample.negatives)
-            assert len(sample.negatives) == min(len(sample.positives), len(candidates))
-            assert not (set(sample.positives) & set(sample.negatives))
+            assert sample.positives.shape[1:] == sample.negatives.shape[1:] == (2,)
+            positives, negatives = ([tuple(e) for e in edges.tolist()]
+                                    for edges in (sample.positives, sample.negatives))
+            assert positives == [(u, v) for u, v in touched if con.dist[u, v] > 0]
+            assert set(negatives) <= set(candidates)
+            assert negatives == sorted(negatives)
+            assert len(negatives) == min(len(positives), len(candidates))
+            assert not (set(positives) & set(negatives))
 
     def test_positives_touch_sampled_nodes(self):
         rng = np.random.default_rng(11)
         con = complete_connectivity(10)
         sample = mdm_sample(con, 10, rng)
-        in_s = set(sample.nodes)
-        assert all(u in in_s or v in in_s for u, v in sample.positives)
+        in_s = set(sample.nodes.tolist())
+        assert all(u in in_s or v in in_s for u, v in sample.positives.tolist())
 
 
 def small_artifact():
@@ -155,7 +165,7 @@ def pair_distances(pairs):
 class TestPerturbBundle:
     def test_empty_sample_identity(self):
         _, art = small_artifact()
-        sample = EdgeSample(nodes=[], positives=[], negatives=[])
+        sample = edge_sample()
         out = perturb_bundle(art.seq, art.con.dist, sample)
         assert np.array_equal(out.flat, art.bundle.flat)
         assert np.array_equal(out.biased, art.bundle.biased)
@@ -164,7 +174,7 @@ class TestPerturbBundle:
     def test_delete_is_symmetric(self):
         _, art = small_artifact()
         t, s = json.loads(art.con.to_json())["edges"][0][:2]
-        sample = EdgeSample(nodes=[t], positives=[(t, s)], negatives=[])
+        sample = edge_sample([t], [(t, s)])
         out = pair_distances(perturb_bundle(art.seq, art.con.dist, sample))
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
         assert (pt, ps) not in out and (ps, pt) not in out
@@ -179,7 +189,7 @@ class TestPerturbBundle:
                      for v in range(u + 1, art.seq.n_instructions)
                      if art.con.dist[u, v] == 0]
         t, s = non_edges[0]
-        sample = EdgeSample(nodes=[t], positives=[], negatives=[(t, s)])
+        sample = edge_sample([t], negatives=[(t, s)])
         out = pair_distances(perturb_bundle(art.seq, art.con.dist, sample))
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
         assert out[pt, ps] == out[ps, pt] == 1
@@ -194,7 +204,7 @@ class TestPerturbBundle:
         non_edge = next((u, v) for u in range(art.seq.n_instructions)
                         for v in range(u + 1, art.seq.n_instructions)
                         if art.con.dist[u, v] == 0)
-        perturb_bundle(art.seq, art.con.dist, EdgeSample([t], [(t, s)], [non_edge]))
+        perturb_bundle(art.seq, art.con.dist, edge_sample([t], [(t, s)], [non_edge]))
         assert np.array_equal(art.con.dist, before)
 
 
@@ -238,7 +248,7 @@ class TestLosses:
     def test_mdm_zero_dot_gives_log2(self):
         _, art = small_artifact()
         final = np.zeros((len(art.seq), 8))
-        sample = EdgeSample(nodes=[0], positives=[(0, 1)], negatives=[(0, 4)])
+        sample = edge_sample([0], [(0, 1)], [(0, 4)])
         loss, _ = mdm_loss(fake_trace(final), sample, art.seq)
         assert loss == pytest.approx(2 * np.log(2), rel=1e-12)
 
@@ -248,14 +258,14 @@ class TestLosses:
         p0, p1, p4 = (art.seq.inst_positions[t] for t in (0, 1, 4))
         final[p0, 0] = final[p1, 0] = 40.0   # aligned -> dot 1600
         final[p4, 0] = -40.0                 # anti-aligned -> dot -1600
-        sample = EdgeSample(nodes=[0], positives=[(0, 1)], negatives=[(0, 4)])
+        sample = edge_sample([0], [(0, 1)], [(0, 4)])
         loss, _ = mdm_loss(fake_trace(final), sample, art.seq)
         assert loss < 1e-6
 
     def test_edge_probabilities_labels(self):
         _, art = small_artifact()
         final = np.zeros((len(art.seq), 8))
-        sample = EdgeSample(nodes=[0], positives=[(0, 1)], negatives=[(0, 4)])
+        sample = edge_sample([0], [(0, 1)], [(0, 4)])
         probs = edge_probabilities(fake_trace(final), sample, art.seq)
         assert [y for _, y in probs] == [1, 0]
         assert all(p == 0.5 for p, _ in probs)
@@ -267,10 +277,9 @@ class TestLosses:
         _, art = small_artifact()
         final = np.random.default_rng(3).standard_normal((len(art.seq), 8)).astype(dtype)
         if edges == "none":
-            sample = EdgeSample(nodes=[], positives=[], negatives=[])
+            sample = edge_sample()
         else:  # instruction 0, 1 and 5 each end more than one edge
-            sample = EdgeSample(nodes=[0, 1], positives=[(0, 1), (1, 2), (0, 3)],
-                                negatives=[(0, 4), (1, 5), (2, 5)])
+            sample = edge_sample([0, 1], [(0, 1), (1, 2), (0, 3)], [(0, 4), (1, 5), (2, 5)])
         loss, dh = mdm_loss(fake_trace(final), sample, art.seq)
         want_loss, want_dh = loop_mdm_loss(final, sample, art.seq)
         tol = 1e-12 if dtype == np.float64 else 1e-5
@@ -326,7 +335,7 @@ class TestTrainStep:
                             vocab_size=len(corpus.vocab), dtype="float64")
         state = EncoderState.init(cfg, 0)
         t, s = json.loads(art.con.to_json())["edges"][0][:2]
-        sample = EdgeSample(nodes=[t], positives=[(t, s)], negatives=[])
+        sample = edge_sample([t], [(t, s)])
         perturbed = perturb_bundle(art.seq, art.con.dist, sample)
         trace = encode(art.seq.tokens, perturbed, state)
         dist = art.con.dist.copy()
