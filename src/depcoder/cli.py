@@ -347,7 +347,7 @@ def cmd_embed(args, cfg) -> int:
 def cmd_eval_sim(args, cfg) -> int:
     import numpy as np
 
-    from .downstream import mrr, recall_at_k
+    from .downstream import mrr, recall_at_k, truth_ranks
 
     with _reading(args.embeddings):
         rows = _read_jsonl(args.embeddings)
@@ -362,11 +362,9 @@ def cmd_eval_sim(args, cfg) -> int:
         if not len(queries) == len(pools) == len(truth):
             raise InputError(f"{len(queries)} queries, {len(pools)} pools and "
                              f"{len(truth)} truth indices")
-        if any(t not in range(len(pool)) for pool, t in zip(pools, truth)):
-            raise InputError("a truth index lies outside its pool")
-    result = {"queries": len(queries), "mrr": mrr(queries, pools, truth)}
-    for k in args.k:
-        result[f"recall@{k}"] = recall_at_k(queries, pools, truth, k)
+        ranks = truth_ranks(queries, pools, truth)  # a truth outside its pool raises here
+    result = {"queries": len(queries), "mrr": mrr(ranks),
+              **{f"recall@{k}": recall_at_k(ranks, k) for k in args.k}}
     print(json.dumps(result, sort_keys=True))
     return 0
 

@@ -37,69 +37,58 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
-def cosine_rank(query: np.ndarray, pool: list[np.ndarray], k: int | None = None) -> list[int]:
+def cosine_rank(query: np.ndarray, pool: list[np.ndarray]) -> list[int]:
     """Pool indices by descending cosine similarity; ties keep pool order."""
     sims = np.array([cosine(query, c) for c in pool])
-    order = np.argsort(-sims, kind="stable")
-    out = [int(i) for i in order]
-    return out if k is None else out[:k]
+    return [int(i) for i in np.argsort(-sims, kind="stable")]
 
 
-def recall_at_k(queries: list[np.ndarray], pools: list[list[np.ndarray]],
-                truth: list[int], k: int) -> float:
-    """Fraction of queries whose ground-truth pool index lands in the top k."""
+def truth_ranks(queries: list[np.ndarray], pools: list[list[np.ndarray]],
+                truth: list[int]) -> list[int]:
+    """Each query's 1-based rank of its truth in its pool, as ``recall_at_k`` and ``mrr`` read."""
     if not queries:
         raise MetricsError("no queries")
+    if any(t not in range(len(pool)) for pool, t in zip(pools, truth)):
+        raise MetricsError("a truth index lies outside its pool")
+    return [cosine_rank(q, pool).index(t) + 1 for q, pool, t in zip(queries, pools, truth)]
+
+
+def recall_at_k(ranks: list[int], k: int) -> float:
+    """Fraction of queries whose truth ranks in the top k."""
     if k < 1:
         raise MetricsError(f"recall@{k}: a cutoff below 1")
-    hits = sum(1 for q, pool, t in zip(queries, pools, truth)
-               if t in cosine_rank(q, pool, k))
-    return hits / len(queries)
+    return sum(r <= k for r in ranks) / len(ranks)
 
 
-def mrr(queries: list[np.ndarray], pools: list[list[np.ndarray]],
-        truth: list[int]) -> float:
-    if not queries:
-        raise MetricsError("no queries")
+def mrr(ranks: list[int]) -> float:
     total = 0.0
-    for q, pool, t in zip(queries, pools, truth):
-        rank = cosine_rank(q, pool).index(t) + 1
-        total += 1.0 / rank
-    return total / len(queries)
+    for r in ranks:
+        total += 1.0 / r
+    return total / len(ranks)
 
 
 # ---------------------------------------------------------------------------
 # Triplet fine-tuning
 
-def triplet_loss(anchor: np.ndarray, positive: np.ndarray, negative: np.ndarray,
-                 margin: float = 0.2) -> float:
-    return max(0.0, margin - cosine(anchor, positive) + cosine(anchor, negative))
-
-
 def _d_cosine(a: np.ndarray, b: np.ndarray):
-    """Gradients of cos(a, b) w.r.t. a and b."""
+    """cos(a, b) and its gradients w.r.t. a and b."""
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
-        return np.zeros_like(a), np.zeros_like(b)
+        return 0.0, np.zeros_like(a), np.zeros_like(b)
     c = float(a @ b / (na * nb))
     da = b / (na * nb) - c * a / (na * na)
     db = a / (na * nb) - c * b / (nb * nb)
-    return da, db
+    return c, da, db
 
 
 def triplet_loss_grads(anchor, positive, negative, margin: float = 0.2):
-    """Loss plus gradients w.r.t. the three embeddings."""
-    loss = triplet_loss(anchor, positive, negative, margin)
-    da = np.zeros_like(anchor)
-    dp = np.zeros_like(positive)
-    dn = np.zeros_like(negative)
-    if loss > 0.0:
-        dap_a, dap_p = _d_cosine(anchor, positive)
-        dan_a, dan_n = _d_cosine(anchor, negative)
-        da = -dap_a + dan_a
-        dp = -dap_p
-        dn = dan_n
-    return loss, da, dp, dn
+    """max(0, margin - cos(a, p) + cos(a, n)) plus its gradients w.r.t. a, p and n."""
+    c_ap, dap_a, dap_p = _d_cosine(anchor, positive)
+    c_an, dan_a, dan_n = _d_cosine(anchor, negative)
+    loss = max(0.0, margin - c_ap + c_an)
+    if loss == 0.0:
+        return loss, *(np.zeros_like(v) for v in (anchor, positive, negative))
+    return loss, -dap_a + dan_a, -dap_p, dan_n
 
 
 # ---------------------------------------------------------------------------

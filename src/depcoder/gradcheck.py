@@ -65,28 +65,20 @@ def build_setup(seed: int = 0) -> GradcheckSetup:
     return GradcheckSetup(state=state, cases=cases)
 
 
-def total_loss(setup: GradcheckSetup) -> float:
+def total_loss(setup: GradcheckSetup, grads: dict[str, np.ndarray] | None = None) -> float:
+    """The summed MLM + edge + type-head loss; its gradients add into ``grads`` if given."""
     loss = 0.0
     for ids, pairs, pert, sample, seq, labels in setup.cases:
         trace = encode(ids, pairs, setup.state)
-        l_mlm, _, _ = mlm_loss(trace, pert, setup.state)
-        l_mdm, _ = mdm_loss(trace, sample, seq)
-        l_type, _, _ = type_inference_loss(trace, labels, setup.state)
+        l_mlm, dh_mlm, mlm_head = mlm_loss(trace, pert, setup.state)
+        l_mdm, dh_mdm = mdm_loss(trace, sample, seq)
+        l_type, dh_type, type_head = type_inference_loss(trace, labels, setup.state)
         loss += l_mlm + l_mdm + l_type
+        if grads is not None:
+            for k, g in {**mlm_head, **type_head}.items():
+                grads[k] += g
+            backward(trace, dh_mlm + dh_mdm + dh_type, setup.state, grads)
     return loss
-
-
-def analytic_grads(setup: GradcheckSetup) -> dict[str, np.ndarray]:
-    grads = setup.state.zero_grads()
-    for ids, pairs, pert, sample, seq, labels in setup.cases:
-        trace = encode(ids, pairs, setup.state)
-        _, dh_mlm, mlm_head = mlm_loss(trace, pert, setup.state)
-        _, dh_mdm = mdm_loss(trace, sample, seq)
-        _, dh_type, type_head = type_inference_loss(trace, labels, setup.state)
-        for k, g in {**mlm_head, **type_head}.items():
-            grads[k] += g
-        backward(trace, dh_mlm + dh_mdm + dh_type, setup.state, grads)
-    return grads
 
 
 @dataclass
@@ -105,7 +97,8 @@ def run(n_samples: int = 220, seed: int = 0) -> GradcheckResult:
     """Sample parameters across every parameter class and compare gradients."""
     eps = 1e-4  # central-difference step
     setup = build_setup(seed=seed)
-    grads = analytic_grads(setup)
+    grads = setup.state.zero_grads()
+    total_loss(setup, grads)
     rng = np.random.default_rng(seed + 7)
     names = sorted(setup.state.params)
     per_class = max(1, n_samples // len(names))

@@ -20,7 +20,7 @@ from depcoder.connectivity import connectivity
 from depcoder.corpus import Corpus
 from depcoder.dependence import (DependenceGraph, block_control_dependences,
                                  data_dependences)
-from depcoder.downstream import (lrap, lrl, recall_at_k, type_prf)
+from depcoder.downstream import (lrap, lrl, recall_at_k, truth_ranks, type_prf)
 from depcoder.encoder import EncoderConfig, EncoderState, encode
 from depcoder.frontend import parse_listing
 from depcoder.gradcheck import run as run_gradcheck
@@ -312,7 +312,7 @@ def test_criterion_08_zero_shot_directional(smoke_run):
     spec = synth.eval_spec
     queries = [embs[q] for q in spec["queries"]]
     pools = [[embs[c] for c in pool] for pool in spec["pools"]]
-    r1 = recall_at_k(queries, pools, spec["truth"], 1)
+    r1 = recall_at_k(truth_ranks(queries, pools, spec["truth"]), 1)
     total = smoke_run["train_seconds"] + (time.monotonic() - t0)
     record("8", r1 >= 0.5 and total < 1800,
            f"zero-shot recall@1 at pool size 10 = {r1:.3f} "
@@ -341,7 +341,8 @@ def test_criterion_09_metric_formulas():
     queries = [qrng.standard_normal(6) for _ in range(15)]
     pools = [[qrng.standard_normal(6) for _ in range(8)] for _ in range(15)]
     truth = [int(qrng.integers(8)) for _ in range(15)]
-    recalls = [recall_at_k(queries, pools, truth, k) for k in range(1, 9)]
+    ranks = truth_ranks(queries, pools, truth)
+    recalls = [recall_at_k(ranks, k) for k in range(1, 9)]
     ok_monotone = recalls == sorted(recalls) and all(r <= 1 for r in recalls)
 
     no_access = 35

@@ -4,8 +4,8 @@ import pytest
 from depcoder.downstream import (DEFAULT_TYPE_LABELS, MetricsError, NO_ACCESS,
                                  attention_pool, cosine, cosine_rank, lrap, lrl,
                                  macro_roc_auc, mrr, multilabel_loss_grads,
-                                 multilabel_probs, recall_at_k, roc_auc, triplet_loss,
-                                 triplet_loss_grads, type_prf)
+                                 multilabel_probs, recall_at_k, roc_auc, triplet_loss_grads,
+                                 truth_ranks, type_prf)
 
 from oracles import brute_force_rank, naive_lrap, naive_lrl, trapezoid_auc
 
@@ -44,12 +44,27 @@ class TestCosineRank:
 class TestRetrievalMetrics:
     def test_pool_of_one(self):
         q = np.array([1.0, 1.0])
-        assert recall_at_k([q], [[q.copy()]], [0], 1) == 1.0
+        assert recall_at_k(truth_ranks([q], [[q.copy()]], [0]), 1) == 1.0
 
     def test_match_absent(self):
+        # a truth index outside its pool is an error for recall and MRR alike
         q = np.array([1.0, 0.0])
         pool = [np.array([0.0, 1.0])]
-        assert recall_at_k([q], [pool], [-1], 1) == 0.0
+        for t in (-1, 1):
+            with pytest.raises(MetricsError):
+                truth_ranks([q], [pool], [t])
+
+    def test_no_queries(self):
+        with pytest.raises(MetricsError):
+            truth_ranks([], [], [])
+
+    def test_ranks_match_brute_force_oracle(self):
+        rng = np.random.default_rng(5)
+        queries = [rng.standard_normal(8) for _ in range(30)]
+        pools = [[rng.standard_normal(8) for _ in range(12)] for _ in range(30)]
+        truth = [int(rng.integers(12)) for _ in range(30)]
+        assert truth_ranks(queries, pools, truth) == [
+            brute_force_rank(q, pool).index(t) + 1 for q, pool, t in zip(queries, pools, truth)]
 
     def test_six_of_ten_hits(self):
         rng = np.random.default_rng(2)
@@ -64,14 +79,15 @@ class TestRetrievalMetrics:
                 truth.append(0)  # the anti-aligned copy loses at rank 1
             queries.append(q)
             pools.append(pool)
-        assert recall_at_k(queries, pools, truth, 1) == 0.6
+        assert recall_at_k(truth_ranks(queries, pools, truth), 1) == 0.6
 
     def test_recall_monotone_in_k(self):
         rng = np.random.default_rng(3)
         queries = [rng.standard_normal(6) for _ in range(20)]
         pools = [[rng.standard_normal(6) for _ in range(10)] for _ in range(20)]
         truth = [int(rng.integers(10)) for _ in range(20)]
-        values = [recall_at_k(queries, pools, truth, k) for k in range(1, 11)]
+        ranks = truth_ranks(queries, pools, truth)
+        values = [recall_at_k(ranks, k) for k in range(1, 11)]
         assert values == sorted(values)
         assert values[-1] == 1.0
 
@@ -79,14 +95,14 @@ class TestRetrievalMetrics:
     def test_recall_rejects_a_cutoff_below_1(self, k):
         q = np.array([1.0, 0.0])
         with pytest.raises(MetricsError):
-            recall_at_k([q], [[q.copy()]], [0], k)
+            recall_at_k(truth_ranks([q], [[q.copy()]], [0]), k)
 
     def test_mrr_examples(self):
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0])
         pool = [a.copy(), b.copy()]
-        assert mrr([a], [pool], [0]) == 1.0
-        assert mrr([a], [pool], [1]) == 0.5
+        assert mrr(truth_ranks([a], [pool], [0])) == 1.0
+        assert mrr(truth_ranks([a], [pool], [1])) == 0.5
         # ranks 1, 2, 4
         queries, pools, truth = [], [], []
         for rank in (1, 2, 4):
@@ -106,19 +122,21 @@ class TestRetrievalMetrics:
             queries.append(q)
             pools.append(pool)
             truth.append(rank - 1)
-        got = mrr(queries, pools, truth)
+        ranks = truth_ranks(queries, pools, truth)
+        assert ranks == [1, 2, 4]
+        got = mrr(ranks)
         assert got == pytest.approx((1 + 0.5 + 0.25) / 3)
 
 
 class TestTriplet:
     def test_perfectly_separated(self):
         a = np.array([1.0, 0.0])
-        assert triplet_loss(a, a.copy(), -a) == 0.0
+        assert triplet_loss_grads(a, a.copy(), -a)[0] == 0.0
 
     def test_equal_similarities_give_margin(self):
         a = np.array([1.0, 0.0])
         b = np.array([0.0, 1.0])
-        assert triplet_loss(a, b, b.copy(), margin=0.2) == pytest.approx(0.2)
+        assert triplet_loss_grads(a, b, b.copy(), margin=0.2)[0] == pytest.approx(0.2)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -132,9 +150,9 @@ class TestTriplet:
                 for i in range(len(vec)):
                     orig = vec[i]
                     vec[i] = orig + eps
-                    up = triplet_loss(a, p, n, margin=0.5)
+                    up = triplet_loss_grads(a, p, n, margin=0.5)[0]
                     vec[i] = orig - eps
-                    down = triplet_loss(a, p, n, margin=0.5)
+                    down = triplet_loss_grads(a, p, n, margin=0.5)[0]
                     vec[i] = orig
                     fd = (up - down) / (2 * eps)
                     assert grad[i] == pytest.approx(fd, abs=1e-6)
