@@ -249,10 +249,10 @@ def _save_model(state, vocab, path) -> None:
 
 
 def _finetune_optimizer(cfg, steps):
-    """AdamW for ``steps`` steps of fine-tuning, warmed up over at most a tenth of them."""
+    """AdamW warmed up over at most a tenth of ``steps``, at lr 0 only a step after the last."""
     from .pretrain import AdamW
     return AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm,
-                 warmup_steps=min(cfg.warmup, steps // 10), total_steps=steps)
+                 warmup_steps=min(cfg.warmup, steps // 10), total_steps=steps + 1)
 
 
 def _embedding(state, art):
@@ -283,7 +283,7 @@ def cmd_pipeline(args, cfg) -> int:
 
 
 def cmd_synth(args, cfg) -> int:
-    from .synth import build_corpus
+    from .synth import MLC_GROUP, build_corpus
 
     corpus = build_corpus(args.functions, cfg.seed, pool_size=args.pool_size,
                           with_variants=not args.no_variants)
@@ -294,6 +294,8 @@ def cmd_synth(args, cfg) -> int:
     _write_jsonl(os.path.join(args.out, "triplets.jsonl"), corpus.triplets)
     _write_jsonl(os.path.join(args.out, "typelabels.jsonl"), corpus.type_labels)
     _write_jsonl(os.path.join(args.out, "mlc.jsonl"), corpus.mlc_samples)
+    if not corpus.mlc_samples:
+        print(f"warning: mlc.jsonl is empty: a sample takes {MLC_GROUP} functions", file=sys.stderr)
     print(f"wrote {len(corpus.pairs) or args.functions} groups to {args.out}")
     return 0
 
@@ -496,6 +498,8 @@ def _mlc_inputs(args, corpus, state, cfg):
 
     with _reading(args.samples):
         samples = _read_jsonl(args.samples)
+        if not samples:
+            raise InputError("no samples")
         y = np.array([row["labels"] for row in samples], dtype=np.float64)
         pools = [[corpus.by_name[n] for n in row["functions"][:cfg.pool_k]] for row in samples]
         if y.ndim != 2 or not all(pools):
@@ -519,7 +523,7 @@ def cmd_train_mlc(args, cfg) -> int:
             "w": (rng.standard_normal((dh, ys.shape[1])) * 0.02),
             "b": np.zeros(ys.shape[1])}
     opt = AdamW(lr=1e-2, weight_decay=0.0, clip_norm=cfg.clip_norm,
-                warmup_steps=0, total_steps=args.steps)
+                warmup_steps=0, total_steps=args.steps + 1)  # as _finetune_optimizer
     for step in range(args.steps):
         grads = {k: np.zeros_like(v) for k, v in head.items()}
         loss_sum = 0.0

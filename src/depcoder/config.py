@@ -15,6 +15,10 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 
 
+# the value types each declared field type admits: an int is a float, a bool is no int
+_ADMITS = {"int": {int}, "float": {int, float}, "str": {str}, "bool": {bool}, "None": {type(None)}}
+
+
 @dataclass
 class ModelShape:
     layers: int = 2
@@ -27,6 +31,13 @@ class ModelShape:
     dtype: str = "float32"
 
     def validate(self) -> None:
+        for f in fields(self):  # a subclass's fields too, before any is compared
+            value, kinds = getattr(self, f.name), f.type.split(" | ")
+            if not any(type(value) in _ADMITS[k] for k in kinds):
+                raise ConfigError(f"{f.name} must be {' or '.join(kinds)}, not {value!r}")
+        for name in ("layers", "heads", "hidden", "ffn"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.max_len < 2:
             raise ConfigError("max_len must be >= 2")
         if self.hidden % self.heads:

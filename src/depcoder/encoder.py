@@ -42,7 +42,7 @@ import numpy as np
 
 from .config import ModelShape
 from .corpus import write_file
-from .errors import InputError, NumericsError
+from .errors import ConfigError, InputError, NumericsError
 from .masks import AttentionPairs
 
 CHECKPOINT_VERSION = 1
@@ -183,7 +183,10 @@ class EncoderState:
             header = json.loads(fh.read(hlen).decode())
             if header["format_version"] != CHECKPOINT_VERSION:
                 raise InputError(f"unsupported checkpoint version {header['format_version']}")
-            config = EncoderConfig(**header["config"])
+            try:
+                config = EncoderConfig(**header["config"])
+            except ConfigError as e:  # the file's fault, not the run's configuration
+                raise InputError(f"the header's model: {e}") from e
             params = {}
             for spec in header["tensors"]:
                 count = int(np.prod(spec["shape"])) if spec["shape"] else 1

@@ -225,7 +225,7 @@ def rename_variant(fn: ParsedFunction, rng: np.random.Generator,
 # Corpus assembly
 
 _MLC_MNEMONICS = ("mov", "add", "sub", "imul", "xor", "shl", "cmp", "lea")
-_MLC_GROUP = 3  # functions per multi-label sample
+MLC_GROUP = 3  # functions per multi-label sample
 
 
 def _type_label_for(surface: str) -> str | None:
@@ -325,7 +325,7 @@ def build_corpus(n_functions: int, seed: int, pool_size: int = 10,
     group: list[str] = []
     for name in names:
         group.append(name)
-        if len(group) == _MLC_GROUP:
+        if len(group) == MLC_GROUP:
             shared = set.intersection(*(mnems[g] for g in group))
             labels = [1 if m in shared else 0 for m in _MLC_MNEMONICS]
             if 0 < sum(labels) < len(labels):

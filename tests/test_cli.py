@@ -495,6 +495,36 @@ class TestConfig:
         cfg = write(tmp_path / "cfg.json", "{nope")
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize("key, value", [
+        ("steps", "five"), ("threads", "2"), ("seed", 1.5), ("dropout", None), ("heads", 0),
+        ("layers", True), ("flags_dep", 1), ("hidden", -4), ("ffn", 0), ("layers", 0),
+    ])
+    def test_wrong_typed_or_too_small_value_is_a_config_error(self, tmp_path, capsys,
+                                                              key, value):
+        cfg = write(tmp_path / "cfg.json", json.dumps({key: value}))
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"lr": 1}, {"threads": None, "corpus": None, "out_dir": None}, {"dropout": 0},
+    ], ids=["int-for-float", "nulls", "int-dropout"])
+    def test_an_int_for_a_float_and_a_null_where_allowed_are_accepted(self, tmp_path,
+                                                                       config):
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--functions", "3"]) == 0
+
+
+class TestSynthCommand:
+    @pytest.mark.parametrize("functions, warned", [(2, True), (8, False)])
+    def test_warns_when_it_writes_no_multilabel_sample(self, tmp_path, capsys, functions,
+                                                       warned):
+        assert main(["synth", "--out", str(tmp_path), "--functions", str(functions)]) == 0
+        err = capsys.readouterr().err
+        assert ((tmp_path / "mlc.jsonl").stat().st_size == 0) == warned
+        assert err.count("mlc.jsonl is empty") == int(warned)
+
 
 class TestThreads:
     @pytest.fixture(autouse=True)
@@ -629,6 +659,36 @@ class TestTrainingCommands:
                      "--out", ckpt, "--steps", "2", "--config", trained["cfg"]]) == 0
         assert (tmp_path / "vocab.tsv").read_bytes() == (run / "vocab.tsv").read_bytes()
         assert main(use) == 0
+
+    @pytest.mark.parametrize("command", ["finetune-sim", "train-type"])
+    def test_one_step_changes_the_checkpoint(self, trained, tmp_path, command):
+        # the lr reaches 0 only after the last step, so a single step updates
+        data, run = trained["data"], trained["run"]
+        inputs = (["--triplets", str(data / "triplets.jsonl")] if command == "finetune-sim"
+                  else ["--labels", str(data / "typelabels.jsonl")])
+        out = tmp_path / "one.ckpt"
+        assert main([command, str(data / "corpus.asm"), "--checkpoint", str(run / "model.ckpt"),
+                     *inputs, "--out", str(out), "--steps", "1",
+                     "--config", trained["cfg"]]) == 0
+        assert out.read_bytes() != (run / "model.ckpt").read_bytes()
+
+    def test_one_step_trains_the_mlc_head(self, trained, tmp_path):
+        # the head's bias starts at zero, so only an update moves it
+        data, run = trained["data"], trained["run"]
+        head = tmp_path / "mlc.json"
+        assert main(["train-mlc", str(data / "corpus.asm"),
+                     "--checkpoint", str(run / "model.ckpt"),
+                     "--samples", str(data / "mlc.jsonl"),
+                     "--out", str(head), "--steps", "1"]) == 0
+        assert any(x != 0.0 for x in json.loads(head.read_text())["b"])
+
+    def test_an_empty_samples_file_names_its_fault(self, trained, tmp_path, capsys):
+        samples = write(tmp_path / "mlc.jsonl", "")
+        assert main(["train-mlc", str(trained["data"] / "corpus.asm"),
+                     "--checkpoint", str(trained["run"] / "model.ckpt"),
+                     "--samples", samples, "--out", str(tmp_path / "h.json")]) == 2
+        assert f"{samples}: no samples" in capsys.readouterr().err
+        assert not (tmp_path / "h.json").exists()
 
     def test_train_and_eval_mlc(self, trained, capsys):
         data, run = trained["data"], trained["run"]
@@ -769,13 +829,20 @@ class TestExitCodes:
                      str(trained["run"] / "vocab.tsv"), "--out", str(tmp_path / "e")]) == 2
         assert str(ckpt) in capsys.readouterr().err
 
-    def test_checkpoint_of_an_invalid_shape_is_a_config_error(self, trained, tmp_path):
+    @pytest.mark.parametrize("model", [
+        {"heads": 3}, {"heads": 0}, {"dropout": 2.0}, {"layers": "1"},
+    ], ids=["indivisible-heads", "no-heads", "dropout-above-1", "string-layers"])
+    def test_checkpoint_of_an_invalid_model_exits_2_naming_the_file(self, trained, tmp_path,
+                                                                    capsys, model):
+        # the header is part of the file, so its model is an input, not the configuration
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(checkpoint_with((trained["run"] / "model.ckpt").read_bytes(),
-                                         lambda h: h["config"].update(heads=3)))
+                                         lambda h: h["config"].update(model)))
         listing = write(tmp_path / "chain.asm", POINTER_CHAIN)
         assert main(["embed", listing, "--checkpoint", str(ckpt), "--vocab",
-                     str(trained["run"] / "vocab.tsv"), "--out", str(tmp_path / "e")]) == 4
+                     str(trained["run"] / "vocab.tsv"), "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: the header's model: " in err and next(iter(model)) in err
 
     def test_bad_cutoffs_exit_2(self, tmp_path):
         # argparse rejects them before any file is read
