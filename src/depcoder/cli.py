@@ -353,9 +353,13 @@ def cmd_eval_sim(args, cfg) -> int:
 
     with _reading(args.embeddings):
         rows = _read_jsonl(args.embeddings)
+        names = [row["function"] for row in rows]
         # one matrix, so that embeddings of two lengths are rejected here
-        embs = dict(zip([row["function"] for row in rows],
-                        np.array([row["embedding"] for row in rows], dtype=np.float64)))
+        matrix = np.array([row["embedding"] for row in rows], dtype=np.float64)
+        for name, emb in zip(names, matrix):
+            if not np.isfinite(emb).all():  # a NaN cosine ranks by no order
+                raise InputError(f"function {name}: non-finite embedding")
+        embs = dict(zip(names, matrix))
     with _reading(args.eval_spec), open(args.eval_spec, encoding="utf-8") as fh:
         spec = json.load(fh)
         queries = [embs[q] for q in spec["queries"]]

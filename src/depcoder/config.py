@@ -62,6 +62,7 @@ class RunConfig(ModelShape):
     steps: int = 500
     batch_size: int = 8
     weight_decay: float = 0.01
+    #: 0 means no clipping
     clip_norm: float = 1.0
     mlm_rate: float = 0.15
     mdm_node_frac: float = 0.4
@@ -91,6 +92,15 @@ class RunConfig(ModelShape):
             raise ConfigError("warmup must be >= 0")
         if self.threads is not None and self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not self.lr > 0.0:
+            raise ConfigError("lr must be > 0")
+        for name in ("weight_decay", "clip_norm", "triplet_margin"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigError(f"{name} must be >= 0")
+        if self.vocab_min_freq < 1:
+            raise ConfigError("vocab_min_freq must be >= 1")
 
     def encoder_config(self, vocab_size: int):
         """The ``EncoderConfig`` of a fresh model of this shape."""

@@ -24,6 +24,13 @@ by V.  The reverse pass makes the same two calls, the second also transposed,
 so no (heads, N, N) array reaches this module, and it adds the logit
 gradients at the biased pairs into ``beta`` in one ``np.add.at``.
 
+``encode`` runs a packed batch (``AttentionPairs.pack``) as it runs one
+sequence: every row-wise step, from the embeddings through the projections,
+LayerNorms, GELU, dropout and residuals, runs once over all the batch's
+rows, and only the two products go segment by segment.  Positions restart
+at 0 at each segment, and ``backward`` adds the position-embedding
+gradient per segment.
+
 A float32 model computes in float32 throughout.  The projections are
 batched matmuls on the (heads, d, dk) weights, and the softmax and its
 reverse run in place on arrays the step has just made, never on the trace.
@@ -234,11 +241,16 @@ class ForwardTrace:
         return self.final[0]
 
 
-def embed_inputs(token_ids: np.ndarray, state: EncoderState) -> np.ndarray:
-    n = len(token_ids)
+def embed_inputs(token_ids: np.ndarray, state: EncoderState,
+                 positions: np.ndarray | None = None) -> np.ndarray:
+    """Token plus position embeddings; ``positions`` default to 0, 1, ...,
+    and a packed batch's restart at each sequence."""
+    if positions is None:
+        positions = np.arange(len(token_ids))
+    n = int(positions.max()) + 1
     if n > state.config.max_len:
         raise ValueError(f"sequence length {n} exceeds max_len {state.config.max_len}")
-    return state.params["tok_emb"][token_ids] + state.params["pos_emb"][:n]
+    return state.params["tok_emb"][token_ids] + state.params["pos_emb"][positions]
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,11 +347,12 @@ def transformer_block(h: np.ndarray, pairs: AttentionPairs, layer: int, state: E
 
 def encode(token_ids, pairs: AttentionPairs, state: EncoderState,
            rng: np.random.Generator | None = None) -> ForwardTrace:
-    """Run the full encoder over the mask ``pairs``; the trace keeps what the
-    reverse pass needs.  Given an ``rng``, the training pass: dropout is drawn
-    from it when the model's ``dropout`` is above 0."""
+    """Run the full encoder over the mask ``pairs``, one sequence's or a
+    packed batch's; the trace keeps what the reverse pass needs.  Given an
+    ``rng``, the training pass: dropout is drawn from it when the model's
+    ``dropout`` is above 0."""
     ids = np.asarray(token_ids, dtype=np.int64)
-    h = embed_inputs(ids, state).astype(state.config.np_dtype)
+    h = embed_inputs(ids, state, pairs.positions).astype(state.config.np_dtype)
     caches = []
     for layer in range(state.config.layers):
         h, cache = transformer_block(h, pairs, layer, state, rng)
@@ -349,66 +362,72 @@ def encode(token_ids, pairs: AttentionPairs, state: EncoderState,
     return ForwardTrace(token_ids=ids, pairs=pairs, final=h, caches=caches)
 
 
+def _block_backward(dh_out: np.ndarray, c: _LayerCache, pairs: AttentionPairs, r: np.ndarray,
+                    layer: int, state: EncoderState, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """One layer's reverse pass: adds its parameter gradients into ``grads``
+    and returns the gradient w.r.t. its input.  Its temporaries, (rows, ffn)
+    arrays among them, are freed when it returns, before the next layer's."""
+    cfg = state.config
+    p = state.params
+    dk = cfg.head_dim
+    da2, dg2, db2 = _layer_norm_backward(dh_out, c.xhat2, c.inv_std2, p[f"l{layer}.ln2_g"])
+    grads[f"l{layer}.ln2_g"] += dg2
+    grads[f"l{layer}.ln2_b"] += db2
+    dffn_out = da2 if c.ffn_drop is None else da2 * c.ffn_drop
+    dz1 = da2.copy()
+    grads[f"l{layer}.w2"] += c.ffn_act.T @ dffn_out
+    grads[f"l{layer}.b2"] += dffn_out.sum(axis=0)
+    dpre = dffn_out @ p[f"l{layer}.w2"].T
+    dpre *= _gelu_grad(c.ffn_pre, c.ffn_tanh)
+    grads[f"l{layer}.w1"] += c.z1.T @ dpre
+    grads[f"l{layer}.b1"] += dpre.sum(axis=0)
+    dz1 += dpre @ p[f"l{layer}.w1"].T
+
+    da1, dg1, db1 = _layer_norm_backward(dz1, c.xhat1, c.inv_std1, p[f"l{layer}.ln1_g"])
+    grads[f"l{layer}.ln1_g"] += dg1
+    grads[f"l{layer}.ln1_b"] += db1
+    dh_in = da1.copy()
+
+    grads[f"l{layer}.wo"] += c.z_cat.T @ da1
+    dz_cat = da1 @ p[f"l{layer}.wo"].T
+    n = dz_cat.shape[0]
+    dz = dz_cat.reshape(n, cfg.heads, dk).transpose(1, 0, 2)  # (heads, N, dk)
+
+    used = c.probs if c.attn_drop is None else c.probs * c.attn_drop
+    dv = pairs.spread_product(used, dz, transpose=True)
+    # softmax reverse in place on the fresh ``dprobs``; the cache is read only
+    dprobs = pairs.gather_product(dz, c.v.transpose(0, 2, 1))  # (heads, P)
+    if c.attn_drop is not None:
+        dprobs *= c.attn_drop
+    dprobs -= pairs.row_sum(dprobs * c.probs)
+    dprobs *= c.probs
+    dprobs /= math.sqrt(dk)
+    # grad w.r.t. (QK^T + B) at the pairs
+    np.add.at(grads["beta"], (np.arange(cfg.heads)[:, None], r), dprobs[:, pairs.biased])
+    dq = pairs.spread_product(dprobs, c.k)
+    dkk = pairs.spread_product(dprobs, c.q, transpose=True)
+    for name, dproj in (("wq", dq), ("wk", dkk), ("wv", dv)):
+        grads[f"l{layer}.{name}"] += c.h_in.T @ dproj
+        dh_in += (dproj @ p[f"l{layer}.{name}"].transpose(0, 2, 1)).sum(axis=0)
+    return dh_in
+
+
 def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
              grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Reverse-mode gradients of every encoder parameter given the gradient of
     the loss w.r.t. the final hidden states.  Head parameters (mlm/type) are
     left for the loss functions that own them, and the optimizer checks that
     the gradients are finite."""
-    cfg = state.config
-    p = state.params
     if grads is None:
         grads = state.zero_grads()
     pairs = trace.pairs
-    r = np.minimum(pairs.r, cfg.r_max)
-    dk = cfg.head_dim
-    dh_out = d_final.astype(cfg.np_dtype)
-
-    for layer in reversed(range(cfg.layers)):
-        c = trace.caches[layer]
-        da2, dg2, db2 = _layer_norm_backward(dh_out, c.xhat2, c.inv_std2, p[f"l{layer}.ln2_g"])
-        grads[f"l{layer}.ln2_g"] += dg2
-        grads[f"l{layer}.ln2_b"] += db2
-        dffn_out = da2 if c.ffn_drop is None else da2 * c.ffn_drop
-        dz1 = da2.copy()
-        grads[f"l{layer}.w2"] += c.ffn_act.T @ dffn_out
-        grads[f"l{layer}.b2"] += dffn_out.sum(axis=0)
-        dpre = dffn_out @ p[f"l{layer}.w2"].T
-        dpre *= _gelu_grad(c.ffn_pre, c.ffn_tanh)
-        grads[f"l{layer}.w1"] += c.z1.T @ dpre
-        grads[f"l{layer}.b1"] += dpre.sum(axis=0)
-        dz1 += dpre @ p[f"l{layer}.w1"].T
-
-        da1, dg1, db1 = _layer_norm_backward(dz1, c.xhat1, c.inv_std1, p[f"l{layer}.ln1_g"])
-        grads[f"l{layer}.ln1_g"] += dg1
-        grads[f"l{layer}.ln1_b"] += db1
-        dh_in = da1.copy()
-
-        grads[f"l{layer}.wo"] += c.z_cat.T @ da1
-        dz_cat = da1 @ p[f"l{layer}.wo"].T
-        n = dz_cat.shape[0]
-        dz = dz_cat.reshape(n, cfg.heads, dk).transpose(1, 0, 2)  # (heads, N, dk)
-
-        used = c.probs if c.attn_drop is None else c.probs * c.attn_drop
-        dv = pairs.spread_product(used, dz, transpose=True)
-        # softmax reverse in place on the fresh ``dprobs``; the cache is read only
-        dprobs = pairs.gather_product(dz, c.v.transpose(0, 2, 1))  # (heads, P)
-        if c.attn_drop is not None:
-            dprobs *= c.attn_drop
-        dprobs -= pairs.row_sum(dprobs * c.probs)
-        dprobs *= c.probs
-        dprobs /= math.sqrt(dk)
-        # grad w.r.t. (QK^T + B) at the pairs
-        np.add.at(grads["beta"], (np.arange(cfg.heads)[:, None], r), dprobs[:, pairs.biased])
-        dq = pairs.spread_product(dprobs, c.k)
-        dkk = pairs.spread_product(dprobs, c.q, transpose=True)
-        for name, dproj in (("wq", dq), ("wk", dkk), ("wv", dv)):
-            grads[f"l{layer}.{name}"] += c.h_in.T @ dproj
-            dh_in += (dproj @ p[f"l{layer}.{name}"].transpose(0, 2, 1)).sum(axis=0)
-        dh_out = dh_in
-
-    np.add.at(grads["tok_emb"], trace.token_ids, dh_out)
-    grads["pos_emb"][:len(trace.token_ids)] += dh_out
+    r = np.minimum(pairs.r, state.config.r_max)
+    dh = d_final.astype(state.config.np_dtype)
+    for layer in reversed(range(state.config.layers)):
+        dh = _block_backward(dh, trace.caches[layer], pairs, r, layer, state, grads)
+    np.add.at(grads["tok_emb"], trace.token_ids, dh)
+    for seg in pairs.segments:
+        grads["pos_emb"][:seg.n] += dh[seg.row:seg.row + seg.n]
     return grads
 
 

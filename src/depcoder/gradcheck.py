@@ -1,7 +1,8 @@
 """Finite-difference verification of the hand-written reverse pass.
 
 Builds a tiny 64-bit model over a fixed two-function listing, freezes one
-MLM + edge perturbation, and compares analytic gradients of the combined
+MLM + edge perturbation of the two functions packed into one batch, as
+pre-training packs them, and compares analytic gradients of the combined
 MLM + edge-prediction + type-head loss against central differences.
 """
 
@@ -15,7 +16,7 @@ from .config import RunConfig
 from .corpus import Corpus
 from .downstream import type_inference_loss
 from .encoder import EncoderState, backward, encode
-from .pretrain import mdm_loss, mdm_sample, mlm_loss, mlm_perturb, perturb_bundle
+from .pretrain import PackedBatch, mdm_loss, mlm_loss, perturb_batch
 
 _LISTING = """\
 .func alpha
@@ -44,7 +45,9 @@ _LISTING = """\
 @dataclass
 class GradcheckSetup:
     state: EncoderState
-    cases: list  # (ids, pairs, perturbation, sample, seq, type_labels)
+    batch: PackedBatch
+    #: (packed token position, type label) pairs for the type head
+    labels: list[tuple[int, int]]
 
 
 def build_setup(seed: int = 0) -> GradcheckSetup:
@@ -52,33 +55,26 @@ def build_setup(seed: int = 0) -> GradcheckSetup:
                     max_len=128)
     corpus = Corpus.from_text(_LISTING, cfg)
     state = EncoderState.init(cfg.encoder_config(len(corpus.vocab)), seed)
-    rng = np.random.default_rng(seed + 1)
-    cases = []
-    for art in corpus.functions:
-        ids, pert = mlm_perturb(art.seq, len(corpus.vocab), rng, rate=0.3)
-        sample = mdm_sample(art.con, art.seq.n_instructions, rng)
-        pairs = perturb_bundle(art.seq, art.con.dist, sample)
-        # a couple of labelled token positions for the type head
-        positions = [p for p in range(1, len(art.seq)) if p % 3 == 0]
-        labels = [(p, p % state.config.n_type_labels) for p in positions]
-        cases.append((ids, pairs, pert, sample, art.seq, labels))
-    return GradcheckSetup(state=state, cases=cases)
+    batch = perturb_batch(corpus.functions, len(corpus.vocab), np.random.default_rng(seed + 1),
+                          mlm_rate=0.3)
+    # every third token position of each function is labelled for the type head
+    labels = [(seg.row + p, p % state.config.n_type_labels)
+              for seg in batch.pairs.segments for p in range(3, seg.n, 3)]
+    return GradcheckSetup(state=state, batch=batch, labels=labels)
 
 
 def total_loss(setup: GradcheckSetup, grads: dict[str, np.ndarray] | None = None) -> float:
     """The summed MLM + edge + type-head loss; its gradients add into ``grads`` if given."""
-    loss = 0.0
-    for ids, pairs, pert, sample, seq, labels in setup.cases:
-        trace = encode(ids, pairs, setup.state)
-        l_mlm, dh_mlm, mlm_head = mlm_loss(trace, pert, setup.state)
-        l_mdm, dh_mdm = mdm_loss(trace, sample, seq)
-        l_type, dh_type, type_head = type_inference_loss(trace, labels, setup.state)
-        loss += l_mlm + l_mdm + l_type
-        if grads is not None:
-            for k, g in {**mlm_head, **type_head}.items():
-                grads[k] += g
-            backward(trace, dh_mlm + dh_mdm + dh_type, setup.state, grads)
-    return loss
+    batch = setup.batch
+    trace = encode(batch.ids, batch.pairs, setup.state)
+    l_mlm, dh_mlm, mlm_head = mlm_loss(trace, batch.pert, setup.state)
+    l_mdm, dh_mdm = mdm_loss(trace, batch.sample, batch.rows)
+    l_type, dh_type, type_head = type_inference_loss(trace, setup.labels, setup.state)
+    if grads is not None:
+        for k, g in {**mlm_head, **type_head}.items():
+            grads[k] += g
+        backward(trace, dh_mlm + dh_mdm + dh_type, setup.state, grads)
+    return l_mlm + l_mdm + l_type
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""The attention mask of one token sequence, as a row-major pair list.
+"""The attention mask of one token sequence, or of a packed batch, as a
+row-major pair list.
 
 The mask is the union of three parts: a global part routing everything
 through ``[CLS]``, a local part confining attention to tokens of the same
@@ -11,19 +12,32 @@ N×N array.  The encoder runs on the ``AttentionPairs`` it returns, and
 ``sparse_masks`` writes the JSON text of the view the ``pipeline`` command
 emits straight from them.
 
+``AttentionPairs.pack`` lays several sequences' rows end to end into one
+block-diagonal pair list, so that a batch runs through the encoder's
+row-wise work at once while no sequence attends to another (packing
+without cross-contamination, Krell et al., arXiv:2107.02027).  Each
+sequence is a segment, found by its row offset, its size and its range in
+the pair list, as variable-length attention finds sequences by cumulative
+offsets (FlashAttention, Dao et al., 2022).  One sequence on its own is
+the one-segment case.  The row reductions, ``biased`` and ``r`` run over
+the whole list; only the dense products go segment by segment.
+
 The attention's dense (heads, N, N) products are two methods of the pair
 list that run in one workspace per thread and dtype, grown to the largest
 heads·N² seen and all zeros between calls: ``gather_product`` writes a
-product there and takes its entries at the pairs, and ``spread_product``
-writes values at the pairs and multiplies by that matrix.  Each zeroes the
-workspace before it returns, so no caller code runs while it is in use.  A
-fresh (heads, N, N) array per product, 4 MB at N 512, made long-function
-encoding page-fault.
+segment's diagonal block of a product there and takes its entries at the
+segment's pairs, and ``spread_product`` writes values at the pairs and
+multiplies by that block.  Each zeroes the workspace before it moves on, so
+no caller code runs while it is in use.  A fresh (heads, N, N) array per
+product, 4 MB at N 512, made long-function encoding page-fault, and one
+(heads, ΣN, ΣN) product over a packed batch is slower than its diagonal
+blocks.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +68,16 @@ def _workspace(heads: int, n: int, dtype) -> np.ndarray:
     return buf[:size].reshape(heads, n, n)
 
 
+class Segment(NamedTuple):
+    """One sequence of a pair list: its first row, its row count, its pairs'
+    range in the list, and their flat indices ``i * n + j`` within its own
+    n×n diagonal block."""
+    row: int
+    n: int
+    pairs: slice
+    flat: np.ndarray
+
+
 class AttentionPairs:
     """The enabled entries of a mask as a row-major pair list.
 
@@ -64,7 +88,8 @@ class AttentionPairs:
     (0 for none).  Every row needs an enabled entry (the global part gives
     every real row one): a segment reduction over an empty row would read its
     neighbour's first entry, so an empty row is a bug and raises
-    ``RuntimeError``.
+    ``RuntimeError``.  ``segments`` lists the sequences (one, unless
+    ``pack`` made the list); no pair joins two of them.
     """
 
     def __init__(self, n: int, flat: np.ndarray, r: np.ndarray):
@@ -77,6 +102,26 @@ class AttentionPairs:
         self.starts = np.cumsum(self.counts) - self.counts
         self.biased = np.flatnonzero(r)
         self.r = r[self.biased]
+        self.segments = [Segment(0, n, slice(0, len(flat)), flat)]
+
+    @classmethod
+    def pack(cls, parts: list["AttentionPairs"]) -> "AttentionPairs":
+        """The pair lists ``parts`` laid end to end: part k's rows and pairs
+        follow part k - 1's, and each part is one segment."""
+        n = sum(part.n for part in parts)
+        flats, rs, segments = [], [], []
+        row = lo = 0
+        for part in parts:
+            i, j = np.divmod(part.flat, part.n)
+            flats.append((i + row) * n + (j + row))
+            r = np.zeros(len(part), dtype=part.r.dtype)
+            r[part.biased] = part.r
+            rs.append(r)
+            segments.append(Segment(row, part.n, slice(lo, lo + len(part)), part.flat))
+            row, lo = row + part.n, lo + len(part)
+        packed = cls(n, np.concatenate(flats), np.concatenate(rs))
+        packed.segments = segments
+        return packed
 
     def __len__(self) -> int:
         return len(self.flat)
@@ -97,27 +142,61 @@ class AttentionPairs:
         out[self.flat[self.biased]] = self.r
         return out.reshape(self.n, self.n)
 
+    @property
+    def positions(self) -> np.ndarray:
+        """Each row's position within its segment: 0, 1, ... from every
+        segment's first row."""
+        return np.concatenate([np.arange(seg.n) for seg in self.segments])
+
+    def _check(self, rows: int, pairs: int | None = None) -> None:
+        """Raise ``ValueError`` unless an operand's dimension over the rows
+        is ``n`` and, if given, one over the pairs is ``P``: a segment's
+        slice of a wrong-sized operand would fit silently."""
+        if rows != self.n or pairs not in (None, len(self)):
+            raise ValueError(f"operands over {rows} rows and {pairs} pairs for a "
+                             f"pair list of {self.n} rows and {len(self)} pairs")
+
     def gather_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(heads, n, n) product ``a @ b`` -> (heads, P): its entries at the pairs."""
-        dense = _workspace(len(a), self.n, np.result_type(a, b))
-        try:
-            np.matmul(a, b, out=dense)
-            return np.take(dense.reshape(len(a), -1), self.flat, axis=1)
-        finally:
-            dense.fill(0)
+        """(heads, n, d) ``a`` @ (heads, d, n) ``b`` -> (heads, P): the product's
+        entries at the pairs, one segment's diagonal block at a time."""
+        self._check(a.shape[-2])
+        self._check(b.shape[-1])
+        heads, dtype = len(a), np.result_type(a, b)
+        out = np.empty((heads, len(self)), dtype) if len(self.segments) > 1 else None
+        for seg in self.segments:
+            rows = slice(seg.row, seg.row + seg.n)
+            dense = _workspace(heads, seg.n, dtype)
+            try:
+                np.matmul(a[:, rows], b[:, :, rows], out=dense)
+                if out is None:
+                    return np.take(dense.reshape(heads, -1), seg.flat, axis=1)
+                np.take(dense.reshape(heads, -1), seg.flat, axis=1, out=out[:, seg.pairs])
+            finally:
+                dense.fill(0)
+        return out
 
     def spread_product(self, values: np.ndarray, b: np.ndarray,
                        transpose: bool = False) -> np.ndarray:
         """``W @ b``, or ``Wᵀ @ b`` with ``transpose``, where W is the (heads,
         n, n) matrix that holds the (heads, P) ``values`` at the pairs and
-        zeros elsewhere."""
-        dense = _workspace(len(values), self.n, values.dtype)
-        rows = dense.reshape(len(values), -1)
-        try:
-            rows[:, self.flat] = values
-            return (dense.transpose(0, 2, 1) if transpose else dense) @ b
-        finally:
-            rows[:, self.flat] = 0
+        zeros elsewhere, one segment's diagonal block at a time."""
+        self._check(b.shape[-2], values.shape[-1])
+        heads = len(values)
+        out = (np.empty((heads, self.n, b.shape[-1]), np.result_type(values, b))
+               if len(self.segments) > 1 else None)
+        for seg in self.segments:
+            rows = slice(seg.row, seg.row + seg.n)
+            dense = _workspace(heads, seg.n, values.dtype)
+            flat_rows = dense.reshape(heads, -1)
+            try:
+                flat_rows[:, seg.flat] = values[:, seg.pairs]
+                w = dense.transpose(0, 2, 1) if transpose else dense
+                if out is None:
+                    return w @ b[:, rows]
+                np.matmul(w, b[:, rows], out=out[:, rows])
+            finally:
+                flat_rows[:, seg.flat] = 0
+        return out
 
     def row_max(self, values: np.ndarray) -> np.ndarray:
         """(heads, P) -> (heads, P): each pair's row maximum."""

@@ -8,6 +8,14 @@ Both losses are computed on the same perturbed forward pass; the model must
 recover the masked tokens and classify true-vs-injected edges from the
 ``<INST>`` hidden states.  Edge masking edits a copy of the kept
 instructions' distances and builds the step's mask from it.
+
+A step perturbs each function on its own, then packs the batch
+(``perturb_batch``): the functions' rows are laid end to end under one
+block-diagonal mask, and token positions, instruction indices and
+``<INST>`` rows shift by the functions before.  So a step makes one call
+each to ``encode``, ``mlm_loss``, ``mdm_loss``, ``backward`` and the
+optimizer, and the losses take positions in the packed rows; one function
+is the one-segment case.
 """
 
 from __future__ import annotations
@@ -111,29 +119,36 @@ def perturb_bundle(seq: TokenSequence, dist: np.ndarray,
 
 
 def mlm_loss(trace: ForwardTrace, pert: MlmPerturbation, state: EncoderState):
-    """Summed cross-entropy at the masked positions; returns the loss, the
-    gradient w.r.t. the final hidden states and the head gradients."""
+    """Summed cross-entropy at the masked positions, rows of the trace (of
+    the packed rows for a batch); returns the loss, the gradient w.r.t. the
+    final hidden states and the head gradients."""
     return head_cross_entropy(trace, pert.positions, pert.original, state, "mlm")
 
 
-def _edge_logits(trace: ForwardTrace, sample: EdgeSample, seq: TokenSequence):
-    """Per sampled edge (positives first): the ``<INST>`` positions ``u`` and
-    ``v`` of its ends, their final hidden rows, its label and its logit
+def inst_rows(seq: TokenSequence) -> np.ndarray:
+    """Each kept instruction's ``<INST>`` row in ``seq``, by instruction index."""
+    # instructions are kept as a prefix, so the keys run 0, 1, ... in order
+    return np.fromiter(seq.inst_positions.values(), dtype=np.int64, count=seq.n_instructions)
+
+
+def _edge_logits(trace: ForwardTrace, sample: EdgeSample, rows: np.ndarray):
+    """Per sampled edge (positives first): the ``<INST>`` rows ``u`` and ``v``
+    of its ends, their final hidden states, its label and its logit
     ``h_u . h_v``."""
     edges = np.concatenate([sample.positives, sample.negatives])
-    # instructions are kept as a prefix, so the keys run 0, 1, ... in order
-    pos = np.fromiter(seq.inst_positions.values(), dtype=np.int64, count=seq.n_instructions)
-    u, v = pos[edges[:, 0]], pos[edges[:, 1]]
+    u, v = rows[edges[:, 0]], rows[edges[:, 1]]
     hu, hv = trace.final[u], trace.final[v]
     y = np.zeros(len(edges), dtype=trace.final.dtype)
     y[:len(sample.positives)] = 1.0
     return u, v, hu, hv, y, np.einsum("ij,ij->i", hu, hv)
 
 
-def mdm_loss(trace: ForwardTrace, sample: EdgeSample, seq: TokenSequence):
+def mdm_loss(trace: ForwardTrace, sample: EdgeSample, rows: np.ndarray):
     """Binary cross-entropy of sigmoid(h_u . h_v) over the balanced edge set,
-    using the final-layer <INST> hidden states."""
-    u, v, hu, hv, y, dot = _edge_logits(trace, sample, seq)
+    using the final-layer <INST> hidden states.  ``rows[t]`` is instruction
+    t's ``<INST>`` row in the trace: ``inst_rows(seq)`` for one function,
+    ``PackedBatch.rows`` for a batch."""
+    u, v, hu, hv, y, dot = _edge_logits(trace, sample, rows)
     loss, ddot = binary_cross_entropy(dot, y)
     dh = np.zeros_like(trace.final)
     np.add.at(dh, u, ddot[:, None] * hv)
@@ -142,10 +157,49 @@ def mdm_loss(trace: ForwardTrace, sample: EdgeSample, seq: TokenSequence):
 
 
 def edge_probabilities(trace: ForwardTrace, sample: EdgeSample,
-                       seq: TokenSequence) -> list[tuple[float, int]]:
+                       rows: np.ndarray) -> list[tuple[float, int]]:
     """(probability, label) per sampled edge, for the recoverability probe."""
-    *_, y, dot = _edge_logits(trace, sample, seq)
+    *_, y, dot = _edge_logits(trace, sample, rows)
     return list(zip(sigmoid(dot).tolist(), y.astype(int).tolist()))
+
+
+@dataclass
+class PackedBatch:
+    """A batch's perturbed functions laid end to end for one encoder pass:
+    their token ids and block-diagonal mask, the token masking at packed
+    rows, the edge sample with the instructions numbered across the batch,
+    and each of those instructions' ``<INST>`` row."""
+    ids: np.ndarray
+    pairs: AttentionPairs
+    pert: MlmPerturbation
+    sample: EdgeSample
+    rows: np.ndarray
+
+
+def perturb_batch(items: list[FunctionArtifacts], vocab_size: int, rng: np.random.Generator,
+                  mlm_rate: float = 0.15, node_frac: float = 0.4) -> PackedBatch:
+    """Mask each function's tokens and edges, in that order, and pack the
+    batch: a function's positions and rows shift by the rows of the
+    functions before it, and its instruction indices by their instructions."""
+    ids, perts, samples, bundles = [], [], [], []
+    for item in items:
+        tokens, pert = mlm_perturb(item.seq, vocab_size, rng, mlm_rate)
+        sample = mdm_sample(item.con, item.seq.n_instructions, rng, node_frac)
+        ids.append(tokens)
+        perts.append(pert)
+        samples.append(sample)
+        bundles.append(perturb_bundle(item.seq, item.con.dist, sample))
+    rows = np.cumsum([0] + [len(item.seq) for item in items]).tolist()
+    insts = np.cumsum([0] + [item.seq.n_instructions for item in items]).tolist()
+    pert = MlmPerturbation(positions=[p + r for pt, r in zip(perts, rows) for p in pt.positions],
+                           kinds=[k for pt in perts for k in pt.kinds],
+                           original=[t for pt in perts for t in pt.original])
+    sample = EdgeSample(*(np.concatenate([getattr(s, name) + i for s, i in zip(samples, insts)])
+                          for name in ("nodes", "positives", "negatives")))
+    return PackedBatch(ids=np.concatenate(ids), pairs=AttentionPairs.pack(bundles),
+                       pert=pert, sample=sample,
+                       rows=np.concatenate([inst_rows(item.seq) + r
+                                            for item, r in zip(items, rows)]))
 
 
 # ---------------------------------------------------------------------------
@@ -258,38 +312,28 @@ class StepMetrics:
 def train_step(items: list[FunctionArtifacts], state: EncoderState, opt: AdamW,
                rng: np.random.Generator, mlm_rate: float = 0.15,
                node_frac: float = 0.4) -> StepMetrics:
-    """One optimization step over a batch of functions.
+    """One optimization step over a batch of functions, packed into one
+    encoder pass and one reverse pass.
 
     Reported losses are means (per masked token / per sampled edge); the total
     is their sum, matching the gradients fed to the optimizer.
     """
-    prepared = []
-    for item in items:
-        ids, pert = mlm_perturb(item.seq, state.config.vocab_size, rng, mlm_rate)
-        sample = mdm_sample(item.con, item.seq.n_instructions, rng, node_frac)
-        pairs = perturb_bundle(item.seq, item.con.dist, sample)
-        trace = encode(ids, pairs, state, rng=rng)
-        prepared.append((item, pert, sample, trace))
-
-    n_masked = sum(len(p) for _, p, _, _ in prepared)
-    n_edges = sum(len(s.positives) + len(s.negatives) for _, _, s, _ in prepared)
+    batch = perturb_batch(items, state.config.vocab_size, rng, mlm_rate, node_frac)
+    trace = encode(batch.ids, batch.pairs, state, rng=rng)
+    n_masked = len(batch.pert)
+    n_edges = len(batch.sample.positives) + len(batch.sample.negatives)
     mlm_scale = 1.0 / max(1, n_masked)
     mdm_scale = 1.0 / max(1, n_edges)
 
+    l_mlm, dh_mlm, head_grads = mlm_loss(trace, batch.pert, state)
+    l_mdm, dh_mdm = mdm_loss(trace, batch.sample, batch.rows)
     grads = state.zero_grads()
-    mlm_total = 0.0
-    mdm_total = 0.0
-    for item, pert, sample, trace in prepared:
-        l_mlm, dh_mlm, head_grads = mlm_loss(trace, pert, state)
-        l_mdm, dh_mdm = mdm_loss(trace, sample, item.seq)
-        mlm_total += l_mlm
-        mdm_total += l_mdm
-        for k, g in head_grads.items():
-            grads[k] += g * mlm_scale
-        backward(trace, dh_mlm * mlm_scale + dh_mdm * mdm_scale, state, grads)
+    for k, g in head_grads.items():
+        grads[k] += g * mlm_scale
+    backward(trace, dh_mlm * mlm_scale + dh_mdm * mdm_scale, state, grads)
 
-    mlm_mean = mlm_total * mlm_scale
-    mdm_mean = mdm_total * mdm_scale
+    mlm_mean = l_mlm * mlm_scale
+    mdm_mean = l_mdm * mdm_scale
     total = mlm_mean + mdm_mean
     if not np.isfinite(total):
         raise NumericsError(

@@ -25,7 +25,7 @@ from depcoder.encoder import EncoderConfig, EncoderState, encode
 from depcoder.frontend import parse_listing
 from depcoder.gradcheck import run as run_gradcheck
 from depcoder.masks import build_bundle
-from depcoder.pretrain import (AdamW, edge_probabilities, mdm_sample,
+from depcoder.pretrain import (AdamW, edge_probabilities, inst_rows, mdm_sample,
                                mlm_perturb, perturb_bundle, train_step)
 from depcoder.synth import build_corpus
 
@@ -292,7 +292,7 @@ def test_criterion_07_pretraining_smoke(smoke_run):
             continue
         pairs = perturb_bundle(art.seq, art.con.dist, sample)
         trace = encode(art.seq.tokens, pairs, state)
-        for p, y in edge_probabilities(trace, sample, art.seq):
+        for p, y in edge_probabilities(trace, sample, inst_rows(art.seq)):
             correct += int((p > 0.5) == bool(y))
             total += 1
     accuracy = correct / total

@@ -506,9 +506,32 @@ class TestConfig:
         assert f"config error: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--config", '{"seed": -1}']],
+                             ids=["flag", "key"])
+    def test_a_negative_seed_is_a_config_error(self, tmp_path, capsys, argv):
+        if argv[0] == "--config":
+            argv = ["--config", write(tmp_path / "cfg.json", argv[1])]
+        assert main(["synth", "--out", str(tmp_path / "o"), *argv]) == 4
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr", -1.0), ("lr", 0.0), ("weight_decay", -0.01), ("clip_norm", -1.0),
+        ("triplet_margin", -0.2), ("vocab_min_freq", 0),
+    ])
+    def test_an_optimizer_or_tokenizer_value_out_of_range_is_a_config_error(
+            self, tmp_path, capsys, key, value):
+        listing = write(tmp_path / "chain.asm", POINTER_CHAIN)
+        cfg = write(tmp_path / "cfg.json", json.dumps({key: value}))
+        assert main(["pretrain", "--config", cfg, "--corpus", listing,
+                     "--out", str(tmp_path / "run")]) == 4
+        assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("config", [
         {"lr": 1}, {"threads": None, "corpus": None, "out_dir": None}, {"dropout": 0},
-    ], ids=["int-for-float", "nulls", "int-dropout"])
+        {"weight_decay": 0, "clip_norm": 0, "triplet_margin": 0},
+    ], ids=["int-for-float", "nulls", "int-dropout", "zero-decay-clip-and-margin"])
     def test_an_int_for_a_float_and_a_null_where_allowed_are_accepted(self, tmp_path,
                                                                        config):
         cfg = write(tmp_path / "cfg.json", json.dumps(config))
@@ -811,6 +834,19 @@ class TestExitCodes:
         argv, path = bad_input(case, tmp_path, trained)
         assert main(argv) == 2
         assert path in capsys.readouterr().err
+
+    def test_a_non_finite_embedding_exits_2_naming_the_file_and_function(self, tmp_path,
+                                                                          capsys):
+        # a NaN cosine is neither above nor below another, so the rank it
+        # gives means nothing; taken as an embedding, it gave a metric and exit 0
+        rows = [{"function": "a", "embedding": [1.0, 0.0]},
+                {"function": "nan", "embedding": [float("nan"), 0.0]}]
+        embs = write(tmp_path / "e.jsonl", "".join(json.dumps(row) + "\n" for row in rows))
+        spec = write(tmp_path / "spec.json", json.dumps(
+            {"queries": ["a"], "pools": [["nan", "a"]], "truth": [1]}))
+        assert main(["eval-sim", "--embeddings", embs, "--eval-spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert embs in err and "function nan: non-finite embedding" in err
 
     @pytest.mark.parametrize("corrupt", [
         lambda data: b"garbage",

@@ -297,6 +297,62 @@ class TestBackward:
                 assert now is then is None or np.array_equal(now, then), f.name
 
 
+class TestPacking:
+    """A packed batch runs as its functions run one at a time."""
+
+    @pytest.fixture(scope="class")
+    def arts(self):
+        rng = np.random.default_rng(5)
+        listing = "".join("\n".join(generate_function(f"g{i}", rng)) + "\n" for i in range(4))
+        arts = Corpus.from_text(listing, RunConfig()).functions
+        assert len({len(a.seq) for a in arts}) == len(arts) >= 3
+        return arts
+
+    @staticmethod
+    def both(arts, state, d_finals):
+        """(finals, gradients) of the packed batch, and of each function on its own."""
+        packed = encode(np.concatenate([a.seq.tokens for a in arts]),
+                        AttentionPairs.pack([a.bundle for a in arts]), state)
+        packed_grads = backward(packed, np.concatenate(d_finals), state)
+        singles = [encode(a.seq.tokens, a.bundle, state) for a in arts]
+        single_grads = state.zero_grads()
+        for trace, d_final in zip(singles, d_finals):
+            backward(trace, d_final, state, single_grads)
+        return (packed, packed_grads), (singles, single_grads)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_forward_is_exact_and_gradients_agree(self, arts, dtype):
+        cfg = EncoderConfig(layers=2, heads=2, hidden=16, ffn=32, max_len=128, r_max=8,
+                            vocab_size=1 + max(max(a.seq.tokens) for a in arts),
+                            dropout=0.0, dtype=dtype)
+        state = EncoderState.init(cfg, 3)
+        state.params["beta"][:] = np.random.default_rng(4).standard_normal(
+            state.params["beta"].shape)
+        rng = np.random.default_rng(6)
+        d_finals = [rng.standard_normal((len(a.seq), 16)).astype(dtype) for a in arts]
+        (packed, packed_grads), (singles, single_grads) = self.both(arts, state, d_finals)
+        assert np.array_equal(packed.final, np.concatenate([t.final for t in singles]))
+        for layer, c in enumerate(packed.caches):
+            assert np.array_equal(c.probs, np.concatenate([t.caches[layer].probs
+                                                           for t in singles], axis=1))
+        tol = {"rtol": 1e-12, "atol": 1e-12} if dtype == "float64" else {"rtol": 1e-5, "atol": 1e-5}
+        for name in state.params:
+            assert packed_grads[name].dtype == single_grads[name].dtype
+            np.testing.assert_allclose(packed_grads[name], single_grads[name], **tol,
+                                       err_msg=name)
+        # positions restart at each function, so every function trains pos_emb's first rows
+        assert np.any(packed_grads["pos_emb"][:len(arts[-1].seq)] != 0)
+        assert np.all(packed_grads["pos_emb"][max(len(a.seq) for a in arts):] == 0)
+
+    def test_rows_never_attend_across_functions(self, arts):
+        pairs = AttentionPairs.pack([a.bundle for a in arts])
+        owner = np.repeat(np.arange(len(arts)), [len(a.seq) for a in arts])
+        i, j = np.divmod(pairs.flat, pairs.n)
+        assert np.array_equal(owner[i], owner[j])
+        assert np.array_equal(pairs.positions,
+                              np.concatenate([np.arange(len(a.seq)) for a in arts]))
+
+
 def assert_workspaces_zero():
     assert _WORKSPACES.buffers and not any(buf.any() for buf in _WORKSPACES.buffers.values())
 

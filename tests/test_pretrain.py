@@ -11,8 +11,9 @@ from depcoder.encoder import EncoderConfig, EncoderState, ForwardTrace, Numerics
 from depcoder.frontend import (CLS_ID, FIRST_REGULAR_ID, INST_ID, MASK_ID,
                                TokenSequence)
 from depcoder.pretrain import (AdamW, EdgeSample, edge_probabilities,
-                               eligible_positions, mdm_loss, mdm_sample,
-                               mlm_loss, mlm_perturb, perturb_bundle, train_step)
+                               eligible_positions, inst_rows, mdm_loss, mdm_sample,
+                               mlm_loss, mlm_perturb, perturb_batch, perturb_bundle,
+                               train_step)
 
 from oracles import dense_from_pairs, loop_mdm_loss, naive_mask_bundle, per_array_adamw
 
@@ -249,7 +250,7 @@ class TestLosses:
         _, art = small_artifact()
         final = np.zeros((len(art.seq), 8))
         sample = edge_sample([0], [(0, 1)], [(0, 4)])
-        loss, _ = mdm_loss(fake_trace(final), sample, art.seq)
+        loss, _ = mdm_loss(fake_trace(final), sample, inst_rows(art.seq))
         assert loss == pytest.approx(2 * np.log(2), rel=1e-12)
 
     def test_mdm_perfect_separation(self):
@@ -259,14 +260,14 @@ class TestLosses:
         final[p0, 0] = final[p1, 0] = 40.0   # aligned -> dot 1600
         final[p4, 0] = -40.0                 # anti-aligned -> dot -1600
         sample = edge_sample([0], [(0, 1)], [(0, 4)])
-        loss, _ = mdm_loss(fake_trace(final), sample, art.seq)
+        loss, _ = mdm_loss(fake_trace(final), sample, inst_rows(art.seq))
         assert loss < 1e-6
 
     def test_edge_probabilities_labels(self):
         _, art = small_artifact()
         final = np.zeros((len(art.seq), 8))
         sample = edge_sample([0], [(0, 1)], [(0, 4)])
-        probs = edge_probabilities(fake_trace(final), sample, art.seq)
+        probs = edge_probabilities(fake_trace(final), sample, inst_rows(art.seq))
         assert [y for _, y in probs] == [1, 0]
         assert all(p == 0.5 for p, _ in probs)
 
@@ -280,13 +281,13 @@ class TestLosses:
             sample = edge_sample()
         else:  # instruction 0, 1 and 5 each end more than one edge
             sample = edge_sample([0, 1], [(0, 1), (1, 2), (0, 3)], [(0, 4), (1, 5), (2, 5)])
-        loss, dh = mdm_loss(fake_trace(final), sample, art.seq)
+        loss, dh = mdm_loss(fake_trace(final), sample, inst_rows(art.seq))
         want_loss, want_dh = loop_mdm_loss(final, sample, art.seq)
         tol = 1e-12 if dtype == np.float64 else 1e-5
         assert dh.dtype == dtype
         assert loss == pytest.approx(want_loss, rel=tol, abs=tol)
         assert np.allclose(dh, want_dh, rtol=tol, atol=tol)
-        probs = edge_probabilities(fake_trace(final), sample, art.seq)
+        probs = edge_probabilities(fake_trace(final), sample, inst_rows(art.seq))
         assert [y for _, y in probs] == [1] * len(sample.positives) + [0] * len(sample.negatives)
         assert all(0.0 < p < 1.0 for p, _ in probs)
 
@@ -327,6 +328,52 @@ class TestTrainStep:
         rng = np.random.default_rng(0)
         losses = [train_step(items, state, opt, rng).total for _ in range(60)]
         assert np.mean(losses[-5:]) < 0.6 * np.mean(losses[:5])
+
+    def test_one_pass_per_step(self, monkeypatch):
+        from depcoder import pretrain
+
+        items, state = self.make_items()
+        calls = []
+        for name in ("encode", "mlm_loss", "mdm_loss", "backward"):
+            def counted(*args, _name=name, _fn=getattr(pretrain, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(pretrain, name, counted)
+        train_step(items[:5], state, AdamW(total_steps=4, warmup_steps=1),
+                   np.random.default_rng(0))
+        assert sorted(calls) == ["backward", "encode", "mdm_loss", "mlm_loss"]
+
+    def test_packed_batch_is_each_function_perturbed_and_shifted(self):
+        items, state = self.make_items()
+        vocab = state.config.vocab_size
+        batch = perturb_batch(items, vocab, np.random.default_rng(7), 0.3, 0.5)
+        rng = np.random.default_rng(7)
+        row = inst = 0
+        for item, seg in zip(items, batch.pairs.segments):
+            ids, pert = mlm_perturb(item.seq, vocab, rng, 0.3)
+            sample = mdm_sample(item.con, item.seq.n_instructions, rng, 0.5)
+            pairs = perturb_bundle(item.seq, item.con.dist, sample)
+            assert (seg.row, seg.n) == (row, len(item.seq))
+            assert np.array_equal(batch.ids[row:row + seg.n], ids)
+            i, j = np.divmod(batch.pairs.flat[seg.pairs], batch.pairs.n)
+            assert np.array_equal((i - row) * seg.n + (j - row), pairs.flat)
+            assert np.array_equal(batch.pairs.R[row:row + seg.n, row:row + seg.n], pairs.R)
+            mine = [i for i, p in enumerate(batch.pert.positions) if row <= p < row + seg.n]
+            assert [batch.pert.positions[i] - row for i in mine] == pert.positions
+            assert [batch.pert.original[i] for i in mine] == pert.original
+            for name in ("positives", "negatives"):
+                got = getattr(batch.sample, name)
+                got = got[(got[:, 0] >= inst) & (got[:, 0] < inst + item.seq.n_instructions)]
+                assert np.array_equal(batch.rows[got], inst_rows(item.seq)[getattr(sample, name)]
+                                      + row)
+            row, inst = row + seg.n, inst + item.seq.n_instructions
+        assert row == len(batch.ids) == batch.pairs.n and len(batch.rows) == inst
+
+    def test_gradcheck_runs_on_a_packed_batch(self):
+        from depcoder.gradcheck import build_setup
+
+        segments = build_setup().batch.pairs.segments
+        assert len(segments) == 2 and segments[0].n != segments[1].n
 
     def test_perturbation_soundness_no_attention_over_deleted(self):
         _, art = small_artifact()

@@ -22,7 +22,8 @@ token budget that often truncates it, so the kept-instruction block that
 
 The pair list's two dense products, ``gather_product`` and
 ``spread_product`` in both orientations, equal the same products over the
-dense matrix of the pairs, in float32 and float64.
+dense matrix of the pairs, in float32 and float64, for one function's list
+and for the block-diagonal list that packs up to three.
 
 The attention examples take such a function, raise some of its distances
 above ``r_max`` in a copy of the distances so that many pairs share the
@@ -55,7 +56,7 @@ from depcoder.dependence import (DependenceGraph, block_control_dependences, dat
 from depcoder.encoder import EncoderConfig, EncoderState, backward, encode, rma_attention
 from depcoder.errors import InputError
 from depcoder.frontend import _parse_operand, _split_operands, build_vocab, parse_listing
-from depcoder.masks import build_bundle, sparse_masks
+from depcoder.masks import AttentionPairs, build_bundle, sparse_masks
 from depcoder.pretrain import mdm_sample, perturb_bundle
 from depcoder.synth import generate_function, rename_variant, reorder_variant
 
@@ -275,11 +276,15 @@ def test_attention_matches_the_dense_formula(seed, max_len, model_seed):
 
 
 @SETTINGS
-@given(seed=seeds, max_len=max_lens, draw_seed=seeds, heads=st.integers(1, 4),
-       d=st.integers(1, 8), dtype=st.sampled_from([np.float32, np.float64]))
-def test_pair_list_products_match_the_dense_oracle(seed, max_len, draw_seed, heads, d, dtype):
-    art = artifact(seed, max_len)
-    pairs = build_bundle(art.seq, art.con.dist)
+@given(functions=st.lists(st.tuples(seeds, max_lens), min_size=1, max_size=3),
+       draw_seed=seeds, heads=st.integers(1, 4), d=st.integers(1, 8),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_pair_list_products_match_the_dense_oracle(functions, draw_seed, heads, d, dtype):
+    bundles = [build_bundle(art.seq, art.con.dist)
+               for art in (artifact(seed, max_len) for seed, max_len in functions)]
+    # one function is the one-segment case; more are packed block-diagonally
+    pairs = bundles[0] if len(bundles) == 1 else AttentionPairs.pack(bundles)
+    assert [seg.n for seg in pairs.segments] == [b.n for b in bundles]
     rng = np.random.default_rng(draw_seed)
     a, b = rng.standard_normal((2, heads, pairs.n, d)).astype(dtype)
     values = rng.standard_normal((heads, len(pairs))).astype(dtype)
