@@ -242,11 +242,9 @@ class ForwardTrace:
 
 
 def embed_inputs(token_ids: np.ndarray, state: EncoderState,
-                 positions: np.ndarray | None = None) -> np.ndarray:
-    """Token plus position embeddings; ``positions`` default to 0, 1, ...,
-    and a packed batch's restart at each sequence."""
-    if positions is None:
-        positions = np.arange(len(token_ids))
+                 positions: np.ndarray) -> np.ndarray:
+    """Token plus position embeddings; a packed batch's ``positions`` restart
+    at each sequence."""
     n = int(positions.max()) + 1
     if n > state.config.max_len:
         raise ValueError(f"sequence length {n} exceeds max_len {state.config.max_len}")

@@ -162,15 +162,14 @@ class AttentionPairs:
         self._check(a.shape[-2])
         self._check(b.shape[-1])
         heads, dtype = len(a), np.result_type(a, b)
-        out = np.empty((heads, len(self)), dtype) if len(self.segments) > 1 else None
+        out = np.empty((heads, len(self)), dtype)
         for seg in self.segments:
             rows = slice(seg.row, seg.row + seg.n)
             dense = _workspace(heads, seg.n, dtype)
             try:
                 np.matmul(a[:, rows], b[:, :, rows], out=dense)
-                if out is None:
-                    return np.take(dense.reshape(heads, -1), seg.flat, axis=1)
-                np.take(dense.reshape(heads, -1), seg.flat, axis=1, out=out[:, seg.pairs])
+                np.take(dense.reshape(heads, -1), seg.flat, axis=1, out=out[:, seg.pairs],
+                        mode="clip")
             finally:
                 dense.fill(0)
         return out
@@ -182,8 +181,7 @@ class AttentionPairs:
         zeros elsewhere, one segment's diagonal block at a time."""
         self._check(b.shape[-2], values.shape[-1])
         heads = len(values)
-        out = (np.empty((heads, self.n, b.shape[-1]), np.result_type(values, b))
-               if len(self.segments) > 1 else None)
+        out = np.empty((heads, self.n, b.shape[-1]), np.result_type(values, b))
         for seg in self.segments:
             rows = slice(seg.row, seg.row + seg.n)
             dense = _workspace(heads, seg.n, values.dtype)
@@ -191,8 +189,6 @@ class AttentionPairs:
             try:
                 flat_rows[:, seg.flat] = values[:, seg.pairs]
                 w = dense.transpose(0, 2, 1) if transpose else dense
-                if out is None:
-                    return w @ b[:, rows]
                 np.matmul(w, b[:, rows], out=out[:, rows])
             finally:
                 flat_rows[:, seg.flat] = 0

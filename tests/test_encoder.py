@@ -52,27 +52,27 @@ class TestEmbedding:
         state = make_state(corpus)
         state.params["tok_emb"][:] = 0
         state.params["pos_emb"][:] = 0
-        assert np.all(embed_inputs(np.array(art.seq.tokens), state) == 0)
+        assert np.all(embed_inputs(np.array(art.seq.tokens), state, np.arange(len(art.seq))) == 0)
 
     def test_position_perturbation_is_local(self, corpus, art):
         state = make_state(corpus)
         ids = np.array(art.seq.tokens)
-        base = embed_inputs(ids, state)
+        base = embed_inputs(ids, state, np.arange(len(ids)))
         state.params["pos_emb"][3] += 1.0
-        bumped = embed_inputs(ids, state)
+        bumped = embed_inputs(ids, state, np.arange(len(ids)))
         diff = np.abs(bumped - base).sum(axis=1)
         assert diff[3] > 0
         assert np.all(diff[np.arange(len(ids)) != 3] == 0)
 
     def test_shape(self, corpus, art):
         state = make_state(corpus)
-        out = embed_inputs(np.array(art.seq.tokens), state)
+        out = embed_inputs(np.array(art.seq.tokens), state, np.arange(len(art.seq)))
         assert out.shape == (len(art.seq), state.config.hidden)
 
     def test_overflow_rejected(self, corpus):
         state = make_state(corpus)
         with pytest.raises(ValueError, match="max_len"):
-            embed_inputs(np.zeros(129, dtype=int), state)
+            embed_inputs(np.zeros(129, dtype=int), state, np.arange(129))
 
 
 class TestAttention:
@@ -177,7 +177,8 @@ class TestBlockAndEncode:
         trace = encode(art.seq.tokens, art.bundle, state)
         assert len(trace.caches) == 3
         assert np.array_equal(trace.caches[0].h_in,
-                              embed_inputs(np.array(art.seq.tokens), state))
+                              embed_inputs(np.array(art.seq.tokens), state,
+                                           np.arange(len(art.seq))))
         assert all(c.probs.shape == (2, len(trace.pairs)) for c in trace.caches)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
