@@ -7,6 +7,10 @@ other exception is a bug: a traceback and exit 1.
 
 numpy is imported inside the commands, after ``main`` has pinned the BLAS
 thread pools from the ``threads`` config key or ``--threads``.
+
+A checkpoint's commands analyse the listing as its ``ModelShape`` says.  A
+fine-tuning step packs its functions into one ``encode``, as pre-training
+does, and ends in ``pretrain.update``.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from .config import RunConfig
+from .config import ModelShape, RunConfig
 from .corpus import SECTIONS, STAGES, Corpus, dumps, write_file
 from .errors import ConfigError, InputError, ListingError, NumericsError
 from .frontend import Vocabulary, build_vocab, parse_listing
@@ -32,8 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON run configuration file")
     common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--threads", type=int, help="BLAS thread count (1 = deterministic)")
-    common.add_argument("--flags-dep", action="store_true",
-                        help="model the FLAGS register as a dependence channel")
+    # the commands that analyse a listing afresh; a checkpoint carries its own setting
+    analysis = argparse.ArgumentParser(add_help=False, parents=[common])
+    analysis.add_argument("--flags-dep", action="store_const", const=True,
+                          help="model the FLAGS register as a dependence channel")
     # the commands that encode a listing with a trained checkpoint
     model = argparse.ArgumentParser(add_help=False, parents=[common])
     model.add_argument("listing")
@@ -49,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p
 
-    p = command("pipeline", cmd_pipeline, common,
+    p = command("pipeline", cmd_pipeline, analysis,
                 "tokenize, analyze and build masks for a listing")
     p.add_argument("listing")
     p.add_argument("--out", required=True)
@@ -62,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool-size", type=_at_least_1, default=10)
     p.add_argument("--no-variants", action="store_true")
 
-    p = command("pretrain", cmd_pretrain, common, "MLM + MDM pre-training")
+    p = command("pretrain", cmd_pretrain, analysis, "MLM + MDM pre-training")
     p.add_argument("--corpus", help="listing path (overrides the config)")
     p.add_argument("--out", help="output directory (overrides the config)")
 
@@ -122,12 +128,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
-        if args.flags_dep:
-            cfg.flags_dep = True
+        for key in ("seed", "threads", "flags_dep"):  # the flags that override a key
+            if getattr(args, key, None) is not None:
+                setattr(cfg, key, getattr(args, key))
         cfg.validate()
         # BLAS sizes its thread pools from these when numpy loads
         if cfg.threads is not None:
@@ -220,8 +223,9 @@ def _read_jsonl(path) -> list:
 
 def _load(args, cfg):
     """The checkpoint, and the listing's corpus under its vocabulary and its
-    ``max_len``.  The vocabulary is ``--vocab`` or ``vocab.tsv`` next to the
-    checkpoint, and must be as large as the checkpoint's embedding table."""
+    ``ModelShape``, ``max_len`` and the analysis settings among it.  The
+    vocabulary is ``--vocab`` or ``vocab.tsv`` next to the checkpoint, and
+    must be as large as the checkpoint's embedding table."""
     from .encoder import EncoderState
 
     with _reading(args.checkpoint):
@@ -236,9 +240,9 @@ def _load(args, cfg):
     if len(vocab) != state.config.vocab_size:
         raise InputError(f"{vocab_path}: {len(vocab)} tokens, but the checkpoint "
                          f"embeds {state.config.vocab_size}")
+    shape = {f.name: getattr(state.config, f.name) for f in fields(ModelShape)}
     with _listing(args.listing):
-        return state, Corpus.from_text(_read_text(args.listing),
-                                       replace(cfg, max_len=state.config.max_len), vocab)
+        return state, Corpus.from_text(_read_text(args.listing), replace(cfg, **shape), vocab)
 
 
 def _save_model(state, vocab, path) -> None:
@@ -379,7 +383,9 @@ def cmd_finetune_sim(args, cfg) -> int:
     import numpy as np
 
     from .downstream import triplet_loss_grads
-    from .encoder import backward, encode
+    from .encoder import encode
+    from .masks import AttentionPairs
+    from .pretrain import update
 
     state, corpus = _load(args, cfg)
     with _reading(args.triplets):
@@ -390,19 +396,17 @@ def cmd_finetune_sim(args, cfg) -> int:
     opt = _finetune_optimizer(cfg, args.steps)
     rng = np.random.default_rng(cfg.seed)
     for step in range(args.steps):
-        grads = state.zero_grads()
+        arts = [a for i in rng.integers(len(triplets), size=cfg.batch_size) for a in triplets[i]]
+        trace = encode(np.concatenate([a.seq.tokens for a in arts]),
+                       AttentionPairs.pack([a.bundle for a in arts]), state, rng=rng)
+        cls = [seg.row for seg in trace.pairs.segments]  # a function's first row is its [CLS]
+        d_final = np.zeros_like(trace.final)
         loss_sum = 0.0
-        for _ in range(cfg.batch_size):
-            arts = triplets[int(rng.integers(len(triplets)))]
-            traces = [encode(a.seq.tokens, a.bundle, state, rng=rng) for a in arts]
-            loss, da, dp, dn = triplet_loss_grads(
-                *(tr.cls_embedding for tr in traces), margin=cfg.triplet_margin)
+        for t in range(0, len(cls), 3):  # a triplet's functions are three segments in a row
+            loss, *d = triplet_loss_grads(*trace.final[cls[t:t + 3]], margin=cfg.triplet_margin)
             loss_sum += loss
-            for tr, d in zip(traces, (da, dp, dn)):
-                d_final = np.zeros_like(tr.final)
-                d_final[0] = d / cfg.batch_size
-                backward(tr, d_final, state, grads)
-        opt.apply(state.params, grads)
+            d_final[cls[t:t + 3]] = np.stack(d) / cfg.batch_size
+        update(trace, d_final, {}, state, opt)
         if (step + 1) % 10 == 0:
             print(f"step {step + 1}: triplet loss {loss_sum / cfg.batch_size:.4f}")
     _save_model(state, corpus.vocab, args.out)
@@ -441,7 +445,9 @@ def cmd_train_type(args, cfg) -> int:
     import numpy as np
 
     from .downstream import type_inference_loss
-    from .encoder import backward, encode
+    from .encoder import encode
+    from .masks import AttentionPairs
+    from .pretrain import update
 
     state, corpus = _load(args, cfg)
     label_of = _label_ids()
@@ -452,21 +458,16 @@ def cmd_train_type(args, cfg) -> int:
     opt = _finetune_optimizer(cfg, args.steps)
     rng = np.random.default_rng(cfg.seed)
     for step in range(args.steps):
-        grads = state.zero_grads()
-        batch = [names[int(i)] for i in rng.integers(len(names), size=cfg.batch_size)]
-        n_tokens = sum(len(labelled[n]) for n in batch)
-        loss_sum = 0.0
-        for name in batch:
-            art = corpus.by_name[name]
-            trace = encode(art.seq.tokens, art.bundle, state, rng=rng)
-            loss, dh, head = type_inference_loss(trace, labelled[name], state)
-            loss_sum += loss
-            for k, g in head.items():
-                grads[k] += g / n_tokens
-            backward(trace, dh / n_tokens, state, grads)
-        opt.apply(state.params, grads)
+        arts = [corpus.by_name[names[i]] for i in rng.integers(len(names), size=cfg.batch_size)]
+        trace = encode(np.concatenate([a.seq.tokens for a in arts]),
+                       AttentionPairs.pack([a.bundle for a in arts]), state, rng=rng)
+        labels = [(pos + seg.row, label) for a, seg in zip(arts, trace.pairs.segments)
+                  for pos, label in labelled[a.name]]
+        loss, dh, head = type_inference_loss(trace, labels, state)
+        update(trace, dh / len(labels), {k: g / len(labels) for k, g in head.items()},
+               state, opt)
         if (step + 1) % 50 == 0:
-            print(f"step {step + 1}: type loss {loss_sum / max(1, n_tokens):.4f}")
+            print(f"step {step + 1}: type loss {loss / len(labels):.4f}")
     _save_model(state, corpus.vocab, args.out)
     return 0
 
@@ -506,8 +507,8 @@ def _mlc_inputs(args, corpus, state, cfg):
             raise InputError("no samples")
         y = np.array([row["labels"] for row in samples], dtype=np.float64)
         pools = [[corpus.by_name[n] for n in row["functions"][:cfg.pool_k]] for row in samples]
-        if y.ndim != 2 or not all(pools):
-            raise InputError("want samples, each with a list of labels and a function")
+        if y.ndim != 2 or not all(pools) or not np.isin(y, (0, 1)).all():  # NaN is neither
+            raise InputError("want samples, each with a function and a list of 0/1 labels")
     arts = {a.name: a for pool in pools for a in pool}
     embs = {n: np.asarray(_embedding(state, a), dtype=np.float64) for n, a in arts.items()}
     return y, [[embs[a.name] for a in pool] for pool in pools]
@@ -557,6 +558,8 @@ def cmd_eval_mlc(args, cfg) -> int:
         head = {k: np.asarray(v, dtype=np.float64) for k, v in dict(json.load(fh)).items()}
         if {k: v.shape for k, v in head.items()} != shapes:
             raise InputError(f"want the head shapes {shapes}")
+        if not all(np.isfinite(v).all() for v in head.values()):
+            raise InputError("a non-finite head value")
     f = np.stack([multilabel_probs(e, head) for e in inputs])
     print(json.dumps({"lrap": lrap(y, f), "lrl": lrl(y, f),
                       "roc_auc": macro_roc_auc(y, f), "samples": len(y)},

@@ -1,16 +1,20 @@
 """Run configuration: every tunable of the pipeline with validated defaults.
 
 The defaults are desk-scale: a small model that trains in minutes on a CPU.
-The encoder's shape (``ModelShape``) is declared once and shared by the run
-configuration and the encoder's own ``EncoderConfig``, which a checkpoint
-carries.  The attention mask's disabled value is a constant of
+``ModelShape`` declares what a checkpoint carries, once for the run
+configuration and the encoder's own ``EncoderConfig``: the encoder's shape
+and the analysis settings its masks come from.  Each field declares its
+type and, next to its default, the rule its values meet (``">= 1"``,
+``"in [0, 1)"``, ``"'error' or 'conservative'"``), which is also the text
+of the error; ``validate`` checks every field in one loop, and NaN meets
+no numeric rule.  The attention mask's disabled value is a constant of
 ``masks``, not a configuration key.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -19,88 +23,72 @@ from .errors import ConfigError
 _ADMITS = {"int": {int}, "float": {int, float}, "str": {str}, "bool": {bool}, "None": {type(None)}}
 
 
+def _bound(default, rule: str):
+    """A field whose values must meet ``rule``: ``">= x"``, ``"> x"``, an interval
+    ``"in [lo, hi)"`` (either bracket at either end) or choices ``"'a' or 'b'"``."""
+    return field(default=default, metadata={"bound": rule})
+
+
+def _meets(value, rule: str) -> bool:
+    if " or " in rule:
+        return repr(value) in rule.split(" or ")
+    if rule.startswith("in "):
+        lo, hi = (float(end) for end in rule[4:-1].split(","))
+        return ((value >= lo if rule[3] == "[" else value > lo)
+                and (value <= hi if rule[-1] == "]" else value < hi))
+    limit = float(rule.split()[1])
+    return value >= limit if rule.startswith(">=") else value > limit
+
+
 @dataclass
 class ModelShape:
-    layers: int = 2
-    heads: int = 4
-    hidden: int = 64
-    ffn: int = 256
-    max_len: int = 512
-    r_max: int = 8
-    dropout: float = 0.1
-    dtype: str = "float32"
+    layers: int = _bound(2, ">= 1")
+    heads: int = _bound(4, ">= 1")
+    hidden: int = _bound(64, ">= 1")
+    ffn: int = _bound(256, ">= 1")
+    max_len: int = _bound(512, ">= 2")
+    r_max: int = _bound(8, ">= 1")
+    dropout: float = _bound(0.1, "in [0, 1)")
+    dtype: str = _bound("float32", "'float32' or 'float64'")
+    # the dependence analysis behind the masks
+    flags_dep: bool = False
+    on_unknown: str = _bound("error", "'error' or 'conservative'")
 
     def validate(self) -> None:
-        for f in fields(self):  # a subclass's fields too, before any is compared
+        for f in fields(self):  # a subclass's fields too
             value, kinds = getattr(self, f.name), f.type.split(" | ")
             if not any(type(value) in _ADMITS[k] for k in kinds):
                 raise ConfigError(f"{f.name} must be {' or '.join(kinds)}, not {value!r}")
-        for name in ("layers", "heads", "hidden", "ffn"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.max_len < 2:
-            raise ConfigError("max_len must be >= 2")
+            rule = f.metadata.get("bound")
+            if rule and value is not None and not _meets(value, rule):
+                raise ConfigError(f"{f.name} must be {rule}")
         if self.hidden % self.heads:
             raise ConfigError("hidden must be divisible by heads")
-        if self.r_max < 1:
-            raise ConfigError("r_max must be >= 1")
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigError("dtype must be 'float32' or 'float64'")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
 
 
 @dataclass
 class RunConfig(ModelShape):
-    # tokenizer / analysis
-    vocab_min_freq: int = 1
-    flags_dep: bool = False
-    on_unknown: str = "error"  # or "conservative"
+    # tokenizer
+    vocab_min_freq: int = _bound(1, ">= 1")
     # pre-training
-    lr: float = 3e-4
-    warmup: int = 100
-    steps: int = 500
-    batch_size: int = 8
-    weight_decay: float = 0.01
+    lr: float = _bound(3e-4, "> 0")
+    warmup: int = _bound(100, ">= 0")
+    steps: int = _bound(500, ">= 1")
+    batch_size: int = _bound(8, ">= 1")
+    weight_decay: float = _bound(0.01, ">= 0")
     #: 0 means no clipping
-    clip_norm: float = 1.0
-    mlm_rate: float = 0.15
-    mdm_node_frac: float = 0.4
+    clip_norm: float = _bound(1.0, ">= 0")
+    mlm_rate: float = _bound(0.15, "in (0, 1)")
+    mdm_node_frac: float = _bound(0.4, "in [0, 1]")
     # downstream
-    triplet_margin: float = 0.2
-    pool_k: int = 4
+    triplet_margin: float = _bound(0.2, ">= 0")
+    pool_k: int = _bound(4, ">= 1")
     # run plumbing
-    seed: int = 0
+    seed: int = _bound(0, ">= 0")
     #: BLAS thread count the CLI pins before numpy loads; None leaves BLAS alone
-    threads: int | None = None
+    threads: int | None = _bound(None, ">= 1")
     corpus: str | None = None
     out_dir: str | None = None
-
-    def validate(self) -> None:
-        super().validate()
-        if self.on_unknown not in ("error", "conservative"):
-            raise ConfigError("on_unknown must be 'error' or 'conservative'")
-        if not 0.0 < self.mlm_rate < 1.0:
-            raise ConfigError("mlm_rate must be in (0, 1)")
-        if not 0.0 <= self.mdm_node_frac <= 1.0:
-            raise ConfigError("mdm_node_frac must be in [0, 1]")
-        if self.pool_k < 1:
-            raise ConfigError("pool_k must be >= 1")
-        if self.steps < 1 or self.batch_size < 1:
-            raise ConfigError("steps and batch_size must be positive")
-        if self.warmup < 0:
-            raise ConfigError("warmup must be >= 0")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if not self.lr > 0.0:
-            raise ConfigError("lr must be > 0")
-        for name in ("weight_decay", "clip_norm", "triplet_margin"):
-            if not getattr(self, name) >= 0.0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.vocab_min_freq < 1:
-            raise ConfigError("vocab_min_freq must be >= 1")
 
     def encoder_config(self, vocab_size: int):
         """The ``EncoderConfig`` of a fresh model of this shape."""

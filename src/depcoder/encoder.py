@@ -52,7 +52,7 @@ from .corpus import write_file
 from .errors import ConfigError, InputError, NumericsError
 from .masks import AttentionPairs
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass

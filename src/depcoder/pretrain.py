@@ -15,7 +15,8 @@ block-diagonal mask, and token positions, instruction indices and
 ``<INST>`` rows shift by the functions before.  So a step makes one call
 each to ``encode``, ``mlm_loss``, ``mdm_loss``, ``backward`` and the
 optimizer, and the losses take positions in the packed rows; one function
-is the one-segment case.
+is the one-segment case.  The step ends in ``update``, the reverse pass
+and the optimizer step, as the fine-tuning commands' packed steps do.
 """
 
 from __future__ import annotations
@@ -309,6 +310,17 @@ class StepMetrics:
     n_edges: int
 
 
+def update(trace: ForwardTrace, d_final: np.ndarray, head_grads: dict[str, np.ndarray],
+           state: EncoderState, opt: AdamW) -> float:
+    """The end of every encoder-training step: the heads' gradients, one reverse
+    pass of ``trace`` from ``d_final`` and one optimizer update; returns the lr."""
+    grads = state.zero_grads()
+    for k, g in head_grads.items():
+        grads[k] += g
+    backward(trace, d_final, state, grads)
+    return opt.apply(state.params, grads)
+
+
 def train_step(items: list[FunctionArtifacts], state: EncoderState, opt: AdamW,
                rng: np.random.Generator, mlm_rate: float = 0.15,
                node_frac: float = 0.4) -> StepMetrics:
@@ -327,11 +339,6 @@ def train_step(items: list[FunctionArtifacts], state: EncoderState, opt: AdamW,
 
     l_mlm, dh_mlm, head_grads = mlm_loss(trace, batch.pert, state)
     l_mdm, dh_mdm = mdm_loss(trace, batch.sample, batch.rows)
-    grads = state.zero_grads()
-    for k, g in head_grads.items():
-        grads[k] += g * mlm_scale
-    backward(trace, dh_mlm * mlm_scale + dh_mdm * mdm_scale, state, grads)
-
     mlm_mean = l_mlm * mlm_scale
     mdm_mean = l_mdm * mdm_scale
     total = mlm_mean + mdm_mean
@@ -339,6 +346,7 @@ def train_step(items: list[FunctionArtifacts], state: EncoderState, opt: AdamW,
         raise NumericsError(
             f"non-finite loss at step {opt.step_count + 1}: "
             f"mlm={mlm_mean!r} mdm={mdm_mean!r} over {len(items)} functions")
-    lr = opt.apply(state.params, grads)
+    lr = update(trace, dh_mlm * mlm_scale + dh_mdm * mdm_scale,
+                {k: g * mlm_scale for k, g in head_grads.items()}, state, opt)
     return StepMetrics(step=opt.step_count, mlm_loss=mlm_mean, mdm_loss=mdm_mean,
                        total=total, lr=lr, n_masked=n_masked, n_edges=n_edges)

@@ -406,7 +406,11 @@ COMMON_ARGS = {
     "config": (("--config",), None, False, None, None),
     "seed": (("--seed",), None, False, "int", None),
     "threads": (("--threads",), None, False, "int", None),
-    "flags_dep": (("--flags-dep",), False, False, None, None),
+}
+#: the commands that analyse a listing afresh; a checkpoint carries its own setting
+ANALYSIS_ARGS = {
+    **COMMON_ARGS,
+    "flags_dep": (("--flags-dep",), None, False, None, None),
 }
 MODEL_ARGS = {
     **COMMON_ARGS,
@@ -415,7 +419,7 @@ MODEL_ARGS = {
     "vocab": (("--vocab",), None, False, None, None),
 }
 COMMAND_ARGS = {
-    "pipeline": {**COMMON_ARGS,
+    "pipeline": {**ANALYSIS_ARGS,
                  "listing": ((), None, True, None, None),
                  "out": (("--out",), None, True, None, None),
                  "stage": (("--stage",), "mask", False, None,
@@ -426,7 +430,7 @@ COMMAND_ARGS = {
               "functions": (("--functions",), 200, False, "_at_least_1", None),
               "pool_size": (("--pool-size",), 10, False, "_at_least_1", None),
               "no_variants": (("--no-variants",), False, False, None, None)},
-    "pretrain": {**COMMON_ARGS,
+    "pretrain": {**ANALYSIS_ARGS,
                  "corpus": (("--corpus",), None, False, None, None),
                  "out": (("--out",), None, False, None, None)},
     "embed": {**MODEL_ARGS,
@@ -766,6 +770,173 @@ class TestTrainingCommands:
         assert not (tmp_path / "nan" / "model.ckpt").exists()
 
 
+class TestPackedFineTuning:
+    """A fine-tuning step packs its batch into one encoder pass, as
+    pre-training does, and gives the update of one pass per function."""
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        """A float64 checkpoint without dropout, and the config its fine-tuning runs take."""
+        root = tmp_path_factory.mktemp("packed")
+        data = root / "data"
+        assert main(["synth", "--out", str(data), "--functions", "6", "--seed", "5"]) == 0
+        cfg = {"layers": 2, "hidden": 16, "heads": 2, "ffn": 32, "dropout": 0.0,
+               "dtype": "float64", "steps": 1, "batch_size": 3, "warmup": 0, "seed": 5,
+               "corpus": str(data / "corpus.asm"), "out_dir": str(root / "run")}
+        cfg_path = write(root / "cfg.json", json.dumps(cfg))
+        assert main(["pretrain", "--config", cfg_path]) == 0
+        return {"data": data, "run": root / "run", "cfg": cfg_path, "seed": 5, "batch": 3}
+
+    @staticmethod
+    def per_function_grads(command, model):
+        """The gradients of one step as the loops before packing took it:
+        one encoder and one reverse pass per function, summed."""
+        import numpy as np
+        from depcoder.cli import _label_ids, _labelled_positions
+        from depcoder.corpus import Corpus
+        from depcoder.downstream import triplet_loss_grads, type_inference_loss
+        from depcoder.encoder import EncoderState, backward, encode
+        from depcoder.frontend import Vocabulary
+
+        data, batch = model["data"], model["batch"]
+        state = EncoderState.load(model["run"] / "model.ckpt")
+        corpus = Corpus.from_text((data / "corpus.asm").read_text(), RunConfig(),
+                                  Vocabulary.load(model["run"] / "vocab.tsv"))
+        rng = np.random.default_rng(model["seed"])  # the command's draw of its batch
+        grads = state.zero_grads()
+        if command == "finetune-sim":
+            with open(data / "triplets.jsonl") as fh:
+                triplets = [[corpus.by_name[t[k]] for k in ("anchor", "positive", "negative")]
+                            for t in map(json.loads, fh)]
+            for i in rng.integers(len(triplets), size=batch):
+                traces = [encode(a.seq.tokens, a.bundle, state) for a in triplets[i]]
+                _, *d = triplet_loss_grads(*(t.cls_embedding for t in traces), margin=0.2)
+                for trace, d_cls in zip(traces, d):
+                    d_final = np.zeros_like(trace.final)
+                    d_final[0] = d_cls / batch
+                    backward(trace, d_final, state, grads)
+        else:
+            labelled = _labelled_positions(data / "typelabels.jsonl", corpus, _label_ids())
+            names = [n for n in labelled if labelled[n]]
+            chosen = [names[i] for i in rng.integers(len(names), size=batch)]
+            n_tokens = sum(len(labelled[n]) for n in chosen)
+            for name in chosen:
+                art = corpus.by_name[name]
+                trace = encode(art.seq.tokens, art.bundle, state)
+                _, dh, head = type_inference_loss(trace, labelled[name], state)
+                for k, g in head.items():
+                    grads[k] += g / n_tokens
+                backward(trace, dh / n_tokens, state, grads)
+        return grads
+
+    @pytest.mark.parametrize("command", ["finetune-sim", "train-type"])
+    def test_a_packed_step_gives_the_per_function_gradients(self, model, tmp_path,
+                                                             monkeypatch, command):
+        import numpy as np
+        from depcoder.pretrain import AdamW
+
+        applied = []
+        apply = AdamW.apply
+
+        def recorded(opt, params, grads):
+            applied.append({k: v.copy() for k, v in grads.items()})
+            return apply(opt, params, grads)
+
+        monkeypatch.setattr(AdamW, "apply", recorded)
+        data = model["data"]
+        inputs = (["--triplets", str(data / "triplets.jsonl")] if command == "finetune-sim"
+                  else ["--labels", str(data / "typelabels.jsonl")])
+        assert main([command, str(data / "corpus.asm"),
+                     "--checkpoint", str(model["run"] / "model.ckpt"), *inputs,
+                     "--out", str(tmp_path / "out.ckpt"), "--steps", "1",
+                     "--config", model["cfg"]]) == 0
+        want = self.per_function_grads(command, model)
+        assert len(applied) == 1 and applied[0].keys() == want.keys()
+        assert np.any(want["l0.wq"] != 0)
+        for name, g in want.items():
+            np.testing.assert_allclose(applied[0][name], g, rtol=1e-12, atol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("command", ["finetune-sim", "train-type"])
+    def test_two_runs_with_one_seed_write_the_same_bytes(self, trained, tmp_path, command):
+        # dropout is on: both runs draw it from the seeded rng, once per step
+        data = trained["data"]
+        inputs = (["--triplets", str(data / "triplets.jsonl")] if command == "finetune-sim"
+                  else ["--labels", str(data / "typelabels.jsonl")])
+        for run in ("a", "b"):
+            os.makedirs(tmp_path / run)
+            assert main([command, str(data / "corpus.asm"),
+                         "--checkpoint", str(trained["run"] / "model.ckpt"), *inputs,
+                         "--out", str(tmp_path / run / "out.ckpt"), "--steps", "3",
+                         "--config", trained["cfg"]]) == 0
+        assert (tmp_path / "a" / "out.ckpt").read_bytes() == \
+            (tmp_path / "b" / "out.ckpt").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def flags_trained(tmp_path_factory):
+    """A tiny checkpoint pre-trained with ``--flags-dep``, and the masks of
+    its listing under each analysis."""
+    import numpy as np
+    from depcoder.corpus import Corpus
+    from depcoder.frontend import Vocabulary
+
+    root = tmp_path_factory.mktemp("flags")
+    data, run = root / "data", root / "run"
+    assert main(["synth", "--out", str(data), "--functions", "8", "--seed", "0"]) == 0
+    cfg = write(root / "cfg.json", json.dumps({"layers": 1, "hidden": 16, "heads": 2,
+                                               "ffn": 32, "steps": 2, "batch_size": 2}))
+    assert main(["pretrain", "--config", cfg, "--corpus", str(data / "corpus.asm"),
+                 "--out", str(run), "--flags-dep"]) == 0
+    text, vocab = (data / "corpus.asm").read_text(), Vocabulary.load(run / "vocab.tsv")
+    masks = {flags: [(a.bundle.flat, a.bundle.r) for a in Corpus.from_text(
+                 text, RunConfig(flags_dep=flags), vocab).functions]
+             for flags in (False, True)}
+    assert any(not np.array_equal(a[0], b[0]) for a, b in zip(masks[False], masks[True]))
+    return {"data": data, "run": run, "masks": masks[True]}
+
+
+class TestCheckpointAnalysis:
+    """A checkpoint carries the analysis it was trained on, and every command
+    that loads one builds its masks with it."""
+
+    @pytest.mark.parametrize("command", ["embed", "finetune-sim", "train-type", "eval-type",
+                                         "train-mlc", "eval-mlc"])
+    def test_every_checkpoint_command_uses_the_checkpoints_analysis(
+            self, flags_trained, tmp_path, monkeypatch, command):
+        import numpy as np
+        from depcoder.corpus import Corpus
+
+        data, ckpt = flags_trained["data"], str(flags_trained["run"] / "model.ckpt")
+        listing = str(data / "corpus.asm")
+        inputs = {"embed": ["--out", str(tmp_path / "e.jsonl")],
+                  "finetune-sim": ["--triplets", str(data / "triplets.jsonl"),
+                                   "--out", str(tmp_path / "f.ckpt"), "--steps", "1"],
+                  "train-type": ["--labels", str(data / "typelabels.jsonl"),
+                                 "--out", str(tmp_path / "t.ckpt"), "--steps", "1"],
+                  "eval-type": ["--labels", str(data / "typelabels.jsonl")],
+                  "train-mlc": ["--samples", str(data / "mlc.jsonl"),
+                                "--out", str(tmp_path / "h.json"), "--steps", "1"],
+                  "eval-mlc": ["--samples", str(data / "mlc.jsonl"),
+                               "--head", str(tmp_path / "h.json")]}
+        if command == "eval-mlc":
+            assert main(["train-mlc", listing, "--checkpoint", ckpt,
+                         *inputs["train-mlc"]]) == 0
+        built = []
+        from_text = Corpus.from_text
+
+        def recorded(*args, **kwargs):
+            built.append(from_text(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(Corpus, "from_text", recorded)
+        assert main([command, listing, "--checkpoint", ckpt, *inputs[command]]) == 0
+        (corpus,) = built
+        assert corpus.functions[0].cfg.flags_dep is True
+        for art, (flat, r) in zip(corpus.functions, flags_trained["masks"], strict=True):
+            assert np.array_equal(art.bundle.flat, flat) and np.array_equal(art.bundle.r, r)
+
+
 def bad_input(case, tmp_path, trained):
     """The argv of a command given the bad input ``case``, and the bad file's path."""
     listing = write(tmp_path / "chain.asm", POINTER_CHAIN)
@@ -835,6 +1006,35 @@ class TestExitCodes:
         assert main(argv) == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, labels, head_b", [
+        ("train-mlc", [2, 0], None), ("eval-mlc", [2, 0], [0.0, 0.0]),
+        ("train-mlc", [float("nan"), 1], None), ("eval-mlc", [1, 0], [float("nan"), 0.0]),
+        ("eval-mlc", [1, 0], [float("inf"), 0.0]),
+    ], ids=["label-2-train", "label-2-eval", "nan-label-train", "nan-head", "inf-head"])
+    def test_a_bad_multilabel_input_exits_2_naming_the_file(self, trained, tmp_path, capsys,
+                                                             command, labels, head_b):
+        # a label of 2 scored and trained, a NaN label read as divergence, a
+        # NaN head failed inside the metric and an inf head scored
+        listing = write(tmp_path / "chain.asm", POINTER_CHAIN)
+        samples = write(tmp_path / "s.jsonl", json.dumps({"functions": ["chain"],
+                                                          "labels": labels}) + "\n")
+        argv = [command, listing, "--checkpoint", str(trained["run"] / "model.ckpt"),
+                "--samples", samples]
+        if command == "train-mlc":
+            argv += ["--out", str(tmp_path / "h.json"), "--steps", "1"]
+            bad, detail = samples, "a list of 0/1 labels"
+        else:
+            hidden = json.loads(open(trained["cfg"]).read())["hidden"]
+            head = write(tmp_path / "head.json", json.dumps(
+                {"query": [0.0] * hidden, "w": [[0.0, 0.0]] * hidden, "b": head_b}))
+            argv += ["--head", head]
+            bad, detail = ((samples, "a list of 0/1 labels") if labels[0] == 2
+                           else (head, "a non-finite head value"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {bad}: " in err and detail in err
+        assert not (tmp_path / "h.json").exists()
+
     def test_a_non_finite_embedding_exits_2_naming_the_file_and_function(self, tmp_path,
                                                                           capsys):
         # a NaN cosine is neither above nor below another, so the rank it
@@ -852,7 +1052,7 @@ class TestExitCodes:
         lambda data: b"garbage",
         lambda data: data[:-4],
         lambda data: checkpoint_with(data, lambda h: h["config"].update(bogus=1)),
-        lambda data: checkpoint_with(data, lambda h: h.update(format_version=2)),
+        lambda data: checkpoint_with(data, lambda h: h.update(format_version=1)),
         lambda data: checkpoint_with(data, lambda h: h["tensors"][0].update(name="renamed")),
     ], ids=["garbage", "truncated_tensors", "unknown_config_key", "wrong_version",
             "renamed_tensor"])
