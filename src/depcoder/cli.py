@@ -261,7 +261,7 @@ def _finetune_optimizer(cfg, steps):
 
 def _embedding(state, art):
     from .encoder import encode
-    return encode(art.seq.tokens, art.bundle, state).cls_embedding
+    return encode(art.seq.tokens, art.bundle, state, rows=[0]).cls_embedding
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +397,16 @@ def cmd_finetune_sim(args, cfg) -> int:
     rng = np.random.default_rng(cfg.seed)
     for step in range(args.steps):
         arts = [a for i in rng.integers(len(triplets), size=cfg.batch_size) for a in triplets[i]]
-        trace = encode(np.concatenate([a.seq.tokens for a in arts]),
-                       AttentionPairs.pack([a.bundle for a in arts]), state, rng=rng)
-        cls = [seg.row for seg in trace.pairs.segments]  # a function's first row is its [CLS]
+        pairs = AttentionPairs.pack([a.bundle for a in arts])
+        # a function's first row is its [CLS], and the last layer runs at those rows only
+        trace = encode(np.concatenate([a.seq.tokens for a in arts]), pairs, state, rng=rng,
+                       rows=[seg.row for seg in pairs.segments])
         d_final = np.zeros_like(trace.final)
         loss_sum = 0.0
-        for t in range(0, len(cls), 3):  # a triplet's functions are three segments in a row
-            loss, *d = triplet_loss_grads(*trace.final[cls[t:t + 3]], margin=cfg.triplet_margin)
+        for t in range(0, len(arts), 3):  # a triplet's functions are three segments in a row
+            loss, *d = triplet_loss_grads(*trace.final[t:t + 3], margin=cfg.triplet_margin)
             loss_sum += loss
-            d_final[cls[t:t + 3]] = np.stack(d) / cfg.batch_size
+            d_final[t:t + 3] = np.stack(d) / cfg.batch_size
         update(trace, d_final, {}, state, opt)
         if (step + 1) % 10 == 0:
             print(f"step {step + 1}: triplet loss {loss_sum / cfg.batch_size:.4f}")
@@ -459,10 +460,11 @@ def cmd_train_type(args, cfg) -> int:
     rng = np.random.default_rng(cfg.seed)
     for step in range(args.steps):
         arts = [corpus.by_name[names[i]] for i in rng.integers(len(names), size=cfg.batch_size)]
-        trace = encode(np.concatenate([a.seq.tokens for a in arts]),
-                       AttentionPairs.pack([a.bundle for a in arts]), state, rng=rng)
-        labels = [(pos + seg.row, label) for a, seg in zip(arts, trace.pairs.segments)
+        pairs = AttentionPairs.pack([a.bundle for a in arts])
+        labels = [(pos + seg.row, label) for a, seg in zip(arts, pairs.segments)
                   for pos, label in labelled[a.name]]
+        trace = encode(np.concatenate([a.seq.tokens for a in arts]), pairs, state, rng=rng,
+                       rows=sorted({pos for pos, _ in labels}))
         loss, dh, head = type_inference_loss(trace, labels, state)
         update(trace, dh / len(labels), {k: g / len(labels) for k, g in head.items()},
                state, opt)
@@ -486,10 +488,11 @@ def cmd_eval_type(args, cfg) -> int:
         if not pairs:
             continue
         art = corpus.by_name[name]
-        trace = encode(art.seq.tokens, art.bundle, state)
-        logits = type_logits(trace, state)
-        for pos, label in pairs:
-            preds.append(int(np.argmax(logits[pos])))
+        positions = [pos for pos, _ in pairs]
+        trace = encode(art.seq.tokens, art.bundle, state, rows=sorted(set(positions)))
+        logits = type_logits(trace, state)[trace.index_of(positions)]
+        for row, (_, label) in zip(logits, pairs):
+            preds.append(int(np.argmax(row)))
             gold.append(label)
     p, r, f1 = type_prf(preds, gold, label_of["no-access"])
     print(json.dumps({"precision": p, "recall": r, "f1": f1, "tokens": len(gold)},

@@ -31,6 +31,17 @@ rows, and only the two products go segment by segment.  Positions restart
 at 0 at each segment, and ``backward`` adds the position-embedding
 gradient per segment.
 
+Given the ``rows`` its caller reads, ``encode`` runs the last layer at those
+rows only.  In a post-LN block row i's output depends on its own query and
+on the keys and values of every row, so the last layer projects K and V
+from all rows and Q from the selected ones, attends over
+``pairs.select(rows)`` (a rectangular segment per sequence, see ``masks``)
+and runs its residuals, LayerNorms, FFN and dropout on those rows alone.
+``final`` then holds just those rows, and ``ForwardTrace.index_of`` maps a
+sequence row to its row of ``final`` or raises for one not computed.  The
+last layer's reverse pass returns a gradient over all rows: the residual
+and Q paths add at the selected rows, the K and V paths at every row.
+
 A float32 model computes in float32 throughout.  The projections are
 batched matmuls on the (heads, d, dk) weights, and the softmax and its
 reverse run in place on arrays the step has just made, never on the trace.
@@ -230,15 +241,37 @@ class _LayerCache:
 class ForwardTrace:
     token_ids: np.ndarray
     pairs: AttentionPairs
-    #: hidden states after the last layer
+    #: hidden states after the last layer, at ``rows`` when it is set
     final: np.ndarray
     #: per-layer reverse-pass cache; ``caches[l].h_in`` is H^(l) and
-    #: ``caches[l].probs`` the layer's attention weights at ``pairs``
+    #: ``caches[l].probs`` the layer's attention weights at its pair list
     caches: list[_LayerCache] = field(repr=False)
+    #: the last layer's pair list: ``pairs.select(rows)``, or ``pairs``
+    last_pairs: AttentionPairs | None = field(default=None, repr=False)
+
+    @property
+    def rows(self) -> np.ndarray | None:
+        """The sequence rows that ``final`` holds, in order; None for all."""
+        return None if self.last_pairs is None else self.last_pairs.rows
+
+    def index_of(self, positions) -> np.ndarray:
+        """The row of ``final`` that holds each of the sequence rows
+        ``positions``; a row the last layer did not compute raises
+        ``ValueError``."""
+        positions = np.asarray(positions, dtype=np.int64)
+        rows = self.rows
+        if rows is None:
+            return positions
+        at = np.searchsorted(rows, positions)
+        found = at < len(rows)
+        found[found] = rows[at[found]] == positions[found]
+        if not found.all():
+            raise ValueError(f"rows {positions[~found].tolist()} were not computed")
+        return at
 
     @property
     def cls_embedding(self) -> np.ndarray:
-        return self.final[0]
+        return self.final[self.index_of([0])[0]]
 
 
 def embed_inputs(token_ids: np.ndarray, state: EncoderState,
@@ -291,14 +324,15 @@ def _dropout_mask(rng: np.random.Generator | None, shape, cfg: EncoderConfig):
 def rma_attention(h: np.ndarray, pairs: AttentionPairs, layer: int, state: EncoderState,
                   rng: np.random.Generator | None = None):
     """One regularized multi-head attention application over the enabled
-    ``pairs``; returns the output and the cache needed for the reverse pass.
-    Its weights are dropped out when an ``rng`` is given."""
+    ``pairs``; returns the output at their query rows and the cache needed
+    for the reverse pass.  Its weights are dropped out when an ``rng`` is
+    given."""
     cfg = state.config
     p = state.params
     dk = cfg.head_dim
 
-    q = h @ p[f"l{layer}.wq"]  # (heads, N, dk)
-    k = h @ p[f"l{layer}.wk"]
+    q = pairs.queries(h) @ p[f"l{layer}.wq"]  # (heads, m, dk)
+    k = h @ p[f"l{layer}.wk"]  # (heads, N, dk)
     v = h @ p[f"l{layer}.wv"]
     scores = pairs.gather_product(q, k.transpose(0, 2, 1))  # (heads, P)
     # the distance bias applies only between connected <INST> tokens (R > 0)
@@ -313,8 +347,8 @@ def rma_attention(h: np.ndarray, pairs: AttentionPairs, layer: int, state: Encod
     attn_drop = _dropout_mask(rng, probs.shape, cfg)
     used = probs if attn_drop is None else probs * attn_drop
 
-    z = pairs.spread_product(used, v)  # (heads, N, dk)
-    z_cat = z.transpose(1, 0, 2).reshape(h.shape[0], cfg.hidden)
+    z = pairs.spread_product(used, v)  # (heads, m, dk)
+    z_cat = z.transpose(1, 0, 2).reshape(pairs.m, cfg.hidden)
     out = z_cat @ p[f"l{layer}.wo"]
     return out, (q, k, v, probs, attn_drop, z_cat)
 
@@ -324,7 +358,7 @@ def transformer_block(h: np.ndarray, pairs: AttentionPairs, layer: int, state: E
     p = state.params
     attn_out, (q, k, v, probs, attn_drop, z_cat) = rma_attention(h, pairs, layer, state, rng)
     # biases and residuals are added in place to the products just made
-    attn_out += h
+    attn_out += pairs.queries(h)
     z1, xhat1, inv_std1 = _layer_norm(attn_out, p[f"l{layer}.ln1_g"], p[f"l{layer}.ln1_b"])
     ffn_pre = z1 @ p[f"l{layer}.w1"]
     ffn_pre += p[f"l{layer}.b1"]
@@ -344,27 +378,43 @@ def transformer_block(h: np.ndarray, pairs: AttentionPairs, layer: int, state: E
 
 
 def encode(token_ids, pairs: AttentionPairs, state: EncoderState,
-           rng: np.random.Generator | None = None) -> ForwardTrace:
-    """Run the full encoder over the mask ``pairs``, one sequence's or a
-    packed batch's; the trace keeps what the reverse pass needs.  Given an
-    ``rng``, the training pass: dropout is drawn from it when the model's
-    ``dropout`` is above 0."""
+           rng: np.random.Generator | None = None, rows=None) -> ForwardTrace:
+    """Run the encoder over the mask ``pairs``, one sequence's or a packed
+    batch's; the trace keeps what the reverse pass needs.  Given an ``rng``,
+    the training pass: dropout is drawn from it when the model's ``dropout``
+    is above 0.  Given ``rows``, the sorted, distinct rows the caller reads,
+    the last layer runs at those rows only and ``final`` holds them in
+    order; rows that are unsorted, repeated or out of range raise
+    ``ValueError``."""
+    last = pairs if rows is None else pairs.select(rows)
     ids = np.asarray(token_ids, dtype=np.int64)
     h = embed_inputs(ids, state, pairs.positions).astype(state.config.np_dtype)
     caches = []
-    for layer in range(state.config.layers):
-        h, cache = transformer_block(h, pairs, layer, state, rng)
+    top = state.config.layers - 1
+    for layer in range(top + 1):
+        h, cache = transformer_block(h, last if layer == top else pairs, layer, state, rng)
         if not np.all(np.isfinite(h)):
             raise NumericsError(f"non-finite activations after layer {layer}")
         caches.append(cache)
-    return ForwardTrace(token_ids=ids, pairs=pairs, final=h, caches=caches)
+    return ForwardTrace(token_ids=ids, pairs=pairs, final=h, caches=caches, last_pairs=last)
 
 
-def _block_backward(dh_out: np.ndarray, c: _LayerCache, pairs: AttentionPairs, r: np.ndarray,
+def _input_grad(dproj: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The input gradient of the projection ``x @ w`` by its (heads, d, dk)
+    weights, from the (heads, rows, dk) output gradient: one 2-D product of
+    the heads laid side by side, (rows, heads·dk) @ (heads·dk, d), summing
+    over heads and dk at once."""
+    heads, rows, dk = dproj.shape
+    return (dproj.transpose(1, 0, 2).reshape(rows, heads * dk)
+            @ w.transpose(0, 2, 1).reshape(heads * dk, -1))
+
+
+def _block_backward(dh_out: np.ndarray, c: _LayerCache, pairs: AttentionPairs,
                     layer: int, state: EncoderState, grads: dict[str, np.ndarray]) -> np.ndarray:
     """One layer's reverse pass: adds its parameter gradients into ``grads``
-    and returns the gradient w.r.t. its input.  Its temporaries, (rows, ffn)
-    arrays among them, are freed when it returns, before the next layer's."""
+    and returns the gradient w.r.t. its input, over all N rows however many
+    query rows ``pairs`` has.  Its temporaries, (rows, ffn) arrays among
+    them, are freed when it returns, before the next layer's."""
     cfg = state.config
     p = state.params
     dk = cfg.head_dim
@@ -384,12 +434,10 @@ def _block_backward(dh_out: np.ndarray, c: _LayerCache, pairs: AttentionPairs, r
     da1, dg1, db1 = _layer_norm_backward(dz1, c.xhat1, c.inv_std1, p[f"l{layer}.ln1_g"])
     grads[f"l{layer}.ln1_g"] += dg1
     grads[f"l{layer}.ln1_b"] += db1
-    dh_in = da1.copy()
 
     grads[f"l{layer}.wo"] += c.z_cat.T @ da1
     dz_cat = da1 @ p[f"l{layer}.wo"].T
-    n = dz_cat.shape[0]
-    dz = dz_cat.reshape(n, cfg.heads, dk).transpose(1, 0, 2)  # (heads, N, dk)
+    dz = dz_cat.reshape(pairs.m, cfg.heads, dk).transpose(1, 0, 2)  # (heads, m, dk)
 
     used = c.probs if c.attn_drop is None else c.probs * c.attn_drop
     dv = pairs.spread_product(used, dz, transpose=True)
@@ -401,12 +449,22 @@ def _block_backward(dh_out: np.ndarray, c: _LayerCache, pairs: AttentionPairs, r
     dprobs *= c.probs
     dprobs /= math.sqrt(dk)
     # grad w.r.t. (QK^T + B) at the pairs
-    np.add.at(grads["beta"], (np.arange(cfg.heads)[:, None], r), dprobs[:, pairs.biased])
-    dq = pairs.spread_product(dprobs, c.k)
-    dkk = pairs.spread_product(dprobs, c.q, transpose=True)
-    for name, dproj in (("wq", dq), ("wk", dkk), ("wv", dv)):
-        grads[f"l{layer}.{name}"] += c.h_in.T @ dproj
-        dh_in += (dproj @ p[f"l{layer}.{name}"].transpose(0, 2, 1)).sum(axis=0)
+    np.add.at(grads["beta"], (np.arange(cfg.heads)[:, None], np.minimum(pairs.r, cfg.r_max)),
+              dprobs[:, pairs.biased])
+    dq = pairs.spread_product(dprobs, c.k)  # (heads, m, dk)
+    dkk = pairs.spread_product(dprobs, c.q, transpose=True)  # (heads, N, dk)
+    grads[f"l{layer}.wq"] += pairs.queries(c.h_in).T @ dq
+    grads[f"l{layer}.wk"] += c.h_in.T @ dkk
+    grads[f"l{layer}.wv"] += c.h_in.T @ dv
+    # the residual and Q paths reach the query rows, the K and V paths every row
+    dh_query = _input_grad(dq, p[f"l{layer}.wq"])
+    dh_query += da1
+    dh_in = _input_grad(dkk, p[f"l{layer}.wk"])
+    dh_in += _input_grad(dv, p[f"l{layer}.wv"])
+    if pairs.rows is None:
+        dh_in += dh_query
+    else:
+        dh_in[pairs.rows] += dh_query
     return dh_in
 
 
@@ -415,14 +473,18 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
     """Reverse-mode gradients of every encoder parameter given the gradient of
     the loss w.r.t. the final hidden states.  Head parameters (mlm/type) are
     left for the loss functions that own them, and the optimizer checks that
-    the gradients are finite."""
+    the gradients are finite.  ``d_final`` is shaped as ``trace.final``."""
+    if d_final.shape != trace.final.shape:
+        raise ValueError(f"a gradient of shape {d_final.shape} for final states of shape "
+                         f"{trace.final.shape}")
     if grads is None:
         grads = state.zero_grads()
     pairs = trace.pairs
-    r = np.minimum(pairs.r, state.config.r_max)
     dh = d_final.astype(state.config.np_dtype)
-    for layer in reversed(range(state.config.layers)):
-        dh = _block_backward(dh, trace.caches[layer], pairs, r, layer, state, grads)
+    top = state.config.layers - 1
+    for layer in reversed(range(top + 1)):
+        layer_pairs = trace.last_pairs if layer == top else pairs
+        dh = _block_backward(dh, trace.caches[layer], layer_pairs, layer, state, grads)
     np.add.at(grads["tok_emb"], trace.token_ids, dh)
     for seg in pairs.segments:
         grads["pos_emb"][:seg.n] += dh[seg.row:seg.row + seg.n]
@@ -432,13 +494,15 @@ def backward(trace: ForwardTrace, d_final: np.ndarray, state: EncoderState,
 def head_cross_entropy(trace: ForwardTrace, positions: list[int], targets: list[int],
                        state: EncoderState, head: str):
     """Summed softmax cross-entropy of the linear head ``{head}_w``/``{head}_b``
-    over the final hidden states at ``positions``; returns the loss, the
-    gradient w.r.t. the final hidden states and the head's gradients."""
+    over the final hidden states at ``positions``, sequence rows that may
+    repeat; returns the loss, the gradient w.r.t. the final hidden states and
+    the head's gradients."""
     w, b = state.params[f"{head}_w"], state.params[f"{head}_b"]
     dh = np.zeros_like(trace.final)
     if not positions:
         return 0.0, dh, {f"{head}_w": np.zeros_like(w), f"{head}_b": np.zeros_like(b)}
-    hs = trace.final[positions]
+    at = trace.index_of(positions)
+    hs = trace.final[at]
     logits = hs @ w + b
     logits = logits - logits.max(axis=-1, keepdims=True)
     logp = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
@@ -446,7 +510,7 @@ def head_cross_entropy(trace: ForwardTrace, positions: list[int], targets: list[
     loss = float(-logp[rows, targets].sum())
     dlogits = np.exp(logp)
     dlogits[rows, targets] -= 1.0
-    dh[positions] = dlogits @ w.T
+    np.add.at(dh, at, dlogits @ w.T)  # a repeated position takes each label's gradient
     return loss, dh, {f"{head}_w": hs.T @ dlogits, f"{head}_b": dlogits.sum(axis=0)}
 
 

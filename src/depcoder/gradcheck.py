@@ -3,7 +3,9 @@
 Builds a tiny 64-bit model over a fixed two-function listing, freezes one
 MLM + edge perturbation of the two functions packed into one batch, as
 pre-training packs them, and compares analytic gradients of the combined
-MLM + edge-prediction + type-head loss against central differences.
+MLM + edge-prediction + type-head loss against central differences.  The
+encoder's last layer runs only at the rows the three losses read, as in
+training, so the check covers its pruned reverse pass.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .config import RunConfig
 from .corpus import Corpus
 from .downstream import type_inference_loss
 from .encoder import EncoderState, backward, encode
-from .pretrain import PackedBatch, mdm_loss, mlm_loss, perturb_batch
+from .pretrain import PackedBatch, loss_rows, mdm_loss, mlm_loss, perturb_batch
 
 _LISTING = """\
 .func alpha
@@ -66,7 +68,8 @@ def build_setup(seed: int = 0) -> GradcheckSetup:
 def total_loss(setup: GradcheckSetup, grads: dict[str, np.ndarray] | None = None) -> float:
     """The summed MLM + edge + type-head loss; its gradients add into ``grads`` if given."""
     batch = setup.batch
-    trace = encode(batch.ids, batch.pairs, setup.state)
+    rows = sorted({*loss_rows(batch).tolist(), *(p for p, _ in setup.labels)})
+    trace = encode(batch.ids, batch.pairs, setup.state, rows=rows)
     l_mlm, dh_mlm, mlm_head = mlm_loss(trace, batch.pert, setup.state)
     l_mdm, dh_mdm = mdm_loss(trace, batch.sample, batch.rows)
     l_type, dh_type, type_head = type_inference_loss(trace, setup.labels, setup.state)

@@ -22,13 +22,21 @@ offsets (FlashAttention, Dao et al., 2022).  One sequence on its own is
 the one-segment case.  The row reductions, ``biased`` and ``r`` run over
 the whole list; only the dense products go segment by segment.
 
-The attention's dense (heads, N, N) products are two methods of the pair
+``AttentionPairs.select`` keeps the pairs of some query rows only, over the
+same n columns: the encoder's last layer computes just the rows its caller
+reads (a post-LN block's row depends on its own query and on every row's
+keys and values, as Funnel-Transformer's pooled queries use).  Its list has
+m query rows, and each segment spans a rectangular m_s × n_s block: the
+segment's selected rows (none, possibly) by all of its columns.  A square
+list is the m = n case; every method below runs either.
+
+The attention's dense (heads, m, n) products are two methods of the pair
 list that run in one workspace per thread and dtype, grown to the largest
-heads·N² seen and all zeros between calls: ``gather_product`` writes a
-segment's diagonal block of a product there and takes its entries at the
-segment's pairs, and ``spread_product`` writes values at the pairs and
-multiplies by that block.  Each zeroes the workspace before it moves on, so
-no caller code runs while it is in use.  A fresh (heads, N, N) array per
+heads·m_s·n_s seen and all zeros between calls: ``gather_product`` writes a
+segment's block of a product there and takes its entries at the segment's
+pairs, and ``spread_product`` writes values at the pairs and multiplies by
+that block or its transpose.  Each zeroes the workspace before it moves on,
+so no caller code runs while it is in use.  A fresh (heads, N, N) array per
 product, 4 MB at N 512, made long-function encoding page-fault, and one
 (heads, ΣN, ΣN) product over a packed batch is slower than its diagonal
 blocks.
@@ -58,21 +66,24 @@ class _Workspaces(threading.local):
 _WORKSPACES = _Workspaces()
 
 
-def _workspace(heads: int, n: int, dtype) -> np.ndarray:
-    """A zero (heads, n, n) view of this thread's workspace for ``dtype``,
+def _workspace(heads: int, m: int, n: int, dtype) -> np.ndarray:
+    """A zero (heads, m, n) view of this thread's workspace for ``dtype``,
     grown as needed, which the caller leaves zero."""
-    size, dtype = heads * n * n, np.dtype(dtype)
+    size, dtype = heads * m * n, np.dtype(dtype)
     buf = _WORKSPACES.buffers.get(dtype)
     if buf is None or len(buf) < size:
         buf = _WORKSPACES.buffers[dtype] = np.zeros(size, dtype=dtype)
-    return buf[:size].reshape(heads, n, n)
+    return buf[:size].reshape(heads, m, n)
 
 
 class Segment(NamedTuple):
-    """One sequence of a pair list: its first row, its row count, its pairs'
-    range in the list, and their flat indices ``i * n + j`` within its own
-    n×n diagonal block."""
+    """One sequence of a pair list: its first query row and their count, its
+    first column and the sequence's length, its pairs' range in the list,
+    and their flat indices ``i * n + j`` within its own m×n block.  In a
+    square list ``row`` is ``col`` and ``m`` is ``n``."""
     row: int
+    m: int
+    col: int
     n: int
     pairs: slice
     flat: np.ndarray
@@ -90,19 +101,25 @@ class AttentionPairs:
     neighbour's first entry, so an empty row is a bug and raises
     ``RuntimeError``.  ``segments`` lists the sequences (one, unless
     ``pack`` made the list); no pair joins two of them.
+
+    The list has ``m`` query rows over ``n`` columns.  It is square unless
+    ``select`` made it: then ``rows`` names the sequence row of each query
+    row, and ``i`` in ``i * n + j`` counts query rows.
     """
 
-    def __init__(self, n: int, flat: np.ndarray, r: np.ndarray):
+    def __init__(self, n: int, flat: np.ndarray, r: np.ndarray, rows: np.ndarray | None = None):
         self.n = n
+        self.rows = rows
+        self.m = n if rows is None else len(rows)
         self.flat = flat
-        self.counts = np.bincount(flat // n, minlength=n)
+        self.counts = np.bincount(flat // n, minlength=self.m)
         if not self.counts.all():
-            rows = np.flatnonzero(self.counts == 0).tolist()
-            raise RuntimeError(f"attention rows {rows} have no enabled entry")
+            empty = np.flatnonzero(self.counts == 0).tolist()
+            raise RuntimeError(f"attention rows {empty} have no enabled entry")
         self.starts = np.cumsum(self.counts) - self.counts
         self.biased = np.flatnonzero(r)
         self.r = r[self.biased]
-        self.segments = [Segment(0, n, slice(0, len(flat)), flat)]
+        self.segments = [Segment(0, self.m, 0, n, slice(0, len(flat)), flat)]
 
     @classmethod
     def pack(cls, parts: list["AttentionPairs"]) -> "AttentionPairs":
@@ -117,11 +134,44 @@ class AttentionPairs:
             r = np.zeros(len(part), dtype=part.r.dtype)
             r[part.biased] = part.r
             rs.append(r)
-            segments.append(Segment(row, part.n, slice(lo, lo + len(part)), part.flat))
+            segments.append(Segment(row, part.n, row, part.n, slice(lo, lo + len(part)),
+                                    part.flat))
             row, lo = row + part.n, lo + len(part)
         packed = cls(n, np.concatenate(flats), np.concatenate(rs))
         packed.segments = segments
         return packed
+
+    def select(self, rows) -> "AttentionPairs":
+        """The pairs of the query ``rows`` of this square list, sorted and
+        distinct, over the same n columns, in the same order: a segment
+        keeps all of its columns and those of its rows that are selected,
+        none possibly.  Rows that are unsorted, repeated or out of range
+        raise ``ValueError``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if (self.rows is not None or rows.ndim != 1 or np.any(np.diff(rows) <= 0)
+                or (len(rows) and not 0 <= rows[0] <= rows[-1] < self.n)):
+            raise ValueError(f"rows {rows.tolist()} are not sorted, distinct rows "
+                             f"of a square list of {self.n}")
+        counts = self.counts[rows]
+        ends = np.concatenate([[0], np.cumsum(counts)])
+        # the list positions of the selected rows' pairs, row after row
+        take = np.arange(ends[-1]) + np.repeat(self.starts[rows] - ends[:-1], counts)
+        query = np.repeat(np.arange(len(rows)), counts)
+        col = self.flat[take] % self.n
+        r = np.zeros(len(self), dtype=self.r.dtype)
+        r[self.biased] = self.r
+        out = AttentionPairs(self.n, query * self.n + col, r[take], rows)
+        bounds = np.searchsorted(rows, [seg.row for seg in self.segments] + [self.n])
+        out.segments = []
+        for seg, lo, hi in zip(self.segments, bounds[:-1], bounds[1:]):
+            pairs = slice(int(ends[lo]), int(ends[hi]))
+            out.segments.append(Segment(int(lo), int(hi - lo), seg.col, seg.n, pairs,
+                                        (query[pairs] - lo) * seg.n + col[pairs] - seg.col))
+        return out
+
+    def queries(self, h: np.ndarray) -> np.ndarray:
+        """The rows of the (n, ...) ``h`` that are this list's query rows."""
+        return h if self.rows is None else h[self.rows]
 
     def __len__(self) -> int:
         return len(self.flat)
@@ -131,16 +181,16 @@ class AttentionPairs:
         """Dense float32 mask, 0 at the pairs and ``MASK_NEG`` elsewhere, built
         on each access for the benchmark's tracer and the tests' dense oracle
         comparisons only.  ROADMAP item 1 deletes it, ``R`` and ``MASK_NEG``."""
-        m = np.full(self.n * self.n, MASK_NEG, dtype=np.float32)
+        m = np.full(self.m * self.n, MASK_NEG, dtype=np.float32)
         m[self.flat] = 0.0
-        return m.reshape(self.n, self.n)
+        return m.reshape(self.m, self.n)
 
     @property
     def R(self) -> np.ndarray:
         """Dense distance matrix, 0 off the biased pairs; a view like ``M``."""
-        out = np.zeros(self.n * self.n, dtype=self.r.dtype)
+        out = np.zeros(self.m * self.n, dtype=self.r.dtype)
         out[self.flat[self.biased]] = self.r
-        return out.reshape(self.n, self.n)
+        return out.reshape(self.m, self.n)
 
     @property
     def positions(self) -> np.ndarray:
@@ -148,26 +198,26 @@ class AttentionPairs:
         segment's first row."""
         return np.concatenate([np.arange(seg.n) for seg in self.segments])
 
-    def _check(self, rows: int, pairs: int | None = None) -> None:
-        """Raise ``ValueError`` unless an operand's dimension over the rows
-        is ``n`` and, if given, one over the pairs is ``P``: a segment's
-        slice of a wrong-sized operand would fit silently."""
-        if rows != self.n or pairs not in (None, len(self)):
-            raise ValueError(f"operands over {rows} rows and {pairs} pairs for a "
-                             f"pair list of {self.n} rows and {len(self)} pairs")
+    def _check(self, m: int | None, n: int | None, pairs: int | None = None) -> None:
+        """Raise ``ValueError`` unless an operand's dimension over the query
+        rows is ``m``, one over the columns ``n`` and one over the pairs
+        ``P``, each where given: a segment's slice of a wrong-sized operand
+        would fit silently."""
+        if m not in (None, self.m) or n not in (None, self.n) or pairs not in (None, len(self)):
+            raise ValueError(f"operands over {m} query rows, {n} columns and {pairs} pairs "
+                             f"for a pair list of {self.m}×{self.n} and {len(self)} pairs")
 
     def gather_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(heads, n, d) ``a`` @ (heads, d, n) ``b`` -> (heads, P): the product's
-        entries at the pairs, one segment's diagonal block at a time."""
-        self._check(a.shape[-2])
-        self._check(b.shape[-1])
+        """(heads, m, d) ``a`` @ (heads, d, n) ``b`` -> (heads, P): the product's
+        entries at the pairs, one segment's block at a time."""
+        self._check(a.shape[-2], b.shape[-1])
         heads, dtype = len(a), np.result_type(a, b)
         out = np.empty((heads, len(self)), dtype)
         for seg in self.segments:
-            rows = slice(seg.row, seg.row + seg.n)
-            dense = _workspace(heads, seg.n, dtype)
+            dense = _workspace(heads, seg.m, seg.n, dtype)
             try:
-                np.matmul(a[:, rows], b[:, :, rows], out=dense)
+                np.matmul(a[:, seg.row:seg.row + seg.m], b[:, :, seg.col:seg.col + seg.n],
+                          out=dense)
                 np.take(dense.reshape(heads, -1), seg.flat, axis=1, out=out[:, seg.pairs],
                         mode="clip")
             finally:
@@ -176,20 +226,26 @@ class AttentionPairs:
 
     def spread_product(self, values: np.ndarray, b: np.ndarray,
                        transpose: bool = False) -> np.ndarray:
-        """``W @ b``, or ``Wᵀ @ b`` with ``transpose``, where W is the (heads,
-        n, n) matrix that holds the (heads, P) ``values`` at the pairs and
-        zeros elsewhere, one segment's diagonal block at a time."""
-        self._check(b.shape[-2], values.shape[-1])
+        """``W @ b`` over (heads, n, d) ``b``, or ``Wᵀ @ b`` over (heads, m, d)
+        ``b`` with ``transpose``, where W is the (heads, m, n) matrix that
+        holds the (heads, P) ``values`` at the pairs and zeros elsewhere, one
+        segment's block at a time.  A segment with no query row gets zeros
+        in ``Wᵀ @ b``: its product has an inner dimension of 0."""
+        self._check(*((b.shape[-2], None) if transpose else (None, b.shape[-2])),
+                    values.shape[-1])
         heads = len(values)
-        out = np.empty((heads, self.n, b.shape[-1]), np.result_type(values, b))
+        out = np.empty((heads, self.n if transpose else self.m, b.shape[-1]),
+                       np.result_type(values, b))
         for seg in self.segments:
-            rows = slice(seg.row, seg.row + seg.n)
-            dense = _workspace(heads, seg.n, values.dtype)
+            rows, cols = slice(seg.row, seg.row + seg.m), slice(seg.col, seg.col + seg.n)
+            dense = _workspace(heads, seg.m, seg.n, values.dtype)
             flat_rows = dense.reshape(heads, -1)
             try:
                 flat_rows[:, seg.flat] = values[:, seg.pairs]
-                w = dense.transpose(0, 2, 1) if transpose else dense
-                np.matmul(w, b[:, rows], out=out[:, rows])
+                if transpose:
+                    np.matmul(dense.transpose(0, 2, 1), b[:, rows], out=out[:, cols])
+                else:
+                    np.matmul(dense, b[:, cols], out=out[:, rows])
             finally:
                 flat_rows[:, seg.flat] = 0
         return out

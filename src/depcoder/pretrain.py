@@ -15,8 +15,10 @@ block-diagonal mask, and token positions, instruction indices and
 ``<INST>`` rows shift by the functions before.  So a step makes one call
 each to ``encode``, ``mlm_loss``, ``mdm_loss``, ``backward`` and the
 optimizer, and the losses take positions in the packed rows; one function
-is the one-segment case.  The step ends in ``update``, the reverse pass
-and the optimizer step, as the fine-tuning commands' packed steps do.
+is the one-segment case.  The encoder's last layer runs only at the rows
+the losses read (``loss_rows``), the masked tokens and the sampled edges'
+``<INST>`` rows.  The step ends in ``update``, the reverse pass and the
+optimizer step, as the fine-tuning commands' packed steps do.
 """
 
 from __future__ import annotations
@@ -132,14 +134,19 @@ def inst_rows(seq: TokenSequence) -> np.ndarray:
     return np.fromiter(seq.inst_positions.values(), dtype=np.int64, count=seq.n_instructions)
 
 
+def _edge_rows(sample: EdgeSample, rows: np.ndarray) -> np.ndarray:
+    """The (E, 2) ``<INST>`` rows of the sampled edges' ends, positives first."""
+    return rows[np.concatenate([sample.positives, sample.negatives])]
+
+
 def _edge_logits(trace: ForwardTrace, sample: EdgeSample, rows: np.ndarray):
-    """Per sampled edge (positives first): the ``<INST>`` rows ``u`` and ``v``
-    of its ends, their final hidden states, its label and its logit
-    ``h_u . h_v``."""
-    edges = np.concatenate([sample.positives, sample.negatives])
-    u, v = rows[edges[:, 0]], rows[edges[:, 1]]
+    """Per sampled edge (positives first): the rows of ``trace.final`` that
+    hold its ends' ``<INST>`` states ``u`` and ``v``, those states, its label
+    and its logit ``h_u . h_v``."""
+    ends = trace.index_of(_edge_rows(sample, rows))
+    u, v = ends[:, 0], ends[:, 1]
     hu, hv = trace.final[u], trace.final[v]
-    y = np.zeros(len(edges), dtype=trace.final.dtype)
+    y = np.zeros(len(ends), dtype=trace.final.dtype)
     y[:len(sample.positives)] = 1.0
     return u, v, hu, hv, y, np.einsum("ij,ij->i", hu, hv)
 
@@ -201,6 +208,16 @@ def perturb_batch(items: list[FunctionArtifacts], vocab_size: int, rng: np.rando
                        pert=pert, sample=sample,
                        rows=np.concatenate([inst_rows(item.seq) + r
                                             for item, r in zip(items, rows)]))
+
+
+def loss_rows(batch: PackedBatch) -> np.ndarray:
+    """The packed rows that the MLM and MDM losses read, sorted and distinct:
+    the masked tokens and the sampled edges' ``<INST>`` rows."""
+    # a mask rather than np.union1d, whose first call imports numpy.ma
+    read = np.zeros(batch.pairs.n, dtype=bool)
+    read[batch.pert.positions] = True
+    read[_edge_rows(batch.sample, batch.rows)] = True
+    return np.flatnonzero(read)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +348,7 @@ def train_step(items: list[FunctionArtifacts], state: EncoderState, opt: AdamW,
     is their sum, matching the gradients fed to the optimizer.
     """
     batch = perturb_batch(items, state.config.vocab_size, rng, mlm_rate, node_frac)
-    trace = encode(batch.ids, batch.pairs, state, rng=rng)
+    trace = encode(batch.ids, batch.pairs, state, rng=rng, rows=loss_rows(batch))
     n_masked = len(batch.pert)
     n_edges = len(batch.sample.positives) + len(batch.sample.negatives)
     mlm_scale = 1.0 / max(1, n_masked)

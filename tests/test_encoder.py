@@ -9,6 +9,7 @@ import pytest
 
 from depcoder.config import RunConfig
 from depcoder.corpus import Corpus
+from depcoder.downstream import DEFAULT_TYPE_LABELS, type_inference_loss
 from depcoder.encoder import (EncoderConfig, EncoderState, NumericsError, _gelu, _gelu_grad,
                               _layer_norm, _layer_norm_backward, backward, embed_inputs, encode,
                               rma_attention)
@@ -298,16 +299,18 @@ class TestBackward:
                 assert now is then is None or np.array_equal(now, then), f.name
 
 
+@pytest.fixture(scope="module")
+def arts():
+    """Four generated functions of different lengths."""
+    rng = np.random.default_rng(5)
+    listing = "".join("\n".join(generate_function(f"g{i}", rng)) + "\n" for i in range(4))
+    arts = Corpus.from_text(listing, RunConfig()).functions
+    assert len({len(a.seq) for a in arts}) == len(arts) >= 3
+    return arts
+
+
 class TestPacking:
     """A packed batch runs as its functions run one at a time."""
-
-    @pytest.fixture(scope="class")
-    def arts(self):
-        rng = np.random.default_rng(5)
-        listing = "".join("\n".join(generate_function(f"g{i}", rng)) + "\n" for i in range(4))
-        arts = Corpus.from_text(listing, RunConfig()).functions
-        assert len({len(a.seq) for a in arts}) == len(arts) >= 3
-        return arts
 
     @staticmethod
     def both(arts, state, d_finals):
@@ -352,6 +355,144 @@ class TestPacking:
         assert np.array_equal(owner[i], owner[j])
         assert np.array_equal(pairs.positions,
                               np.concatenate([np.arange(len(a.seq)) for a in arts]))
+
+
+class TestLastLayerRows:
+    """Given the rows its caller reads, ``encode`` runs the last layer at those rows only."""
+
+    @staticmethod
+    def model(arts, dtype="float64", layers=2):
+        cfg = EncoderConfig(layers=layers, heads=2, hidden=16, ffn=32, max_len=128, r_max=8,
+                            vocab_size=1 + max(max(a.seq.tokens) for a in arts),
+                            dropout=0.0, dtype=dtype)
+        state = EncoderState.init(cfg, 3)
+        state.params["beta"][:] = np.random.default_rng(4).standard_normal(
+            state.params["beta"].shape)
+        return state
+
+    @staticmethod
+    def batch(arts):
+        """The packed ids and pairs, and rows read in the first, third and
+        fourth segments; the second segment has none."""
+        pairs = AttentionPairs.pack([a.bundle for a in arts])
+        seg = pairs.segments
+        rows = np.array([seg[0].row, seg[0].row + 2, seg[2].row + 1, seg[2].row + 4,
+                         seg[3].row + seg[3].n - 1])
+        return np.concatenate([a.seq.tokens for a in arts]), pairs, rows
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_selected_rows_equal_the_full_pass(self, arts, layers):
+        state = self.model(arts, layers=layers)
+        ids, pairs, rows = self.batch(arts)
+        full = encode(ids, pairs, state)
+        pruned = encode(ids, pairs, state, rows=rows)
+        assert pruned.final.shape == (len(rows), 16)
+        assert np.array_equal(pruned.rows, rows) and full.rows is None
+        np.testing.assert_allclose(pruned.final, full.final[rows], rtol=1e-12, atol=1e-12)
+        for c, want in zip(pruned.caches[:-1], full.caches[:-1]):
+            assert np.array_equal(c.probs, want.probs)
+        # the last layer's weights are the full layer's rows at the selected rows
+        top = pruned.caches[-1]
+        assert top.probs.shape == (2, len(pruned.last_pairs)) and top.q.shape[1] == len(rows)
+        np.testing.assert_allclose(dense_from_pairs(pruned.last_pairs, top.probs),
+                                   dense_from_pairs(pairs, full.caches[-1].probs)[:, rows],
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_gradients_agree_with_the_full_pass(self, arts, dtype):
+        state = self.model(arts, dtype)
+        ids, pairs, rows = self.batch(arts)
+        d_rows = np.random.default_rng(6).standard_normal((len(rows), 16)).astype(dtype)
+        full = encode(ids, pairs, state)
+        d_full = np.zeros_like(full.final)
+        d_full[rows] = d_rows
+        want = backward(full, d_full, state)
+        got = backward(encode(ids, pairs, state, rows=rows), d_rows, state)
+        tol = {"rtol": 1e-12, "atol": 1e-12} if dtype == "float64" else {"rtol": 1e-5, "atol": 1e-5}
+        for name in state.params:
+            assert got[name].dtype == want[name].dtype
+            np.testing.assert_allclose(got[name], want[name], **tol, err_msg=name)
+        assert all(np.any(got[f"l1.{w}"] != 0) for w in ("wq", "wk", "wv", "w1"))
+        with pytest.raises(ValueError, match="shape"):
+            backward(full, d_rows, state)
+
+    def test_the_selection_is_the_square_list_at_its_rows(self, arts):
+        _, pairs, rows = self.batch(arts)
+        sel = pairs.select(rows)
+        assert (sel.m, sel.n) == (len(rows), pairs.n) and np.array_equal(sel.rows, rows)
+        ones = np.ones((1, len(sel)))
+        every = np.ones((1, len(pairs)))
+        assert np.array_equal(dense_from_pairs(sel, ones), dense_from_pairs(pairs, every)[:, rows])
+        assert np.array_equal(sel.R, pairs.R[rows])
+        assert [(s.m, s.col, s.n) for s in sel.segments] == \
+            [(m, s.col, s.n) for m, s in zip([2, 0, 2, 1], pairs.segments)]
+
+    def test_rectangular_products_match_dense_ones(self, arts):
+        _, pairs, rows = self.batch(arts)
+        sel = pairs.select(rows)
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((2, len(sel)))
+        w = dense_from_pairs(sel, values)  # (heads, m, n)
+        a, b = rng.standard_normal((2, sel.m, 3)), rng.standard_normal((2, 3, sel.n))
+        np.testing.assert_allclose(sel.gather_product(a, b), (a @ b).reshape(2, -1)[:, sel.flat],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sel.spread_product(values, b.transpose(0, 2, 1)),
+                                   w @ b.transpose(0, 2, 1), rtol=1e-12, atol=1e-12)
+        # the transposed product's output starts as np.empty: a segment with no
+        # selected row must write zeros over its columns, not leave what was there
+        dirty = np.full((2, sel.n, 3), np.nan)
+        del dirty
+        spread = sel.spread_product(values, a, transpose=True)
+        np.testing.assert_allclose(spread, w.transpose(0, 2, 1) @ a, rtol=1e-12, atol=1e-12)
+        empty = sel.segments[1]
+        assert empty.m == 0 and np.all(spread[:, empty.col:empty.col + empty.n] == 0)
+        assert_workspaces_zero()
+
+    def test_rows_must_be_sorted_distinct_and_in_range(self, arts):
+        state = self.model(arts)
+        ids, pairs, _ = self.batch(arts)
+        for rows in ([3, 1], [2, 2], [-1, 0], [0, pairs.n], [[0, 1]]):
+            with pytest.raises(ValueError, match="sorted, distinct"):
+                encode(ids, pairs, state, rows=rows)
+
+    def test_a_row_not_computed_cannot_be_read(self, arts):
+        state = self.model(arts)
+        ids, pairs, _ = self.batch(arts)
+        trace = encode(ids, pairs, state, rows=[1, 4])
+        assert np.array_equal(trace.index_of([4, 1, 4]), [1, 0, 1])
+        with pytest.raises(ValueError, match=r"rows \[0\] were not computed"):
+            trace.cls_embedding
+        with pytest.raises(ValueError, match="not computed"):
+            type_inference_loss(trace, [(2, 0)], state)
+        np.testing.assert_allclose(encode(ids, pairs, state, rows=[0]).cls_embedding,
+                                   encode(ids, pairs, state).cls_embedding, rtol=1e-12, atol=1e-12)
+
+    def test_no_row_read(self, arts):
+        state = self.model(arts)
+        ids, pairs, _ = self.batch(arts)
+        trace = encode(ids, pairs, state, rows=[])
+        assert trace.final.shape == (0, 16)
+        grads = backward(trace, trace.final.copy(), state)
+        assert all(not np.any(g) for g in grads.values())
+
+
+def test_a_repeated_label_position_takes_each_labels_gradient(corpus, art):
+    """A labels row may name one position twice, as ``[[2, "int"], [2, "long"]]``
+    does; the final-state gradient must be the sum of both labels' gradients."""
+    state = make_state(corpus)
+    labels = [(2, DEFAULT_TYPE_LABELS.index("int")), (2, DEFAULT_TYPE_LABELS.index("long"))]
+    trace = encode(art.seq.tokens, art.bundle, state, rows=[2])
+    _, dh, _ = type_inference_loss(trace, labels, state)
+    eps, fd = 1e-6, np.empty(state.config.hidden)
+    for i in range(len(fd)):
+        orig = trace.final[0, i]
+        trace.final[0, i] = orig + eps
+        up = type_inference_loss(trace, labels, state)[0]
+        trace.final[0, i] = orig - eps
+        down = type_inference_loss(trace, labels, state)[0]
+        trace.final[0, i] = orig
+        fd[i] = (up - down) / (2 * eps)
+    np.testing.assert_allclose(dh[0], fd, rtol=1e-6, atol=1e-9)
 
 
 def assert_workspaces_zero():

@@ -7,11 +7,12 @@ import pytest
 from depcoder.config import RunConfig
 from depcoder.connectivity import ConnectivityGraph
 from depcoder.corpus import Corpus
-from depcoder.encoder import EncoderConfig, EncoderState, ForwardTrace, NumericsError, encode
+from depcoder.encoder import (EncoderConfig, EncoderState, ForwardTrace, NumericsError, backward,
+                              encode)
 from depcoder.frontend import (CLS_ID, FIRST_REGULAR_ID, INST_ID, MASK_ID,
                                TokenSequence)
 from depcoder.pretrain import (AdamW, EdgeSample, edge_probabilities,
-                               eligible_positions, inst_rows, mdm_loss, mdm_sample,
+                               eligible_positions, inst_rows, loss_rows, mdm_loss, mdm_sample,
                                mlm_loss, mlm_perturb, perturb_batch, perturb_bundle,
                                train_step)
 
@@ -374,6 +375,59 @@ class TestTrainStep:
 
         segments = build_setup().batch.pairs.segments
         assert len(segments) == 2 and segments[0].n != segments[1].n
+
+    def test_the_last_layer_runs_at_the_loss_rows(self, monkeypatch):
+        from depcoder import pretrain
+
+        items, state = self.make_items()
+        traces = []
+        monkeypatch.setattr(pretrain, "encode",
+                            lambda *a, **k: traces.append(encode(*a, **k)) or traces[-1])
+        batch = perturb_batch(items[:5], state.config.vocab_size, np.random.default_rng(0))
+        train_step(items[:5], state, AdamW(total_steps=4, warmup_steps=1),
+                   np.random.default_rng(0))
+        edges = np.concatenate([batch.sample.positives, batch.sample.negatives])
+        want = sorted({*batch.pert.positions, *batch.rows[edges].ravel().tolist()})
+        assert np.array_equal(traces[0].rows, want) and np.array_equal(loss_rows(batch), want)
+        assert 0 < len(want) < batch.pairs.n
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_losses_and_gradients_agree_with_the_full_pass(self, dtype):
+        items, trained = self.make_items()
+        cfg = EncoderConfig(layers=2, heads=2, hidden=32, ffn=64, dtype=dtype, dropout=0.0,
+                            vocab_size=trained.config.vocab_size)
+        state = EncoderState.init(cfg, 1)
+        batch = perturb_batch(items, cfg.vocab_size, np.random.default_rng(3))
+        results = []
+        for rows in (None, loss_rows(batch)):
+            trace = encode(batch.ids, batch.pairs, state, rows=rows)
+            l_mlm, dh_mlm, head = mlm_loss(trace, batch.pert, state)
+            l_mdm, dh_mdm = mdm_loss(trace, batch.sample, batch.rows)
+            grads = state.zero_grads()
+            for k, g in head.items():
+                grads[k] += g
+            backward(trace, dh_mlm + dh_mdm, state, grads)
+            results.append((l_mlm, l_mdm, grads))
+        (full_mlm, full_mdm, full), (mlm, mdm, pruned) = results
+        tol = {"rtol": 1e-12, "atol": 1e-12} if dtype == "float64" else {"rtol": 1e-5, "atol": 1e-5}
+        assert mlm == pytest.approx(full_mlm, rel=tol["rtol"])
+        assert mdm == pytest.approx(full_mdm, rel=tol["rtol"])
+        for name in state.params:
+            np.testing.assert_allclose(pruned[name], full[name], **tol, err_msg=name)
+
+    def test_gradcheck_checks_the_pruned_last_layer(self, monkeypatch):
+        from depcoder import gradcheck
+
+        traces = []
+        monkeypatch.setattr(gradcheck, "encode",
+                            lambda *a, **k: traces.append(encode(*a, **k)) or traces[-1])
+        setup = gradcheck.build_setup()
+        gradcheck.total_loss(setup)
+        rows = traces[0].rows
+        assert rows is not None and 0 < len(rows) < setup.batch.pairs.n
+        assert {p for p, _ in setup.labels} <= set(rows.tolist())
+        assert set(loss_rows(setup.batch).tolist()) <= set(rows.tolist())
+        # acceptance criterion 5 runs the finite-difference check itself on this path
 
     def test_perturbation_soundness_no_attention_over_deleted(self):
         _, art = small_artifact()
