@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import os
 import sys
@@ -29,6 +30,10 @@ from .frontend import Vocabulary, build_vocab, parse_listing
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
+
+#: glibc ``mallopt`` parameters, and the values ``_keep_freed_memory`` sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES, _MMAP_BYTES = 64 << 20, 1 << 20
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,6 +141,7 @@ def main(argv=None) -> int:
         if cfg.threads is not None:
             for var in _THREAD_VARS:
                 os.environ[var] = str(cfg.threads)
+        _keep_freed_memory()
         _check_outputs(args, cfg)
         return args.run(args, cfg)
     except ConfigError as e:
@@ -151,6 +157,26 @@ def main(argv=None) -> int:
 
 # ---------------------------------------------------------------------------
 # helpers
+
+def _keep_freed_memory() -> None:
+    """Have glibc's allocator keep freed memory mapped for reuse, so that a
+    training step's arrays do not page-fault in afresh every step.
+
+    Under glibc's defaults a block above a threshold that starts at 128 KiB
+    is mapped on allocation and unmapped when freed, and free memory above
+    128 KiB at the heap's top goes back to the kernel.  Here blocks below
+    1 MiB come from the heap, which is trimmed only once 64 MiB is free at
+    its top.  Larger blocks, such as the attention workspace of a long
+    function, are still mapped afresh.  A C library without ``mallopt`` is
+    left as it is.  No result depends on it."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library to load
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+
 
 @contextlib.contextmanager
 def _reading(path):
@@ -308,7 +334,7 @@ def cmd_pretrain(args, cfg) -> int:
     import numpy as np
 
     from .encoder import EncoderState
-    from .pretrain import AdamW, train_step
+    from .pretrain import AdamW, batch_indices, train_step
 
     corpus_path = args.corpus or cfg.corpus
     out_dir = args.out or cfg.out_dir
@@ -323,12 +349,10 @@ def cmd_pretrain(args, cfg) -> int:
     rng = np.random.default_rng(cfg.seed)
 
     os.makedirs(out_dir, exist_ok=True)
-    queue: list[int] = []
+    batches = batch_indices(len(corpus), cfg.batch_size, rng)
     lines = ["step,mlm_loss,mdm_loss,total,lr"]
     for _ in range(cfg.steps):
-        while len(queue) < cfg.batch_size:
-            queue.extend(int(i) for i in rng.permutation(len(corpus)))
-        batch = [corpus.functions[queue.pop(0)] for _ in range(cfg.batch_size)]
+        batch = [corpus.functions[i] for i in next(batches)]
         m = train_step(batch, state, opt, rng, mlm_rate=cfg.mlm_rate,
                        node_frac=cfg.mdm_node_frac)
         lines.append(f"{m.step},{m.mlm_loss:.6f},{m.mdm_loss:.6f},{m.total:.6f},{m.lr:.8f}")

@@ -220,6 +220,19 @@ def loss_rows(batch: PackedBatch) -> np.ndarray:
     return np.flatnonzero(read)
 
 
+def batch_indices(n: int, batch_size: int, rng: np.random.Generator):
+    """Endless batches of ``batch_size`` indices into ``n`` items, read in
+    order from successive random permutations: a batch that runs past the
+    end of one permutation continues into the next, which is drawn only
+    then, just before that batch is yielded."""
+    order, at = np.zeros(0, dtype=np.int64), 0
+    while True:
+        while len(order) - at < batch_size:
+            order, at = np.concatenate([order[at:], rng.permutation(n)]), 0
+        yield order[at:at + batch_size].tolist()
+        at += batch_size
+
+
 # ---------------------------------------------------------------------------
 # Optimizer and training step
 

@@ -25,8 +25,8 @@ from depcoder.encoder import EncoderConfig, EncoderState, encode
 from depcoder.frontend import parse_listing
 from depcoder.gradcheck import run as run_gradcheck
 from depcoder.masks import build_bundle
-from depcoder.pretrain import (AdamW, edge_probabilities, inst_rows, mdm_sample,
-                               mlm_perturb, perturb_bundle, train_step)
+from depcoder.pretrain import (AdamW, batch_indices, edge_probabilities, inst_rows,
+                               mdm_sample, mlm_perturb, perturb_bundle, train_step)
 from depcoder.synth import build_corpus
 
 from generators import random_cfg, random_digraph, random_loopfree_function
@@ -265,14 +265,11 @@ def smoke_run():
     state = EncoderState.init(ec, 0)
     opt = AdamW(lr=3e-4, warmup_steps=100, total_steps=500)
     rng = np.random.default_rng(0)
-    queue: list[int] = []
+    batches = batch_indices(len(items), 8, rng)
     metrics = []
     t0 = time.monotonic()
     for _ in range(500):
-        while len(queue) < 8:
-            queue.extend(int(i) for i in rng.permutation(len(items)))
-        batch = [items[queue.pop(0)] for _ in range(8)]
-        metrics.append(train_step(batch, state, opt, rng))
+        metrics.append(train_step([items[i] for i in next(batches)], state, opt, rng))
     return {"synth": synth, "corpus": corpus, "state": state,
             "losses": [m.total for m in metrics],
             "mlm": [m.mlm_loss for m in metrics],

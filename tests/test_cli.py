@@ -39,6 +39,11 @@ def sha(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def write(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -601,6 +606,42 @@ class TestThreads:
         assert tree(tmp_path / "warm") == tree(tmp_path / "cold")
 
 
+class TestFreedMemory:
+    def faults(self, tmp_path, steps):
+        """Minor page faults of a fresh process running a smoke-sized ``pretrain``."""
+        cfg = write(tmp_path / f"cfg{steps}.json", json.dumps(
+            {"layers": 2, "hidden": 64, "heads": 4, "ffn": 256, "batch_size": 8,
+             "steps": steps, "warmup": 2, "seed": 0, "threads": 1}))
+        argv = ["pretrain", "--config", cfg, "--corpus", str(tmp_path / "s" / "corpus.asm"),
+                "--out", str(tmp_path / f"run{steps}")]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(depcoder.__file__)))
+        code = ("import resource; from depcoder.cli import main; "
+                f"assert main({argv!r}) == 0; "
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        return int(run.stdout.split()[-1])
+
+    def test_training_steps_reuse_freed_memory(self, tmp_path):
+        import ctypes
+
+        pytest.importorskip("resource")
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("the C library has no mallopt")
+        assert main(["synth", "--out", str(tmp_path / "s"), "--functions", "40"]) == 0
+        # the steps past the 20th fault in fresh pages only where freed memory left the process
+        per_step = (self.faults(tmp_path, 60) - self.faults(tmp_path, 20)) / 40
+        assert per_step < 50
+
+    def test_main_runs_without_mallopt(self, tmp_path, monkeypatch):
+        from types import SimpleNamespace
+
+        from depcoder import cli
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())
+        assert main(["synth", "--out", str(tmp_path / "s"), "--functions", "2"]) == 0
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A tiny end-to-end synth + pretrain run shared across CLI tests."""
@@ -742,7 +783,7 @@ class TestTrainingCommands:
         assert "not a non-negative integer" in capsys.readouterr().err
 
     def test_divergence_exit_code(self, trained, tmp_path):
-        cfg = dict(json.loads(open(trained["cfg"]).read()))
+        cfg = read_json(trained["cfg"])
         cfg.update({"lr": 1e12, "steps": 30, "warmup": 0,
                     "clip_norm": 0.0, "out_dir": str(tmp_path / "boom")})
         cfg_path = write(tmp_path / "boom.json", json.dumps(cfg))
@@ -762,7 +803,7 @@ class TestTrainingCommands:
             return out
 
         monkeypatch.setattr(pretrain, "backward", poisoned)
-        cfg = dict(json.loads(open(trained["cfg"]).read()))
+        cfg = read_json(trained["cfg"])
         cfg.update({"steps": 2, "out_dir": str(tmp_path / "nan")})
         assert main(["pretrain", "--config", write(tmp_path / "nan.json",
                                                    json.dumps(cfg))]) == 3
@@ -1024,7 +1065,7 @@ class TestExitCodes:
             argv += ["--out", str(tmp_path / "h.json"), "--steps", "1"]
             bad, detail = samples, "a list of 0/1 labels"
         else:
-            hidden = json.loads(open(trained["cfg"]).read())["hidden"]
+            hidden = read_json(trained["cfg"])["hidden"]
             head = write(tmp_path / "head.json", json.dumps(
                 {"query": [0.0] * hidden, "w": [[0.0, 0.0]] * hidden, "b": head_b}))
             argv += ["--head", head]
