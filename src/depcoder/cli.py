@@ -408,7 +408,7 @@ def cmd_finetune_sim(args, cfg) -> int:
 
     from .downstream import triplet_loss_grads
     from .encoder import encode
-    from .masks import AttentionPairs
+    from .masks import build_bundle
     from .pretrain import update
 
     state, corpus = _load(args, cfg)
@@ -421,7 +421,7 @@ def cmd_finetune_sim(args, cfg) -> int:
     rng = np.random.default_rng(cfg.seed)
     for step in range(args.steps):
         arts = [a for i in rng.integers(len(triplets), size=cfg.batch_size) for a in triplets[i]]
-        pairs = AttentionPairs.pack([a.bundle for a in arts])
+        pairs = build_bundle([a.seq for a in arts], [a.con.dist for a in arts])
         # a function's first row is its [CLS], and the last layer runs at those rows only
         trace = encode(np.concatenate([a.seq.tokens for a in arts]), pairs, state, rng=rng,
                        rows=[seg.row for seg in pairs.segments])
@@ -471,7 +471,7 @@ def cmd_train_type(args, cfg) -> int:
 
     from .downstream import type_inference_loss
     from .encoder import encode
-    from .masks import AttentionPairs
+    from .masks import build_bundle
     from .pretrain import update
 
     state, corpus = _load(args, cfg)
@@ -484,7 +484,7 @@ def cmd_train_type(args, cfg) -> int:
     rng = np.random.default_rng(cfg.seed)
     for step in range(args.steps):
         arts = [corpus.by_name[names[i]] for i in rng.integers(len(names), size=cfg.batch_size)]
-        pairs = AttentionPairs.pack([a.bundle for a in arts])
+        pairs = build_bundle([a.seq for a in arts], [a.con.dist for a in arts])
         labels = [(pos + seg.row, label) for a, seg in zip(arts, pairs.segments)
                   for pos, label in labelled[a.name]]
         trace = encode(np.concatenate([a.seq.tokens for a in arts]), pairs, state, rng=rng,

@@ -24,12 +24,12 @@ by V.  The reverse pass makes the same two calls, the second also transposed,
 so no (heads, N, N) array reaches this module, and it adds the logit
 gradients at the biased pairs into ``beta`` in one ``np.add.at``.
 
-``encode`` runs a packed batch (``AttentionPairs.pack``) as it runs one
-sequence: every row-wise step, from the embeddings through the projections,
-LayerNorms, GELU, dropout and residuals, runs once over all the batch's
-rows, and only the two products go segment by segment.  Positions restart
-at 0 at each segment, and ``backward`` adds the position-embedding
-gradient per segment.
+``encode`` runs a packed batch (``build_bundle`` over several sequences)
+as it runs one sequence: every row-wise step, from the embeddings through
+the projections, LayerNorms, GELU, dropout and residuals, runs once over
+all the batch's rows, and only the two products go segment by segment.
+Positions restart at 0 at each segment, and ``backward`` adds the
+position-embedding gradient per segment.
 
 Given the ``rows`` its caller reads, ``encode`` runs the last layer at those
 rows only.  In a post-LN block row i's output depends on its own query and

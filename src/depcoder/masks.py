@@ -12,8 +12,8 @@ N×N array.  The encoder runs on the ``AttentionPairs`` it returns, and
 ``sparse_masks`` writes the JSON text of the view the ``pipeline`` command
 emits straight from them.
 
-``AttentionPairs.pack`` lays several sequences' rows end to end into one
-block-diagonal pair list, so that a batch runs through the encoder's
+Given several sequences, ``build_bundle`` lays their rows end to end into
+one block-diagonal pair list, so that a batch runs through the encoder's
 row-wise work at once while no sequence attends to another (packing
 without cross-contamination, Krell et al., arXiv:2107.02027).  Each
 sequence is a segment, found by its row offset, its size and its range in
@@ -21,6 +21,8 @@ the pair list, as variable-length attention finds sequences by cumulative
 offsets (FlashAttention, Dao et al., 2022).  One sequence on its own is
 the one-segment case.  The row reductions, ``biased`` and ``r`` run over
 the whole list; only the dense products go segment by segment.
+Pre-training's edge masking gives ``build_bundle`` the instruction pairs
+whose ``<INST>`` pairs it leaves out or puts in.
 
 ``AttentionPairs.select`` keeps the pairs of some query rows only, over the
 same n columns: the encoder's last layer computes just the rows its caller
@@ -100,7 +102,7 @@ class AttentionPairs:
     every real row one): a segment reduction over an empty row would read its
     neighbour's first entry, so an empty row is a bug and raises
     ``RuntimeError``.  ``segments`` lists the sequences (one, unless
-    ``pack`` made the list); no pair joins two of them.
+    ``build_bundle`` packed several); no pair joins two of them.
 
     The list has ``m`` query rows over ``n`` columns.  It is square unless
     ``select`` made it: then ``rows`` names the sequence row of each query
@@ -120,26 +122,6 @@ class AttentionPairs:
         self.biased = np.flatnonzero(r)
         self.r = r[self.biased]
         self.segments = [Segment(0, self.m, 0, n, slice(0, len(flat)), flat)]
-
-    @classmethod
-    def pack(cls, parts: list["AttentionPairs"]) -> "AttentionPairs":
-        """The pair lists ``parts`` laid end to end: part k's rows and pairs
-        follow part k - 1's, and each part is one segment."""
-        n = sum(part.n for part in parts)
-        flats, rs, segments = [], [], []
-        row = lo = 0
-        for part in parts:
-            i, j = np.divmod(part.flat, part.n)
-            flats.append((i + row) * n + (j + row))
-            r = np.zeros(len(part), dtype=part.r.dtype)
-            r[part.biased] = part.r
-            rs.append(r)
-            segments.append(Segment(row, part.n, row, part.n, slice(lo, lo + len(part)),
-                                    part.flat))
-            row, lo = row + part.n, lo + len(part)
-        packed = cls(n, np.concatenate(flats), np.concatenate(rs))
-        packed.segments = segments
-        return packed
 
     def select(self, rows) -> "AttentionPairs":
         """The pairs of the query ``rows`` of this square list, sorted and
@@ -261,26 +243,98 @@ class AttentionPairs:
                          self.counts, axis=1)
 
 
-def build_bundle(seq: TokenSequence, dist: np.ndarray) -> AttentionPairs:
-    """The mask of ``seq`` under the instruction distance matrix ``dist``:
-    the ``[CLS]`` row, the ``[CLS]`` column below it, each instruction's token
+def _square_segments(pairs: AttentionPairs, firsts: np.ndarray) -> list[Segment]:
+    """The segments of the square list ``pairs`` whose sequences start at
+    the rows ``firsts``, ascending, and end where the next one starts."""
+    bounds = np.append(firsts, pairs.n)
+    sizes = np.diff(bounds)
+    ranges = np.append(pairs.starts, len(pairs))[bounds]
+    per_segment = np.diff(ranges)
+    first, m = np.repeat(firsts, per_segment), np.repeat(sizes, per_segment)
+    i = np.repeat(np.arange(pairs.n), pairs.counts)
+    # (i - first) * m + (j - first), where j = flat - i * n
+    local = pairs.flat - first - i * (pairs.n - m) - first * m
+    return [Segment(row, size, row, size, slice(lo, hi), local[lo:hi])
+            for row, size, lo, hi in zip(firsts.tolist(), sizes.tolist(),
+                                         ranges[:-1].tolist(), ranges[1:].tolist())]
+
+
+def inst_rows(seqs: list[TokenSequence]) -> np.ndarray:
+    """Each kept instruction's ``<INST>`` row in the sequences ``seqs`` laid
+    end to end, by instruction index numbered across them."""
+    # instructions are kept as a prefix, so the keys run 0, 1, ... in order
+    firsts = np.cumsum([0] + [len(seq) for seq in seqs[:-1]]).tolist()
+    return np.concatenate([first + np.fromiter(seq.inst_positions.values(), dtype=np.int64,
+                                               count=seq.n_instructions)
+                           for seq, first in zip(seqs, firsts)])
+
+
+def build_bundle(seqs, dists, removed=(), added=()) -> AttentionPairs:
+    """The mask of the sequence ``seqs`` under its instruction distance
+    matrix ``dists``, or of a list of sequences under theirs, laid end to
+    end as one segment each: a sequence's rows follow the rows of those
+    before it, and no pair joins two sequences.  Each sequence's part is the
+    ``[CLS]`` row, the ``[CLS]`` column below it, each instruction's token
     block crossed with itself, and the ``<INST>`` pairs of the kept
     instructions that ``dist[:k, :k]`` connects.  The parts share no entry,
-    so one sort puts them in row-major order."""
-    n, k = len(seq), seq.n_instructions
-    bounds = np.fromiter([*seq.inst_positions.values(), n], dtype=np.int64, count=k + 1)
-    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
-    # row i >= 1 of the local part is the range of c flat indices from the
-    # first, f, of its instruction's block: arange(f, f + c) for every row
-    first, c = np.arange(1, n) * n + np.repeat(starts, sizes), np.repeat(sizes, sizes)
+    so one sort puts them in row-major order.
+
+    ``removed`` and ``added`` are (E, 2) instruction pairs, numbered across
+    the sequences, whose ``<INST>`` pairs in both directions are left out
+    and put in at distance 1, as pre-training's edge masking does; no
+    ``dist`` is modified.  A removed pair must be connected and an added one
+    unconnected and within one sequence, or ``ValueError`` is raised."""
+    if isinstance(seqs, TokenSequence):
+        seqs, dists = [seqs], [dists]
+    sizes = np.array([len(seq) for seq in seqs])
+    firsts = np.cumsum(sizes) - sizes
+    n = int(sizes.sum())
+    starts = inst_rows(seqs)  # each <INST> row opens its instruction's token block
+    inst_first = np.cumsum([0] + [seq.n_instructions for seq in seqs])
+    # a block ends where the next opens, or at its sequence's end
+    ends = np.append(starts[1:], 0)
+    kept = inst_first[1:] > inst_first[:-1]  # the sequences with an instruction
+    ends[inst_first[1:][kept] - 1] = (firsts + sizes)[kept]
+    sizes_b = ends - starts
+    # every row x: the pair of its sequence's [CLS] row with x, and, below
+    # that [CLS], the pair of x with it
+    rows = np.arange(n)
+    cls, inner = np.repeat(firsts, sizes), np.delete(rows, firsts)
+    # an inner row is the range of c flat indices from the first, f, of its
+    # instruction's block: arange(f, f + c) for every row
+    first, c = inner * n + np.repeat(starts, sizes_b), np.repeat(sizes_b, sizes_b)
     local = np.arange(c.sum()) + np.repeat(first - (np.cumsum(c) - c), c)
-    block = dist[:k, :k]
-    u, v = np.nonzero(block)
-    dep = starts[u] * n + starts[v]
-    flat = np.sort(np.concatenate([np.arange(n), np.arange(1, n) * n, local, dep]))
-    r = np.zeros(len(flat), dtype=dist.dtype)
-    r[np.searchsorted(flat, dep)] = block[u, v]
-    return AttentionPairs(n, flat, r)
+    deps, rs = [], []
+    for seq, dist, lo in zip(seqs, dists, inst_first.tolist()):
+        block = dist[:seq.n_instructions, :seq.n_instructions]
+        u, v = np.nonzero(block)
+        deps.append(starts[lo + u] * n + starts[lo + v])
+        rs.append(block[u, v])
+    # row-major within each block, and the blocks in row order: ascending
+    dep, r_dep = np.concatenate(deps), np.concatenate(rs)
+    if len(removed) or len(added):
+        removed, added = (np.asarray(e, dtype=np.int64).reshape(-1, 2) for e in (removed, added))
+        padded = np.append(dep, -1)  # no pair's key, where a search runs past the end
+        gone = (starts[removed] @ ((n, 1), (1, n))).ravel()
+        at = np.searchsorted(dep, gone)
+        if np.any(padded[at] != gone):
+            raise ValueError("a removed instruction pair is not connected")
+        new = (starts[added] @ ((n, 1), (1, n))).ravel()
+        within = np.diff(np.searchsorted(inst_first, added, "right"), axis=1) == 0
+        if not within.all() or np.any(padded[np.searchsorted(dep, new)] == new):
+            raise ValueError("an added instruction pair is connected or joins two sequences")
+        keep = np.ones(len(dep), dtype=bool)
+        keep[at] = False
+        dep = np.concatenate([dep[keep], new])
+        r_dep = np.concatenate([r_dep[keep], np.ones(len(new), dtype=r_dep.dtype)])
+    flat = np.sort(np.concatenate([cls * n + rows, inner * n + np.repeat(firsts, sizes - 1),
+                                   local, dep]))
+    r = np.zeros(len(flat), dtype=r_dep.dtype)
+    r[np.searchsorted(flat, dep)] = r_dep
+    pairs = AttentionPairs(n, flat, r)
+    if len(seqs) > 1:  # the constructor's one segment covers a single sequence
+        pairs.segments = _square_segments(pairs, firsts)
+    return pairs
 
 
 def sparse_masks(pairs: AttentionPairs) -> str:

@@ -6,14 +6,17 @@ masking (positive connectivity edges touching a 40% node sample are deleted
 from the attention mask while an equal number of spurious edges is injected).
 Both losses are computed on the same perturbed forward pass; the model must
 recover the masked tokens and classify true-vs-injected edges from the
-``<INST>`` hidden states.  Edge masking edits a copy of the kept
-instructions' distances and builds the step's mask from it.
+``<INST>`` hidden states.
 
-A step perturbs each function on its own, then packs the batch
-(``perturb_batch``): the functions' rows are laid end to end under one
-block-diagonal mask, and token positions, instruction indices and
-``<INST>`` rows shift by the functions before.  So a step makes one call
-each to ``encode``, ``mlm_loss``, ``mdm_loss``, ``backward`` and the
+A step packs the batch (``perturb_batch``): the functions' rows are laid
+end to end under one block-diagonal mask, and token positions, instruction
+indices and ``<INST>`` rows run across the functions.  Each perturbation
+is one step over the whole batch: ``mlm_perturb`` draws over the packed
+token ids, ``mdm_sample`` draws random keys over the batch's instructions
+and its candidate non-edges and ranks them within each function, and
+``perturb_bundle`` builds the packed mask and deletes or injects the
+sampled edges' ``<INST>`` pairs in its pair list.  So a step makes one
+call each to ``encode``, ``mlm_loss``, ``mdm_loss``, ``backward`` and the
 optimizer, and the losses take positions in the packed rows; one function
 is the one-segment case.  The encoder's last layer runs only at the rows
 the losses read (``loss_rows``), the masked tokens and the sampled edges'
@@ -33,7 +36,7 @@ from .corpus import FunctionArtifacts
 from .encoder import (EncoderState, ForwardTrace, NumericsError, backward,
                       binary_cross_entropy, encode, head_cross_entropy, sigmoid)
 from .frontend import CLS_ID, FIRST_REGULAR_ID, INST_ID, MASK_ID, PAD_ID, TokenSequence
-from .masks import AttentionPairs, build_bundle
+from .masks import AttentionPairs, build_bundle, inst_rows
 
 
 @dataclass
@@ -46,79 +49,99 @@ class MlmPerturbation:
         return len(self.positions)
 
 
-def eligible_positions(seq: TokenSequence) -> list[int]:
-    special = (CLS_ID, INST_ID, PAD_ID, MASK_ID)
-    return [i for i, t in enumerate(seq.tokens) if t not in special]
+#: the token masking kinds, by the code ``mlm_perturb`` draws
+_KINDS = np.array(["mask-token", "random-token", "unchanged"])
 
 
-def mlm_perturb(seq: TokenSequence, vocab_size: int, rng: np.random.Generator,
+def eligible_positions(tokens: np.ndarray) -> np.ndarray:
+    """The positions in the token ids ``tokens`` that token masking may pick:
+    all but those of ``[CLS]``, ``<INST>``, ``[PAD]`` and ``[MASK]``."""
+    return np.flatnonzero((tokens[:, None] != (CLS_ID, INST_ID, PAD_ID, MASK_ID)).all(axis=1))
+
+
+def mlm_perturb(tokens: np.ndarray, vocab_size: int, rng: np.random.Generator,
                 rate: float = 0.15) -> tuple[np.ndarray, MlmPerturbation]:
-    """RoBERTa-style token masking over the eligible positions, from three
-    vectorised draws: which positions, the kind of each and its random token."""
-    ids = list(seq.tokens)
-    eligible = eligible_positions(seq)
-    positions = [pos for pos, u in zip(eligible, rng.random(len(eligible)).tolist()) if u < rate]
-    original = [ids[pos] for pos in positions]
-    kinds = []
+    """RoBERTa-style token masking over the eligible positions of the token
+    ids ``tokens``, one function's or a packed batch's, from three draws
+    over all of them at once: which positions, the kind of each and its
+    random token."""
+    ids = np.array(tokens, dtype=np.int64)
+    eligible = eligible_positions(ids)
+    positions = eligible[rng.random(len(eligible)) < rate]
+    original = ids[positions]
     n_regular = vocab_size - FIRST_REGULAR_ID
-    draws = rng.random(len(positions)).tolist()
+    draws = rng.random(len(positions))
     # a random token per position, used only where its kind is random-token
-    tokens = (FIRST_REGULAR_ID + rng.integers(max(n_regular, 1), size=len(positions))).tolist()
-    for pos, u, tok in zip(positions, draws, tokens):
-        if u < 0.8:
-            kinds.append("mask-token")
-            ids[pos] = MASK_ID
-        elif u < 0.9 and n_regular > 0:
-            kinds.append("random-token")
-            ids[pos] = tok
-        else:
-            kinds.append("unchanged")
-    return (np.array(ids, dtype=np.int64),
-            MlmPerturbation(positions=positions, kinds=kinds, original=original))
+    random = FIRST_REGULAR_ID + rng.integers(max(n_regular, 1), size=len(positions))
+    kind = np.where(draws < 0.8, 0, np.where((draws < 0.9) & (n_regular > 0), 1, 2))
+    ids[positions[kind == 0]] = MASK_ID
+    ids[positions[kind == 1]] = random[kind == 1]
+    return ids, MlmPerturbation(positions=positions.tolist(), kinds=_KINDS[kind].tolist(),
+                                original=original.tolist())
 
 
 @dataclass
 class EdgeSample:
     """The sampled instruction indices, ascending, and the positive and
-    negative edges as (E, 2) int arrays of ``u < v`` rows in row-major order."""
+    negative edges as (E, 2) int arrays of ``u < v`` rows in row-major order.
+    For a batch the instructions are numbered across its functions."""
     nodes: np.ndarray
     positives: np.ndarray
     negatives: np.ndarray
 
 
-def mdm_sample(con: ConnectivityGraph, n_nodes: int, rng: np.random.Generator,
+def _smallest_within(groups: np.ndarray, keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Whether each item is among the ``counts[g]`` items of smallest key in
+    its group ``g``; ``groups`` is ascending."""
+    order = np.lexsort((keys, groups))
+    first = np.searchsorted(groups, groups)  # each item's group's first item
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys)) - first[order]
+    return rank < counts[groups]
+
+
+def mdm_sample(cons: list[ConnectivityGraph], n_nodes: list[int], rng: np.random.Generator,
                node_frac: float = 0.4) -> EdgeSample:
-    """Sample positive edges touching a 40% node subset and an equal number of
-    non-edges (all available when the complement is smaller)."""
-    k = int(round(node_frac * n_nodes))
-    if k == 0:
-        none = np.zeros((0, 2), dtype=np.int64)
-        return EdgeSample(nodes=np.zeros(0, dtype=np.int64), positives=none, negatives=none)
-    sampled = np.sort(rng.choice(n_nodes, size=k, replace=False))
-    in_sample = np.zeros(n_nodes, dtype=bool)
-    in_sample[sampled] = True
-    # pairs u < v with an end in the sample, row-major like the edge lists
-    touched = np.triu(in_sample[:, None] | in_sample[None, :], 1)
-    linked = con.dist[:n_nodes, :n_nodes] > 0
-    positives = np.argwhere(touched & linked)
-    candidates = np.argwhere(touched & ~linked)
-    n_neg = min(len(positives), len(candidates))
-    negatives = candidates[:0]
-    if n_neg:
-        negatives = candidates[np.sort(rng.choice(len(candidates), size=n_neg, replace=False))]
-    return EdgeSample(nodes=sampled, positives=positives, negatives=negatives)
+    """Sample, in each function, its positive edges touching a subset of
+    round(``node_frac`` · k) of its k kept instructions and an equal number
+    of its non-edges (all available when they are fewer), numbering the
+    instructions across the functions.  Two draws serve the batch: random
+    keys over its instructions, of which each function samples its
+    smallest, and random keys over the candidate non-edges, ranked the same
+    way within each function."""
+    sizes = np.array(n_nodes, dtype=np.int64)
+    firsts = np.cumsum(sizes) - sizes
+    fn = np.repeat(np.arange(len(sizes)), sizes)
+    in_sample = _smallest_within(fn, rng.random(int(sizes.sum())),
+                                 np.rint(node_frac * sizes).astype(np.int64))
+    # every pair u < v within a function, row-major: each instruction u
+    # with each later one of its function, a range of v from u + 1
+    later = np.repeat(firsts + sizes, sizes) - np.arange(len(fn)) - 1
+    u = np.repeat(np.arange(len(fn)), later)
+    v = np.arange(later.sum()) + np.repeat(np.arange(len(fn)) + 1 - (np.cumsum(later) - later),
+                                           later)
+    ends = np.cumsum(sizes * (sizes - 1) // 2).tolist()
+    linked = np.concatenate([con.dist[u[lo:hi] - first, v[lo:hi] - first] > 0
+                             for con, first, lo, hi
+                             in zip(cons, firsts.tolist(), [0] + ends[:-1], ends)])
+    touched = in_sample[u] | in_sample[v]
+    pos, cand = touched & linked, touched & ~linked
+    positives = np.stack([u[pos], v[pos]], axis=1)
+    candidates = np.stack([u[cand], v[cand]], axis=1)
+    fn_pos, fn_cand = fn[positives[:, 0]], fn[candidates[:, 0]]
+    n_neg = np.minimum(np.bincount(fn_pos, minlength=len(sizes)),
+                       np.bincount(fn_cand, minlength=len(sizes)))
+    chosen = _smallest_within(fn_cand, rng.random(len(candidates)), n_neg)
+    return EdgeSample(nodes=np.flatnonzero(in_sample), positives=positives,
+                      negatives=candidates[chosen])
 
 
-def perturb_bundle(seq: TokenSequence, dist: np.ndarray,
+def perturb_bundle(seqs: list[TokenSequence], dists: list[np.ndarray],
                    sample: EdgeSample) -> AttentionPairs:
-    """The mask of ``seq`` over a copy of the kept instructions' distances in
-    which the sampled positive edges are deleted (distance 0) and the
-    negatives injected (distance 1).  ``dist`` itself is never modified."""
-    d = dist[:seq.n_instructions, :seq.n_instructions].copy()
-    for edges, value in ((sample.positives, 0), (sample.negatives, 1)):
-        t, s = edges.T
-        d[t, s] = d[s, t] = value
-    return build_bundle(seq, d)
+    """The mask of ``seqs`` laid end to end under their distances ``dists``,
+    with the ``<INST>`` pairs of the sampled positive edges deleted and
+    those of the negatives injected at distance 1.  No ``dist`` is modified."""
+    return build_bundle(seqs, dists, removed=sample.positives, added=sample.negatives)
 
 
 def mlm_loss(trace: ForwardTrace, pert: MlmPerturbation, state: EncoderState):
@@ -126,12 +149,6 @@ def mlm_loss(trace: ForwardTrace, pert: MlmPerturbation, state: EncoderState):
     the packed rows for a batch); returns the loss, the gradient w.r.t. the
     final hidden states and the head gradients."""
     return head_cross_entropy(trace, pert.positions, pert.original, state, "mlm")
-
-
-def inst_rows(seq: TokenSequence) -> np.ndarray:
-    """Each kept instruction's ``<INST>`` row in ``seq``, by instruction index."""
-    # instructions are kept as a prefix, so the keys run 0, 1, ... in order
-    return np.fromiter(seq.inst_positions.values(), dtype=np.int64, count=seq.n_instructions)
 
 
 def _edge_rows(sample: EdgeSample, rows: np.ndarray) -> np.ndarray:
@@ -154,8 +171,8 @@ def _edge_logits(trace: ForwardTrace, sample: EdgeSample, rows: np.ndarray):
 def mdm_loss(trace: ForwardTrace, sample: EdgeSample, rows: np.ndarray):
     """Binary cross-entropy of sigmoid(h_u . h_v) over the balanced edge set,
     using the final-layer <INST> hidden states.  ``rows[t]`` is instruction
-    t's ``<INST>`` row in the trace: ``inst_rows(seq)`` for one function,
-    ``PackedBatch.rows`` for a batch."""
+    t's ``<INST>`` row in the trace: ``inst_rows(seqs)`` of the sequences
+    it encodes, ``PackedBatch.rows`` for a batch."""
     u, v, hu, hv, y, dot = _edge_logits(trace, sample, rows)
     loss, ddot = binary_cross_entropy(dot, y)
     dh = np.zeros_like(trace.final)
@@ -186,28 +203,16 @@ class PackedBatch:
 
 def perturb_batch(items: list[FunctionArtifacts], vocab_size: int, rng: np.random.Generator,
                   mlm_rate: float = 0.15, node_frac: float = 0.4) -> PackedBatch:
-    """Mask each function's tokens and edges, in that order, and pack the
-    batch: a function's positions and rows shift by the rows of the
-    functions before it, and its instruction indices by their instructions."""
-    ids, perts, samples, bundles = [], [], [], []
-    for item in items:
-        tokens, pert = mlm_perturb(item.seq, vocab_size, rng, mlm_rate)
-        sample = mdm_sample(item.con, item.seq.n_instructions, rng, node_frac)
-        ids.append(tokens)
-        perts.append(pert)
-        samples.append(sample)
-        bundles.append(perturb_bundle(item.seq, item.con.dist, sample))
-    rows = np.cumsum([0] + [len(item.seq) for item in items]).tolist()
-    insts = np.cumsum([0] + [item.seq.n_instructions for item in items]).tolist()
-    pert = MlmPerturbation(positions=[p + r for pt, r in zip(perts, rows) for p in pt.positions],
-                           kinds=[k for pt in perts for k in pt.kinds],
-                           original=[t for pt in perts for t in pt.original])
-    sample = EdgeSample(*(np.concatenate([getattr(s, name) + i for s, i in zip(samples, insts)])
-                          for name in ("nodes", "positives", "negatives")))
-    return PackedBatch(ids=np.concatenate(ids), pairs=AttentionPairs.pack(bundles),
-                       pert=pert, sample=sample,
-                       rows=np.concatenate([inst_rows(item.seq) + r
-                                            for item, r in zip(items, rows)]))
+    """Mask the batch's tokens, then its edges, each in one step over the
+    functions laid end to end: positions and rows are those of the packed
+    rows, and instruction indices run across the functions."""
+    seqs = [item.seq for item in items]
+    ids, pert = mlm_perturb(np.concatenate([seq.tokens for seq in seqs]), vocab_size, rng,
+                            mlm_rate)
+    sample = mdm_sample([item.con for item in items], [seq.n_instructions for seq in seqs],
+                        rng, node_frac)
+    pairs = perturb_bundle(seqs, [item.con.dist for item in items], sample)
+    return PackedBatch(ids=ids, pairs=pairs, pert=pert, sample=sample, rows=inst_rows(seqs))
 
 
 def loss_rows(batch: PackedBatch) -> np.ndarray:

@@ -211,7 +211,7 @@ def test_criterion_06_sampler_statistics():
     masked = 0
     kinds = {"mask-token": 0, "random-token": 0, "unchanged": 0}
     for _ in range(trials):
-        _, pert = mlm_perturb(seq, vocab_size=40, rng=rng)
+        _, pert = mlm_perturb(seq.tokens, vocab_size=40, rng=rng)
         masked += len(pert)
         for k in pert.kinds:
             kinds[k] += 1
@@ -233,7 +233,7 @@ def test_criterion_06_sampler_statistics():
     fracs = []
     balanced = True
     for _ in range(trials):
-        s = mdm_sample(con, n, rng2)
+        s = mdm_sample([con], [n], rng2)
         fracs.append(len(s.nodes) / n)
         in_s = set(s.nodes)
         cands = sum(1 for u in range(n) for v in range(u + 1, n)
@@ -284,12 +284,12 @@ def test_criterion_07_pretraining_smoke(smoke_run):
     rng = np.random.default_rng(1234)
     correct = total = 0
     for art in corpus.functions:
-        sample = mdm_sample(art.con, art.seq.n_instructions, rng)
+        sample = mdm_sample([art.con], [art.seq.n_instructions], rng)
         if not len(sample.positives) and not len(sample.negatives):
             continue
-        pairs = perturb_bundle(art.seq, art.con.dist, sample)
+        pairs = perturb_bundle([art.seq], [art.con.dist], sample)
         trace = encode(art.seq.tokens, pairs, state)
-        for p, y in edge_probabilities(trace, sample, inst_rows(art.seq)):
+        for p, y in edge_probabilities(trace, sample, inst_rows([art.seq])):
             correct += int((p > 0.5) == bool(y))
             total += 1
     accuracy = correct / total

@@ -316,7 +316,7 @@ class TestPacking:
     def both(arts, state, d_finals):
         """(finals, gradients) of the packed batch, and of each function on its own."""
         packed = encode(np.concatenate([a.seq.tokens for a in arts]),
-                        AttentionPairs.pack([a.bundle for a in arts]), state)
+                        build_bundle([a.seq for a in arts], [a.con.dist for a in arts]), state)
         packed_grads = backward(packed, np.concatenate(d_finals), state)
         singles = [encode(a.seq.tokens, a.bundle, state) for a in arts]
         single_grads = state.zero_grads()
@@ -349,7 +349,7 @@ class TestPacking:
         assert np.all(packed_grads["pos_emb"][max(len(a.seq) for a in arts):] == 0)
 
     def test_rows_never_attend_across_functions(self, arts):
-        pairs = AttentionPairs.pack([a.bundle for a in arts])
+        pairs = build_bundle([a.seq for a in arts], [a.con.dist for a in arts])
         owner = np.repeat(np.arange(len(arts)), [len(a.seq) for a in arts])
         i, j = np.divmod(pairs.flat, pairs.n)
         assert np.array_equal(owner[i], owner[j])
@@ -374,7 +374,7 @@ class TestLastLayerRows:
     def batch(arts):
         """The packed ids and pairs, and rows read in the first, third and
         fourth segments; the second segment has none."""
-        pairs = AttentionPairs.pack([a.bundle for a in arts])
+        pairs = build_bundle([a.seq for a in arts], [a.con.dist for a in arts])
         seg = pairs.segments
         rows = np.array([seg[0].row, seg[0].row + 2, seg[2].row + 1, seg[2].row + 4,
                          seg[3].row + seg[3].n - 1])

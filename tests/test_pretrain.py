@@ -9,8 +9,9 @@ from depcoder.connectivity import ConnectivityGraph
 from depcoder.corpus import Corpus
 from depcoder.encoder import (EncoderConfig, EncoderState, ForwardTrace, NumericsError, backward,
                               encode)
-from depcoder.frontend import (CLS_ID, FIRST_REGULAR_ID, INST_ID, MASK_ID,
+from depcoder.frontend import (CLS_ID, FIRST_REGULAR_ID, INST_ID, MASK_ID, PAD_ID, UNK_ID,
                                TokenSequence)
+from depcoder.masks import build_bundle
 from depcoder.pretrain import (AdamW, EdgeSample, edge_probabilities,
                                eligible_positions, inst_rows, loss_rows, mdm_loss, mdm_sample,
                                mlm_loss, mlm_perturb, perturb_batch, perturb_bundle,
@@ -40,30 +41,39 @@ def complete_connectivity(n):
     return ConnectivityGraph(n_nodes=n, dist=dist)
 
 
+def assert_mlm_rate_and_split(tokens):
+    """Over 10,000 draws on the token ids ``tokens``, which hold 100
+    eligible tokens: 15% masked, of which 80/10/10 by kind."""
+    rng = np.random.default_rng(0)
+    n_masked = 0
+    kinds = {"mask-token": 0, "random-token": 0, "unchanged": 0}
+    trials = 10_000
+    for _ in range(trials):
+        _, pert = mlm_perturb(tokens, vocab_size=30, rng=rng)
+        n_masked += len(pert)
+        for k in pert.kinds:
+            kinds[k] += 1
+    frac = n_masked / (100 * trials)
+    assert abs(frac - 0.15) < 0.01
+    total = sum(kinds.values())
+    assert abs(kinds["mask-token"] / total - 0.8) < 0.02
+    assert abs(kinds["random-token"] / total - 0.1) < 0.02
+    assert abs(kinds["unchanged"] / total - 0.1) < 0.02
+
+
 class TestMlmPerturb:
     def test_monte_carlo_fraction_and_split(self):
-        seq = fabricated_seq(100)
-        rng = np.random.default_rng(0)
-        n_masked = 0
-        kinds = {"mask-token": 0, "random-token": 0, "unchanged": 0}
-        trials = 10_000
-        for _ in range(trials):
-            _, pert = mlm_perturb(seq, vocab_size=30, rng=rng)
-            n_masked += len(pert)
-            for k in pert.kinds:
-                kinds[k] += 1
-        frac = n_masked / (100 * trials)
-        assert abs(frac - 0.15) < 0.01
-        total = sum(kinds.values())
-        assert abs(kinds["mask-token"] / total - 0.8) < 0.02
-        assert abs(kinds["random-token"] / total - 0.1) < 0.02
-        assert abs(kinds["unchanged"] / total - 0.1) < 0.02
+        assert_mlm_rate_and_split(fabricated_seq(100).tokens)
+
+    def test_packed_batch_fraction_and_split(self):
+        # four functions' 25 eligible tokens each, with their [CLS] and <INST> between
+        assert_mlm_rate_and_split(np.concatenate([fabricated_seq(25).tokens] * 4))
 
     def test_specials_never_selected(self):
         seq = fabricated_seq(30)
         rng = np.random.default_rng(1)
         for _ in range(200):
-            ids, pert = mlm_perturb(seq, vocab_size=30, rng=rng)
+            ids, pert = mlm_perturb(seq.tokens, vocab_size=30, rng=rng)
             assert 0 not in pert.positions and 1 not in pert.positions
             assert ids[0] == CLS_ID and ids[1] == INST_ID
             for pos, kind in zip(pert.positions, pert.kinds):
@@ -77,37 +87,44 @@ class TestMlmPerturb:
     def test_no_eligible_tokens(self):
         seq = TokenSequence(tokens=[CLS_ID], surface=["[CLS]"], inst_of=[-1],
                             inst_positions={})
-        ids, pert = mlm_perturb(seq, vocab_size=30, rng=np.random.default_rng(0))
+        ids, pert = mlm_perturb(seq.tokens, vocab_size=30, rng=np.random.default_rng(0))
         assert len(pert) == 0
         assert list(ids) == [CLS_ID]
 
     def test_seed_reproducible(self):
         seq = fabricated_seq(50)
-        a = mlm_perturb(seq, 30, np.random.default_rng(7))
-        b = mlm_perturb(seq, 30, np.random.default_rng(7))
+        a = mlm_perturb(seq.tokens, 30, np.random.default_rng(7))
+        b = mlm_perturb(seq.tokens, 30, np.random.default_rng(7))
         assert np.array_equal(a[0], b[0])
         assert a[1].positions == b[1].positions and a[1].kinds == b[1].kinds
 
     def test_eligible_positions(self):
         seq = fabricated_seq(10)
-        assert eligible_positions(seq) == list(range(2, 12))
+        assert eligible_positions(np.array(seq.tokens)).tolist() == list(range(2, 12))
+
+    def test_reserved_tokens_other_than_the_markers_are_eligible(self):
+        # [UNK] and the immediate and address placeholders stand for text
+        tokens = np.arange(FIRST_REGULAR_ID + 2)
+        want = [t for t in tokens.tolist() if t not in (CLS_ID, INST_ID, PAD_ID, MASK_ID)]
+        assert eligible_positions(tokens).tolist() == want
+        assert UNK_ID in want and len(want) > 3
 
 
 class TestMdmSample:
     def test_empty_graph(self):
         con = ConnectivityGraph(n_nodes=5, dist=np.zeros((5, 5), dtype=np.int32))
-        sample = mdm_sample(con, 5, np.random.default_rng(0))
+        sample = mdm_sample([con], [5], np.random.default_rng(0))
         assert sample.positives.shape == sample.negatives.shape == (0, 2)
 
     def test_complete_graph_exhausts_negatives(self):
         con = complete_connectivity(5)
-        sample = mdm_sample(con, 5, np.random.default_rng(0))
+        sample = mdm_sample([con], [5], np.random.default_rng(0))
         assert len(sample.positives) and sample.negatives.shape == (0, 2)
 
     def test_node_fraction(self):
         con = complete_connectivity(20)
         rng = np.random.default_rng(0)
-        fracs = [len(mdm_sample(con, 20, rng).nodes) / 20 for _ in range(10_000)]
+        fracs = [len(mdm_sample([con], [20], rng).nodes) / 20 for _ in range(10_000)]
         assert abs(float(np.mean(fracs)) - 0.40) < 0.02
 
     def test_balanced_when_possible(self):
@@ -120,7 +137,7 @@ class TestMdmSample:
                     if rng.random() < 0.3:
                         dist[u, v] = dist[v, u] = 1
             con = ConnectivityGraph(n_nodes=n, dist=dist)
-            sample = mdm_sample(con, n, rng)
+            sample = mdm_sample([con], [n], rng)
             in_s = set(sample.nodes.tolist())
             assert sample.nodes.tolist() == sorted(in_s)
             touched = [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -138,9 +155,99 @@ class TestMdmSample:
     def test_positives_touch_sampled_nodes(self):
         rng = np.random.default_rng(11)
         con = complete_connectivity(10)
-        sample = mdm_sample(con, 10, rng)
+        sample = mdm_sample([con], [10], rng)
         in_s = set(sample.nodes.tolist())
         assert all(u in in_s or v in in_s for u, v in sample.positives.tolist())
+
+
+def random_connectivity(rng, n, p=0.3):
+    dist = np.zeros((n, n), dtype=np.int32)
+    linked = np.triu(rng.random((n, n)) < p, 1)
+    dist[linked | linked.T] = 1
+    return ConnectivityGraph(n_nodes=n, dist=dist)
+
+
+class TestBatchSample:
+    """``mdm_sample`` over a batch samples each function on its own."""
+
+    @pytest.mark.parametrize("node_frac", [0.4, 0.25, 1.0])
+    def test_each_function_keeps_its_sample_invariants(self, node_frac):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            sizes = rng.integers(0, 16, size=int(rng.integers(1, 6))).tolist()
+            cons = [random_connectivity(rng, n) for n in sizes]
+            sample = mdm_sample(cons, sizes, rng, node_frac)
+            assert np.array_equal(sample.nodes, np.unique(sample.nodes))
+            first = 0
+            for con, n in zip(cons, sizes):
+                def mine(edges):
+                    return [(u - first, v - first) for u, v in edges.tolist()
+                            if first <= u < first + n]
+
+                nodes = {u - first for u in sample.nodes.tolist() if first <= u < first + n}
+                assert len(nodes) == int(round(node_frac * n))
+                touched = [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if u in nodes or v in nodes]
+                candidates = [(u, v) for u, v in touched if con.dist[u, v] == 0]
+                positives, negatives = mine(sample.positives), mine(sample.negatives)
+                assert positives == [(u, v) for u, v in touched if con.dist[u, v] > 0]
+                assert set(negatives) <= set(candidates) and negatives == sorted(negatives)
+                assert len(negatives) == min(len(positives), len(candidates))
+                first += n
+            # no edge joins two functions: both ends fall in one function's range
+            owner = np.repeat(np.arange(len(sizes)), sizes)
+            for edges in (sample.positives, sample.negatives):
+                assert edges.shape[1:] == (2,) and np.all(edges[:, 0] < edges[:, 1])
+                assert np.array_equal(owner[edges[:, 0]], owner[edges[:, 1]])
+
+    def test_negatives_are_drawn_uniformly_within_a_function(self):
+        # with instructions 0 and 1 of a 3-node path sampled, the one positive
+        # edge (0, 1) gets one of the two candidates, each half the time; the
+        # second function, fully linked, has no candidate
+        path = np.zeros((3, 3), dtype=np.int32)
+        path[0, 1] = path[1, 0] = 1
+        cons = [ConnectivityGraph(n_nodes=3, dist=path), complete_connectivity(4)]
+        rng = np.random.default_rng(9)
+        counts = {}
+        trials = 0
+        while trials < 6000:
+            sample = mdm_sample(cons, [3, 4], rng, 2 / 3)
+            if sample.nodes[:2].tolist() != [0, 1]:
+                continue
+            trials += 1
+            (edge,) = sample.negatives.tolist()
+            counts[tuple(edge)] = counts.get(tuple(edge), 0) + 1
+        assert set(counts) == {(0, 2), (1, 2)}
+        assert all(abs(c / trials - 0.5) < 0.03 for c in counts.values())
+
+
+def per_function_masks(items, sample):
+    """Each function's mask over a copy of its distances with the sample's
+    edges in it deleted and injected, one function at a time."""
+    masks, first = [], 0
+    for item in items:
+        k = item.seq.n_instructions
+        dist = item.con.dist[:k, :k].copy()
+        for edges, value in ((sample.positives, 0), (sample.negatives, 1)):
+            mine = edges[(edges[:, 0] >= first) & (edges[:, 0] < first + k)] - first
+            dist[mine[:, 0], mine[:, 1]] = dist[mine[:, 1], mine[:, 0]] = value
+        masks.append(build_bundle(item.seq, dist))
+        first += k
+    return masks
+
+
+def assert_per_function_masks(pairs, items, sample):
+    """The packed perturbed mask is the per-function masks laid end to end, exactly."""
+    masks = per_function_masks(items, sample)
+    assert len(pairs.segments) == len(masks) and len(pairs) == sum(len(m) for m in masks)
+    for seg, mask in zip(pairs.segments, masks):
+        assert (seg.n, seg.pairs.stop - seg.pairs.start) == (mask.n, len(mask))
+        assert np.array_equal(seg.flat, mask.flat)
+        block = slice(seg.row, seg.row + seg.n)
+        assert np.array_equal(pairs.R[block, block], mask.R)
+    owner = np.repeat(np.arange(len(items)), [len(item.seq) for item in items])
+    i, j = np.divmod(pairs.flat, pairs.n)
+    assert np.array_equal(owner[i], owner[j])
 
 
 def small_artifact():
@@ -168,7 +275,7 @@ class TestPerturbBundle:
     def test_empty_sample_identity(self):
         _, art = small_artifact()
         sample = edge_sample()
-        out = perturb_bundle(art.seq, art.con.dist, sample)
+        out = perturb_bundle([art.seq], [art.con.dist], sample)
         assert np.array_equal(out.flat, art.bundle.flat)
         assert np.array_equal(out.biased, art.bundle.biased)
         assert np.array_equal(out.r, art.bundle.r)
@@ -177,7 +284,7 @@ class TestPerturbBundle:
         _, art = small_artifact()
         t, s = json.loads(art.con.to_json())["edges"][0][:2]
         sample = edge_sample([t], [(t, s)])
-        out = pair_distances(perturb_bundle(art.seq, art.con.dist, sample))
+        out = pair_distances(perturb_bundle([art.seq], [art.con.dist], sample))
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
         assert (pt, ps) not in out and (ps, pt) not in out
         # everything else untouched
@@ -192,7 +299,7 @@ class TestPerturbBundle:
                      if art.con.dist[u, v] == 0]
         t, s = non_edges[0]
         sample = edge_sample([t], negatives=[(t, s)])
-        out = pair_distances(perturb_bundle(art.seq, art.con.dist, sample))
+        out = pair_distances(perturb_bundle([art.seq], [art.con.dist], sample))
         pt, ps = art.seq.inst_positions[t], art.seq.inst_positions[s]
         assert out[pt, ps] == out[ps, pt] == 1
         # everything else untouched
@@ -206,8 +313,33 @@ class TestPerturbBundle:
         non_edge = next((u, v) for u in range(art.seq.n_instructions)
                         for v in range(u + 1, art.seq.n_instructions)
                         if art.con.dist[u, v] == 0)
-        perturb_bundle(art.seq, art.con.dist, edge_sample([t], [(t, s)], [non_edge]))
+        perturb_bundle([art.seq], [art.con.dist], edge_sample([t], [(t, s)], [non_edge]))
         assert np.array_equal(art.con.dist, before)
+
+
+    def test_packed_mask_is_the_per_function_masks_end_to_end(self):
+        items, _ = TestTrainStep().make_items(n=6, seed=2)
+        rng = np.random.default_rng(4)
+        for node_frac in (0.4, 1.0):
+            sample = mdm_sample([item.con for item in items],
+                                [item.seq.n_instructions for item in items], rng, node_frac)
+            assert len(sample.positives) and len(sample.negatives)
+            pairs = perturb_bundle([item.seq for item in items],
+                                   [item.con.dist for item in items], sample)
+            assert_per_function_masks(pairs, items, sample)
+
+    def test_edits_that_cannot_be_made_raise(self):
+        items, _ = TestTrainStep().make_items(n=2, seed=2)
+        seqs, dists = [item.seq for item in items], [item.con.dist for item in items]
+        k = items[0].seq.n_instructions
+        linked = np.argwhere(np.triu(items[0].con.dist[:k, :k], 1))
+        unlinked = np.argwhere(np.triu(items[0].con.dist[:k, :k] == 0, 1))
+        with pytest.raises(ValueError, match="not connected"):
+            build_bundle(seqs, dists, removed=unlinked[:1])
+        with pytest.raises(ValueError, match="is connected or joins"):
+            build_bundle(seqs, dists, added=linked[:1])
+        with pytest.raises(ValueError, match="is connected or joins"):
+            build_bundle(seqs, dists, added=[(0, k)])  # the second function's first instruction
 
 
 def fake_trace(final):
@@ -224,7 +356,7 @@ class TestLosses:
         state.params["mlm_w"][:] = 0.0
         state.params["mlm_b"][:] = 0.0
         rng = np.random.default_rng(0)
-        ids, pert = mlm_perturb(art.seq, len(corpus.vocab), rng, rate=0.5)
+        ids, pert = mlm_perturb(art.seq.tokens, len(corpus.vocab), rng, rate=0.5)
         trace = encode(ids, art.bundle, state)
         loss, _, _ = mlm_loss(trace, pert, state)
         assert loss == pytest.approx(len(pert) * np.log(len(corpus.vocab)), rel=1e-12)
@@ -251,7 +383,7 @@ class TestLosses:
         _, art = small_artifact()
         final = np.zeros((len(art.seq), 8))
         sample = edge_sample([0], [(0, 1)], [(0, 4)])
-        loss, _ = mdm_loss(fake_trace(final), sample, inst_rows(art.seq))
+        loss, _ = mdm_loss(fake_trace(final), sample, inst_rows([art.seq]))
         assert loss == pytest.approx(2 * np.log(2), rel=1e-12)
 
     def test_mdm_perfect_separation(self):
@@ -261,14 +393,14 @@ class TestLosses:
         final[p0, 0] = final[p1, 0] = 40.0   # aligned -> dot 1600
         final[p4, 0] = -40.0                 # anti-aligned -> dot -1600
         sample = edge_sample([0], [(0, 1)], [(0, 4)])
-        loss, _ = mdm_loss(fake_trace(final), sample, inst_rows(art.seq))
+        loss, _ = mdm_loss(fake_trace(final), sample, inst_rows([art.seq]))
         assert loss < 1e-6
 
     def test_edge_probabilities_labels(self):
         _, art = small_artifact()
         final = np.zeros((len(art.seq), 8))
         sample = edge_sample([0], [(0, 1)], [(0, 4)])
-        probs = edge_probabilities(fake_trace(final), sample, inst_rows(art.seq))
+        probs = edge_probabilities(fake_trace(final), sample, inst_rows([art.seq]))
         assert [y for _, y in probs] == [1, 0]
         assert all(p == 0.5 for p, _ in probs)
 
@@ -282,13 +414,13 @@ class TestLosses:
             sample = edge_sample()
         else:  # instruction 0, 1 and 5 each end more than one edge
             sample = edge_sample([0, 1], [(0, 1), (1, 2), (0, 3)], [(0, 4), (1, 5), (2, 5)])
-        loss, dh = mdm_loss(fake_trace(final), sample, inst_rows(art.seq))
+        loss, dh = mdm_loss(fake_trace(final), sample, inst_rows([art.seq]))
         want_loss, want_dh = loop_mdm_loss(final, sample, art.seq)
         tol = 1e-12 if dtype == np.float64 else 1e-5
         assert dh.dtype == dtype
         assert loss == pytest.approx(want_loss, rel=tol, abs=tol)
         assert np.allclose(dh, want_dh, rtol=tol, atol=tol)
-        probs = edge_probabilities(fake_trace(final), sample, inst_rows(art.seq))
+        probs = edge_probabilities(fake_trace(final), sample, inst_rows([art.seq]))
         assert [y for _, y in probs] == [1] * len(sample.positives) + [0] * len(sample.negatives)
         assert all(0.0 < p < 1.0 for p, _ in probs)
 
@@ -344,31 +476,28 @@ class TestTrainStep:
                    np.random.default_rng(0))
         assert sorted(calls) == ["backward", "encode", "mdm_loss", "mlm_loss"]
 
-    def test_packed_batch_is_each_function_perturbed_and_shifted(self):
+    def test_packed_batch_is_the_batch_perturbed_in_one_step(self):
         items, state = self.make_items()
         vocab = state.config.vocab_size
         batch = perturb_batch(items, vocab, np.random.default_rng(7), 0.3, 0.5)
         rng = np.random.default_rng(7)
+        ids, pert = mlm_perturb(np.concatenate([item.seq.tokens for item in items]), vocab,
+                                rng, 0.3)
+        sample = mdm_sample([item.con for item in items],
+                            [item.seq.n_instructions for item in items], rng, 0.5)
+        assert np.array_equal(batch.ids, ids)
+        assert (batch.pert.positions, batch.pert.kinds, batch.pert.original) == (
+            pert.positions, pert.kinds, pert.original)
+        for name in ("nodes", "positives", "negatives"):
+            assert np.array_equal(getattr(batch.sample, name), getattr(sample, name))
         row = inst = 0
         for item, seg in zip(items, batch.pairs.segments):
-            ids, pert = mlm_perturb(item.seq, vocab, rng, 0.3)
-            sample = mdm_sample(item.con, item.seq.n_instructions, rng, 0.5)
-            pairs = perturb_bundle(item.seq, item.con.dist, sample)
             assert (seg.row, seg.n) == (row, len(item.seq))
-            assert np.array_equal(batch.ids[row:row + seg.n], ids)
-            i, j = np.divmod(batch.pairs.flat[seg.pairs], batch.pairs.n)
-            assert np.array_equal((i - row) * seg.n + (j - row), pairs.flat)
-            assert np.array_equal(batch.pairs.R[row:row + seg.n, row:row + seg.n], pairs.R)
-            mine = [i for i, p in enumerate(batch.pert.positions) if row <= p < row + seg.n]
-            assert [batch.pert.positions[i] - row for i in mine] == pert.positions
-            assert [batch.pert.original[i] for i in mine] == pert.original
-            for name in ("positives", "negatives"):
-                got = getattr(batch.sample, name)
-                got = got[(got[:, 0] >= inst) & (got[:, 0] < inst + item.seq.n_instructions)]
-                assert np.array_equal(batch.rows[got], inst_rows(item.seq)[getattr(sample, name)]
-                                      + row)
+            assert np.array_equal(batch.rows[inst:inst + item.seq.n_instructions],
+                                  inst_rows([item.seq]) + row)
             row, inst = row + seg.n, inst + item.seq.n_instructions
         assert row == len(batch.ids) == batch.pairs.n and len(batch.rows) == inst
+        assert_per_function_masks(batch.pairs, items, batch.sample)
 
     def test_gradcheck_runs_on_a_packed_batch(self):
         from depcoder.gradcheck import build_setup
@@ -437,7 +566,7 @@ class TestTrainStep:
         state = EncoderState.init(cfg, 0)
         t, s = json.loads(art.con.to_json())["edges"][0][:2]
         sample = edge_sample([t], [(t, s)])
-        perturbed = perturb_bundle(art.seq, art.con.dist, sample)
+        perturbed = perturb_bundle([art.seq], [art.con.dist], sample)
         trace = encode(art.seq.tokens, perturbed, state)
         dist = art.con.dist.copy()
         dist[t, s] = dist[s, t] = 0

@@ -56,7 +56,7 @@ from depcoder.dependence import (DependenceGraph, block_control_dependences, dat
 from depcoder.encoder import EncoderConfig, EncoderState, backward, encode, rma_attention
 from depcoder.errors import InputError
 from depcoder.frontend import _parse_operand, _split_operands, build_vocab, parse_listing
-from depcoder.masks import AttentionPairs, build_bundle, sparse_masks
+from depcoder.masks import build_bundle, sparse_masks
 from depcoder.pretrain import mdm_sample, perturb_bundle
 from depcoder.synth import generate_function, rename_variant, reorder_variant
 
@@ -226,8 +226,8 @@ def test_perturbed_mask_is_enabled_exactly_on_its_parts(seed, max_len, sample_se
                                                          node_frac):
     art = artifact(seed, max_len)
     rng = np.random.default_rng(sample_seed)
-    sample = mdm_sample(art.con, art.seq.n_instructions, rng, node_frac)
-    out = perturb_bundle(art.seq, art.con.dist, sample)
+    sample = mdm_sample([art.con], [art.seq.n_instructions], rng, node_frac)
+    out = perturb_bundle([art.seq], [art.con.dist], sample)
     want = art.con.dist.copy()
     for t, s in sample.positives:
         want[t, s] = want[s, t] = 0
@@ -280,11 +280,15 @@ def test_attention_matches_the_dense_formula(seed, max_len, model_seed):
        draw_seed=seeds, heads=st.integers(1, 4), d=st.integers(1, 8),
        dtype=st.sampled_from([np.float32, np.float64]))
 def test_pair_list_products_match_the_dense_oracle(functions, draw_seed, heads, d, dtype):
-    bundles = [build_bundle(art.seq, art.con.dist)
-               for art in (artifact(seed, max_len) for seed, max_len in functions)]
+    arts = [artifact(seed, max_len) for seed, max_len in functions]
+    bundles = [build_bundle(art.seq, art.con.dist) for art in arts]
     # one function is the one-segment case; more are packed block-diagonally
-    pairs = bundles[0] if len(bundles) == 1 else AttentionPairs.pack(bundles)
+    pairs = build_bundle([art.seq for art in arts], [art.con.dist for art in arts])
     assert [seg.n for seg in pairs.segments] == [b.n for b in bundles]
+    for seg, bundle in zip(pairs.segments, bundles):  # each function's own mask, shifted
+        assert np.array_equal(seg.flat, bundle.flat)
+        assert np.array_equal(pairs.R[seg.row:seg.row + seg.n, seg.row:seg.row + seg.n], bundle.R)
+    assert len(pairs) == sum(len(b) for b in bundles)
     rng = np.random.default_rng(draw_seed)
     a, b = rng.standard_normal((2, heads, pairs.n, d)).astype(dtype)
     values = rng.standard_normal((heads, len(pairs))).astype(dtype)
