@@ -33,7 +33,7 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 #: glibc ``mallopt`` parameters, and the values ``_keep_freed_memory`` sets
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_TRIM_BYTES, _MMAP_BYTES = 64 << 20, 1 << 20
+_TRIM_BYTES, _MMAP_BYTES = 64 << 20, 32 << 20
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,10 +165,13 @@ def _keep_freed_memory() -> None:
     Under glibc's defaults a block above a threshold that starts at 128 KiB
     is mapped on allocation and unmapped when freed, and free memory above
     128 KiB at the heap's top goes back to the kernel.  Here blocks below
-    1 MiB come from the heap, which is trimmed only once 64 MiB is free at
-    its top.  Larger blocks, such as the attention workspace of a long
-    function, are still mapped afresh.  A C library without ``mallopt`` is
-    left as it is.  No result depends on it."""
+    32 MiB, glibc's largest threshold on 64-bit, come from the heap, which
+    is trimmed only once 64 MiB is free at its top.  That covers the
+    attention's dense (heads, N, N) product blocks at the default shape:
+    4 MiB in float32 and 8 MiB in float64 at 4 heads and N 512.  A larger
+    block is still mapped afresh on each allocation, which is correct, only
+    slower.  A C library without ``mallopt`` is left as it is.  No result
+    depends on it."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # not glibc, or no C library to load
@@ -384,15 +387,21 @@ def cmd_eval_sim(args, cfg) -> int:
         names = [row["function"] for row in rows]
         # one matrix, so that embeddings of two lengths are rejected here
         matrix = np.array([row["embedding"] for row in rows], dtype=np.float64)
+        embs = {}
         for name, emb in zip(names, matrix):
             if not np.isfinite(emb).all():  # a NaN cosine ranks by no order
                 raise InputError(f"function {name}: non-finite embedding")
-        embs = dict(zip(names, matrix))
+            if name in embs:
+                raise InputError(f"function {name}: a second embedding")
+            embs[name] = emb
     with _reading(args.eval_spec), open(args.eval_spec, encoding="utf-8") as fh:
         spec = json.load(fh)
         queries = [embs[q] for q in spec["queries"]]
         pools = [[embs[c] for c in pool] for pool in spec["pools"]]
         truth = spec["truth"]
+        bad = [t for t in truth if type(t) is not int]  # a JSON true is a bool, not an index
+        if bad:
+            raise InputError(f"truth index {bad[0]!r} is not an integer")
         if not len(queries) == len(pools) == len(truth):
             raise InputError(f"{len(queries)} queries, {len(pools)} pools and "
                              f"{len(truth)} truth indices")
@@ -452,6 +461,8 @@ def _labelled_positions(path, corpus, label_of):
             name = row["function"]
             if name not in corpus.by_name:
                 raise InputError(f"labelled function {name!r} not in the listing")
+            if name in out:
+                raise InputError(f"labelled function {name!r} has a second row")
             seq_len = len(corpus.by_name[name].seq)
             pairs = []
             for pos, label in row["labels"]:

@@ -18,11 +18,11 @@ pairs where R > 0, and the softmax runs per row segment of the pair list,
 so a disabled entry gets exactly zero weight.  Dropout is drawn only when
 ``encode`` is given an rng, one value per head and pair.  The two products,
 Q K^T and weights times V, stay dense BLAS matmuls, which the pair list runs
-in a reused zero workspace (see ``masks``): ``gather_product`` takes Q K^T at
-the pairs, and ``spread_product`` multiplies the weights, zero off the pairs,
-by V.  The reverse pass makes the same two calls, the second also transposed,
-so no (heads, N, N) array reaches this module, and it adds the logit
-gradients at the biased pairs into ``beta`` in one ``np.add.at``.
+one sequence's block at a time (see ``masks``): ``gather_product`` takes
+Q K^T at the pairs, and ``spread_product`` multiplies the weights, zero off
+the pairs, by V.  The reverse pass makes the same two calls, the second
+also transposed, so no (heads, N, N) array reaches this module, and it adds
+the logit gradients at the biased pairs into ``beta`` in one ``np.add.at``.
 
 ``encode`` runs a packed batch (``build_bundle`` over several sequences)
 as it runs one sequence: every row-wise step, from the embeddings through
@@ -207,10 +207,14 @@ class EncoderState:
                 raise InputError(f"the header's model: {e}") from e
             params = {}
             for spec in header["tensors"]:
+                if spec["dtype"] != "float32":
+                    raise InputError(f"tensor {spec['name']!r} is {spec['dtype']!r}, not float32")
                 count = int(np.prod(spec["shape"])) if spec["shape"] else 1
                 raw = fh.read(count * 4)
                 arr = np.frombuffer(raw, dtype=np.float32).reshape(spec["shape"])
                 params[spec["name"]] = arr.astype(config.np_dtype)
+            if fh.read(1):
+                raise InputError("bytes follow the last tensor")
         expected = {n: shape for n, (shape, _) in _tensor_specs(config).items()}
         if {n: a.shape for n, a in params.items()} != expected:
             raise InputError("the tensors do not fit the model the header configures")

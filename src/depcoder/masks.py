@@ -33,20 +33,17 @@ segment's selected rows (none, possibly) by all of its columns.  A square
 list is the m = n case; every method below runs either.
 
 The attention's dense (heads, m, n) products are two methods of the pair
-list that run in one workspace per thread and dtype, grown to the largest
-heads·m_s·n_s seen and all zeros between calls: ``gather_product`` writes a
-segment's block of a product there and takes its entries at the segment's
-pairs, and ``spread_product`` writes values at the pairs and multiplies by
-that block or its transpose.  Each zeroes the workspace before it moves on,
-so no caller code runs while it is in use.  A fresh (heads, N, N) array per
-product, 4 MB at N 512, made long-function encoding page-fault, and one
-(heads, ΣN, ΣN) product over a packed batch is slower than its diagonal
-blocks.
+list that run one segment's block at a time: ``gather_product`` computes a
+segment's block of a product and takes its entries at the segment's pairs,
+and ``spread_product`` writes values at the pairs of a zero block and
+multiplies by it or its transpose.  One (heads, ΣN, ΣN) product over a
+packed batch is slower than its diagonal blocks.  A fresh (heads, N, N)
+block, 4 MB at N 512 in float32, is served without page faults from the
+heap that ``cli._keep_freed_memory`` keeps.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -56,26 +53,6 @@ from .jsontext import int_rows
 
 #: the dense ``AttentionPairs.M`` view's stand-in for -inf at disabled entries
 MASK_NEG = -1.0e9
-
-
-class _Workspaces(threading.local):
-    """Each thread's zero workspaces by dtype (a matmul runs without the GIL)."""
-
-    def __init__(self):
-        self.buffers: dict[np.dtype, np.ndarray] = {}
-
-
-_WORKSPACES = _Workspaces()
-
-
-def _workspace(heads: int, m: int, n: int, dtype) -> np.ndarray:
-    """A zero (heads, m, n) view of this thread's workspace for ``dtype``,
-    grown as needed, which the caller leaves zero."""
-    size, dtype = heads * m * n, np.dtype(dtype)
-    buf = _WORKSPACES.buffers.get(dtype)
-    if buf is None or len(buf) < size:
-        buf = _WORKSPACES.buffers[dtype] = np.zeros(size, dtype=dtype)
-    return buf[:size].reshape(heads, m, n)
 
 
 class Segment(NamedTuple):
@@ -193,17 +170,12 @@ class AttentionPairs:
         """(heads, m, d) ``a`` @ (heads, d, n) ``b`` -> (heads, P): the product's
         entries at the pairs, one segment's block at a time."""
         self._check(a.shape[-2], b.shape[-1])
-        heads, dtype = len(a), np.result_type(a, b)
-        out = np.empty((heads, len(self)), dtype)
+        heads = len(a)
+        out = np.empty((heads, len(self)), np.result_type(a, b))
         for seg in self.segments:
-            dense = _workspace(heads, seg.m, seg.n, dtype)
-            try:
-                np.matmul(a[:, seg.row:seg.row + seg.m], b[:, :, seg.col:seg.col + seg.n],
-                          out=dense)
-                np.take(dense.reshape(heads, -1), seg.flat, axis=1, out=out[:, seg.pairs],
-                        mode="clip")
-            finally:
-                dense.fill(0)
+            dense = np.matmul(a[:, seg.row:seg.row + seg.m], b[:, :, seg.col:seg.col + seg.n])
+            np.take(dense.reshape(heads, -1), seg.flat, axis=1, out=out[:, seg.pairs],
+                    mode="clip")
         return out
 
     def spread_product(self, values: np.ndarray, b: np.ndarray,
@@ -220,16 +192,12 @@ class AttentionPairs:
                        np.result_type(values, b))
         for seg in self.segments:
             rows, cols = slice(seg.row, seg.row + seg.m), slice(seg.col, seg.col + seg.n)
-            dense = _workspace(heads, seg.m, seg.n, values.dtype)
-            flat_rows = dense.reshape(heads, -1)
-            try:
-                flat_rows[:, seg.flat] = values[:, seg.pairs]
-                if transpose:
-                    np.matmul(dense.transpose(0, 2, 1), b[:, rows], out=out[:, cols])
-                else:
-                    np.matmul(dense, b[:, cols], out=out[:, rows])
-            finally:
-                flat_rows[:, seg.flat] = 0
+            dense = np.zeros((heads, seg.m, seg.n), values.dtype)
+            dense.reshape(heads, -1)[:, seg.flat] = values[:, seg.pairs]
+            if transpose:
+                np.matmul(dense.transpose(0, 2, 1), b[:, rows], out=out[:, cols])
+            else:
+                np.matmul(dense, b[:, cols], out=out[:, rows])
         return out
 
     def row_max(self, values: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ often write ``mov rsp, rbp`` and then store to and load from the stack: with
 rsp untracked those accesses touch the whole frame, whose stores must not
 kill earlier ones, so a load after two of them depends on both.  Random CFGs
 are fabricated directly as block graphs, cycles allowed.  Random dependence
-edges draw their pairs uniformly, so cycles and self-loops occur.
+edges draw their pairs uniformly, so cycles and self-loops occur.  One
+fixed function fills the default ``max_len`` for the tests of long inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import numpy as np
 
 from depcoder.cfg import EXIT, Cfg, _augment_exit_reachability
 from depcoder.frontend import parse_listing
+
+#: a straight-line function of 512 tokens, the default ``max_len``
+LONG_FUNCTION = ".func long\npush rbx\npush rbx\n" + "mov rax, rbx\nadd rbx, rax\n" * 150
 
 _REGS = ("rax", "rbx", "rcx", "rdx", "rsi", "rdi", "r8", "r9")
 _JCCS = ("je", "jne", "jl", "jg")

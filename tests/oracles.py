@@ -227,8 +227,9 @@ def naive_mask_bundle(seq: TokenSequence, con, neg=-1.0e9):
 
 def dense_from_pairs(pairs, values: np.ndarray) -> np.ndarray:
     """(heads, P) values at the pairs -> a fresh (heads, m, N) array, zero
-    off the pairs, built without the encoder's workspace (m = N unless the
-    list is a selection of query rows)."""
+    off the pairs, built over the whole list rather than segment by segment
+    as ``spread_product`` does (m = N unless the list is a selection of
+    query rows)."""
     out = np.zeros((len(values), pairs.m * pairs.n), dtype=values.dtype)
     out[:, pairs.flat] = values
     return out.reshape(len(values), pairs.m, pairs.n)

@@ -14,6 +14,8 @@ from depcoder.config import RunConfig
 from depcoder.corpus import CACHE_FORMAT, SECTIONS, dumps, function_text
 from depcoder.frontend import parse_listing
 
+from generators import LONG_FUNCTION
+
 POINTER_CHAIN = """.func chain
 mov rax, rbx
 mov [rsp + 0x10], rax
@@ -607,6 +609,23 @@ class TestThreads:
 
 
 class TestFreedMemory:
+    @staticmethod
+    def last_number(code):
+        """The last number a fresh process running the Python ``code`` prints,
+        where the C library has ``mallopt`` and there is ``resource`` to count faults."""
+        import ctypes
+
+        pytest.importorskip("resource")
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("the C library has no mallopt")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(depcoder.__file__)))
+        # numpy asks for huge pages for arrays of 4 MiB and up, and a fresh
+        # mapping then faults once per 2 MiB: the count would hide it
+        env = {**os.environ, "PYTHONPATH": src, "NUMPY_MADVISE_HUGEPAGE": "0"}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        return float(run.stdout.split()[-1])
+
     def faults(self, tmp_path, steps):
         """Minor page faults of a fresh process running a smoke-sized ``pretrain``."""
         cfg = write(tmp_path / f"cfg{steps}.json", json.dumps(
@@ -614,24 +633,44 @@ class TestFreedMemory:
              "steps": steps, "warmup": 2, "seed": 0, "threads": 1}))
         argv = ["pretrain", "--config", cfg, "--corpus", str(tmp_path / "s" / "corpus.asm"),
                 "--out", str(tmp_path / f"run{steps}")]
-        src = os.path.dirname(os.path.dirname(os.path.abspath(depcoder.__file__)))
-        code = ("import resource; from depcoder.cli import main; "
-                f"assert main({argv!r}) == 0; "
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)")
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True)
-        return int(run.stdout.split()[-1])
+        return self.last_number(
+            "import resource; from depcoder.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)")
 
     def test_training_steps_reuse_freed_memory(self, tmp_path):
-        import ctypes
-
-        pytest.importorskip("resource")
-        if not hasattr(ctypes.CDLL(None), "mallopt"):
-            pytest.skip("the C library has no mallopt")
         assert main(["synth", "--out", str(tmp_path / "s"), "--functions", "40"]) == 0
         # the steps past the 20th fault in fresh pages only where freed memory left the process
         per_step = (self.faults(tmp_path, 60) - self.faults(tmp_path, 20)) / 40
         assert per_step < 50
+
+    def test_long_function_products_reuse_freed_memory(self, tmp_path):
+        # a 512-token function's (heads, N, N) product blocks, 4 MiB at the
+        # default shape, come from the kept heap, not from fresh pages
+        argv = ["synth", "--out", str(tmp_path / "s"), "--functions", "1", "--threads", "1"]
+        per_call = self.last_number(f"""
+import resource
+from depcoder.cli import main
+assert main({argv!r}) == 0
+import numpy as np
+from depcoder.config import RunConfig
+from depcoder.corpus import Corpus
+from depcoder.encoder import EncoderState, backward, encode
+cfg = RunConfig()
+corpus = Corpus.from_text({LONG_FUNCTION!r}, cfg)
+art = corpus.functions[0]
+assert len(art.seq) == cfg.max_len == 512
+state = EncoderState.init(cfg.encoder_config(len(corpus.vocab)), 0)
+def call():
+    trace = encode(art.seq.tokens, art.bundle, state)
+    backward(trace, np.ones_like(trace.final), state)
+call()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    call()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+""")
+        assert per_call < 50
 
     def test_main_runs_without_mallopt(self, tmp_path, monkeypatch):
         from types import SimpleNamespace
@@ -1021,6 +1060,10 @@ def bad_input(case, tmp_path, trained):
     spec = {"queries": [query], "pools": [["chain"]], "truth": [truth]}
     if case == "eval_spec_of_lists_of_two_lengths":
         spec = {"queries": ["chain", "chain"], "pools": [["chain"]], "truth": [0]}
+    if case in ("truth_index_that_is_a_boolean", "truth_index_that_is_a_float"):
+        # either one passed as index 1 of a pool of two
+        spec = {"queries": ["chain"], "pools": [["chain", "chain"]],
+                "truth": [True if case.endswith("boolean") else 1.0]}
     path = write(tmp_path / "spec.json", json.dumps(spec))
     return ["eval-sim", "--embeddings", embs, "--eval-spec", path], \
         embs if case == "embeddings_of_two_lengths" else path
@@ -1041,11 +1084,37 @@ class TestExitCodes:
         "labels_row_without_labels", "triplet_of_an_absent_function",
         "eval_spec_of_an_absent_embedding", "truth_index_outside_its_pool",
         "eval_spec_of_lists_of_two_lengths", "embeddings_of_two_lengths",
-        "sample_without_a_function", "head_of_a_wrong_shape"])
+        "sample_without_a_function", "head_of_a_wrong_shape",
+        "truth_index_that_is_a_boolean", "truth_index_that_is_a_float"])
     def test_bad_input_exits_2_naming_the_file(self, trained, tmp_path, capsys, case):
         argv, path = bad_input(case, tmp_path, trained)
         assert main(argv) == 2
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval-sim", "eval-type", "train-type"])
+    def test_a_function_named_twice_exits_2_naming_the_file_and_function(
+            self, trained, tmp_path, capsys, command):
+        # the later row silently replaced the earlier one
+        if command == "eval-sim":
+            rows = [{"function": "chain", "embedding": [1.0, 0.0]},
+                    {"function": "chain", "embedding": [0.0, 1.0]}]
+            bad = write(tmp_path / "e.jsonl", "".join(json.dumps(row) + "\n" for row in rows))
+            spec = write(tmp_path / "spec.json", json.dumps(
+                {"queries": ["chain"], "pools": [["chain"]], "truth": [0]}))
+            argv = ["eval-sim", "--embeddings", bad, "--eval-spec", spec]
+            detail = "function chain: a second embedding"
+        else:
+            rows = [{"function": "chain", "labels": [[2, label]]} for label in ("long", "int")]
+            bad = write(tmp_path / "labels.jsonl",
+                        "".join(json.dumps(row) + "\n" for row in rows))
+            argv = [command, write(tmp_path / "chain.asm", POINTER_CHAIN), "--checkpoint",
+                    str(trained["run"] / "model.ckpt"), "--labels", bad]
+            if command == "train-type":
+                argv += ["--out", str(tmp_path / "typed.ckpt"), "--steps", "1"]
+            detail = "labelled function 'chain' has a second row"
+        assert main(argv) == 2
+        assert f"input error: {bad}: {detail}" in capsys.readouterr().err
+        assert not (tmp_path / "typed.ckpt").exists()
 
     @pytest.mark.parametrize("command, labels, head_b", [
         ("train-mlc", [2, 0], None), ("eval-mlc", [2, 0], [0.0, 0.0]),
@@ -1095,8 +1164,10 @@ class TestExitCodes:
         lambda data: checkpoint_with(data, lambda h: h["config"].update(bogus=1)),
         lambda data: checkpoint_with(data, lambda h: h.update(format_version=1)),
         lambda data: checkpoint_with(data, lambda h: h["tensors"][0].update(name="renamed")),
+        lambda data: checkpoint_with(data, lambda h: h["tensors"][0].update(dtype="float64")),
+        lambda data: data + b"\0" * 4,
     ], ids=["garbage", "truncated_tensors", "unknown_config_key", "wrong_version",
-            "renamed_tensor"])
+            "renamed_tensor", "float64_tensor", "trailing_bytes"])
     def test_corrupt_checkpoint_exits_2_naming_the_file(self, trained, tmp_path, capsys,
                                                         corrupt):
         ckpt = tmp_path / "bad.ckpt"

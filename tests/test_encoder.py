@@ -13,9 +13,10 @@ from depcoder.downstream import DEFAULT_TYPE_LABELS, type_inference_loss
 from depcoder.encoder import (EncoderConfig, EncoderState, NumericsError, _gelu, _gelu_grad,
                               _layer_norm, _layer_norm_backward, backward, embed_inputs, encode,
                               rma_attention)
-from depcoder.masks import _WORKSPACES, AttentionPairs, build_bundle
+from depcoder.masks import AttentionPairs, build_bundle
 from depcoder.synth import generate_function, reorder_variant
 
+from generators import LONG_FUNCTION
 from oracles import (dense_from_pairs, mean_layer_norm, mean_layer_norm_backward,
                      naive_mask_bundle, tanh_gelu, tanh_gelu_grad)
 
@@ -446,7 +447,6 @@ class TestLastLayerRows:
         np.testing.assert_allclose(spread, w.transpose(0, 2, 1) @ a, rtol=1e-12, atol=1e-12)
         empty = sel.segments[1]
         assert empty.m == 0 and np.all(spread[:, empty.col:empty.col + empty.n] == 0)
-        assert_workspaces_zero()
 
     def test_rows_must_be_sorted_distinct_and_in_range(self, arts):
         state = self.model(arts)
@@ -495,17 +495,13 @@ def test_a_repeated_label_position_takes_each_labels_gradient(corpus, art):
     np.testing.assert_allclose(dh[0], fd, rtol=1e-6, atol=1e-9)
 
 
-def assert_workspaces_zero():
-    assert _WORKSPACES.buffers and not any(buf.any() for buf in _WORKSPACES.buffers.values())
-
-
-class TestWorkspace:
-    """The attention's dense products share one zero workspace per thread and dtype."""
+class TestDenseProducts:
+    """The attention's dense products give the same bits whatever ran before
+    them or beside them, and reject operands of a wrong shape."""
 
     @pytest.fixture(scope="class")
     def long_art(self, corpus):
-        listing = ".func long\npush rbx\npush rbx\n" + "mov rax, rbx\nadd rbx, rax\n" * 150
-        art = Corpus.from_text(listing, RunConfig(), vocab=corpus.vocab).functions[0]
+        art = Corpus.from_text(LONG_FUNCTION, RunConfig(), vocab=corpus.vocab).functions[0]
         assert len(art.seq) == 512
         return art
 
@@ -515,22 +511,17 @@ class TestWorkspace:
         grads = backward(trace, np.ones_like(trace.final), state)
         return [trace.final, *(grads[name] for name in sorted(grads))]
 
-    def test_reuse_across_lengths_and_dtypes_is_bit_identical(self, corpus, art, long_art):
+    def test_calls_across_lengths_and_dtypes_are_bit_identical(self, corpus, art, long_art):
         short32 = make_state(corpus, dtype="float32", max_len=512)
         short32.config.dropout = 0.5
         first = self.run(art, short32)
         self.run(long_art, short32)
-        assert len(_WORKSPACES.buffers[np.dtype(np.float32)]) >= 2 * 512 * 512
         self.run(art, make_state(corpus, dtype="float64"))
         again = self.run(art, short32)
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
-    def test_zero_after_encode_backward_and_an_error(self, corpus, art):
-        state = make_state(corpus)
-        trace = encode(art.seq.tokens, art.bundle, state)
-        assert_workspaces_zero()
-        backward(trace, np.ones_like(trace.final), state)
-        assert_workspaces_zero()
+    def test_operands_of_a_wrong_shape_raise(self, corpus, art):
+        trace = encode(art.seq.tokens, art.bundle, make_state(corpus))
         c, pairs = trace.caches[0], art.bundle
         wrong = np.ones((c.k.shape[0], c.k.shape[1] + 1, c.k.shape[2]))
         for product in (lambda: pairs.spread_product(c.probs, wrong),
@@ -538,7 +529,6 @@ class TestWorkspace:
                         lambda: pairs.gather_product(c.q, wrong.transpose(0, 2, 1))):
             with pytest.raises(ValueError):
                 product()
-            assert_workspaces_zero()
 
     def test_two_threads_match_the_serial_results(self, corpus, art, long_art):
         state = make_state(corpus, dtype="float32", max_len=512)
